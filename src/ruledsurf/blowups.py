@@ -28,19 +28,6 @@ class ExtClass:
     b: int
     exc: tuple[int, ...] = ()
 
-    def __add__(self, other: "ExtClass") -> "ExtClass":
-        n = max(len(self.exc), len(other.exc))
-        e1 = self.exc + (0,) * (n - len(self.exc))
-        e2 = other.exc + (0,) * (n - len(other.exc))
-        return ExtClass(self.a + other.a, self.b + other.b,
-                        tuple(x + y for x, y in zip(e1, e2)))
-
-    def __neg__(self) -> "ExtClass":
-        return ExtClass(-self.a, -self.b, tuple(-x for x in self.exc))
-
-    def __sub__(self, other: "ExtClass") -> "ExtClass":
-        return self + (-other)
-
     def __str__(self) -> str:
         parts = [f"{self.a}*xi", f"{self.b}*f"]
         parts += [f"{c}*e{i + 1}" for i, c in enumerate(self.exc) if c != 0]
@@ -82,10 +69,9 @@ def blow_up(surface: BlownUpSurface) -> BlownUpSurface:
 def check_class(surface: BlownUpSurface, cls: ExtClass, other: ExtClass) -> int:
     """Symmetric bilinear pairing in the extended lattice."""
     base_part = intersect(surface.base, [NumClass(cls.a, cls.b), NumClass(other.a, other.b)])
-    n = max(len(cls.exc), len(other.exc))
-    e1 = cls.exc + (0,) * (n - len(cls.exc))
-    e2 = other.exc + (0,) * (n - len(other.exc))
-    return base_part - sum(x * y for x, y in zip(e1, e2))
+    # A missing exceptional coefficient is 0, so zip's truncation to the
+    # shorter tuple drops only zero products.
+    return base_part - sum(x * y for x, y in zip(cls.exc, other.exc))
 
 
 @dataclass(frozen=True)

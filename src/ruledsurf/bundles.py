@@ -58,12 +58,12 @@ class SplitBundle:
     degrees: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        degs = tuple(sorted(self.degrees, reverse=True))
+        degs = tuple(self.degrees)
         if not degs:
             raise ValueError("a bundle needs at least one summand")
-        if not all(isinstance(d, int) for d in degs):
+        if not all(isinstance(d, int) and not isinstance(d, bool) for d in degs):
             raise ValueError("summand degrees must be integers")
-        object.__setattr__(self, "degrees", degs)
+        object.__setattr__(self, "degrees", tuple(sorted(degs, reverse=True)))
 
     @property
     def rank(self) -> int:

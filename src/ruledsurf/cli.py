@@ -2,27 +2,19 @@
 
 Subcommands: classify | scan | blowup | h0 | frobenius.  Exit codes:
 0 success / agreement, 1 oracle disagreement, 2 validation failure,
-3 output I/O failure.  RSK_THREADS caps scan parallelism (0 = auto).
+3 file I/O failure (reading a scenario file or writing --out).
+RSK_THREADS caps scan parallelism (0 = auto).
 """
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Sequence
 
-from .blowups import (
-    BlownUpSurface,
-    BlowupScenario,
-    BlowupStep,
-    blow_up,
-    certify_big_anticanonical,
-    check_class,
-)
+from .blowups import BlownUpSurface, BlowupScenario, BlowupStep, certify_big_anticanonical, check_class
 from .bundles import Curve, SplitBundle, frobenius_pullback, hn_data, min_destabilizing_e
 from .sections import Verdict, growth_classify, h0_class_interval, volume
 from .surfaces import NumClass, RuledSurface, big_test, canonical_class, nef_test, pseff_test
@@ -101,57 +93,31 @@ def cmd_classify(args: argparse.Namespace, out) -> int:
 
 # -------------------------------------------------------------------- scan
 
-@dataclass(frozen=True)
-class ScanSpec:
-    """Finite parameter grid for an oracle-agreement scan."""
-
-    genus_range: range
-    characteristics: tuple[int, ...]
-    d1_range: range
-    d2_range: range
-    d3_range: Optional[range]
-    num_class: Optional[NumClass]
-    m_max: int
-
-    def __post_init__(self) -> None:
-        if self.m_max < 8:
-            raise ValueError("--m-max must be at least 8")
-        if not self.characteristics:
-            raise ValueError("--chars must be non-empty")
-        for r, name in ((self.genus_range, "--genus-range"),
-                        (self.d1_range, "--d1-range"),
-                        (self.d2_range, "--d2-range")):
-            if len(r) == 0:
-                raise ValueError(f"{name} is empty")
-
-    def points(self) -> list[tuple[int, int, tuple[int, ...]]]:
-        rows = []
-        for g in self.genus_range:
-            for p in sorted(self.characteristics):
-                for d1 in self.d1_range:
-                    for d2 in self.d2_range:
-                        if d2 > d1:
-                            continue
-                        if self.d3_range is None:
-                            rows.append((g, p, (d1, d2)))
-                        else:
-                            for d3 in self.d3_range:
-                                if d3 > d2:
-                                    continue
-                                rows.append((g, p, (d1, d2, d3)))
-        if not rows:
-            raise ValueError("scan grid is empty (degree ranges never satisfy d1 >= d2 >= d3)")
-        return rows
+def _scan_points(args: argparse.Namespace) -> list[tuple[int, int, tuple[int, ...]]]:
+    """The scan grid in emission order: genus, sorted characteristic, then
+    the non-increasing degree tuples in lexicographic order."""
+    genera = _parse_range(args.genus_range, "--genus-range")
+    chars = sorted(_parse_int_list(args.chars, "--chars"))
+    ranges = [_parse_range(args.d1_range, "--d1-range"), _parse_range(args.d2_range, "--d2-range")]
+    if args.d3_range:
+        ranges.append(_parse_range(args.d3_range, "--d3-range"))
+    if args.m_max < 8:
+        raise ValueError("--m-max must be at least 8")
+    degree_tuples = [degs for degs in itertools.product(*ranges)
+                     if all(x >= y for x, y in zip(degs, degs[1:]))]
+    points = [(g, p, degs) for g in genera for p in chars for degs in degree_tuples]
+    if not points:
+        raise ValueError("scan grid is empty (degree ranges never satisfy d1 >= d2 >= d3)")
+    return points
 
 
-def _scan_row(job: tuple[int, int, tuple[int, ...], Optional[tuple[int, int]], int]) -> str:
-    g, p, degrees, cls_ab, m_max = job
+def _scan_row(job: tuple[int, int, tuple[int, ...], Optional[NumClass], int]) -> tuple[str, bool]:
+    g, p, degrees, num_class, m_max = job
     surface = RuledSurface(Curve(g, p), SplitBundle(degrees))
-    cls = NumClass(*cls_ab) if cls_ab is not None else -canonical_class(surface)
+    cls = num_class if num_class is not None else -canonical_class(surface)
     big = big_test(surface, cls)
     vol = volume(surface, cls)
-    report = growth_classify(surface, cls, m_max)
-    verdict = report.verdict
+    verdict = growth_classify(surface, cls, m_max).verdict
     agree = (
         (big and verdict is Verdict.BIG_CERTIFIED)
         or (not big and verdict is Verdict.NOT_BIG_CERTIFIED)
@@ -159,7 +125,7 @@ def _scan_row(job: tuple[int, int, tuple[int, ...], Optional[tuple[int, int]], i
     )
     fields = [g, p, *degrees, cls.a, cls.b, _bool_str(big), verdict.value, vol,
               _bool_str(agree)]
-    return "\t".join(str(x) for x in fields)
+    return "\t".join(str(x) for x in fields), agree
 
 
 def _worker_count() -> int:
@@ -176,49 +142,39 @@ def _worker_count() -> int:
 
 
 def cmd_scan(args: argparse.Namespace, out) -> int:
-    spec = ScanSpec(
-        genus_range=_parse_range(args.genus_range, "--genus-range"),
-        characteristics=_parse_int_list(args.chars, "--chars"),
-        d1_range=_parse_range(args.d1_range, "--d1-range"),
-        d2_range=_parse_range(args.d2_range, "--d2-range"),
-        d3_range=_parse_range(args.d3_range, "--d3-range") if args.d3_range else None,
-        num_class=args.num_class,
-        m_max=args.m_max,
-    )
-    cls_ab = (spec.num_class.a, spec.num_class.b) if spec.num_class else None
-    jobs = [(g, p, degs, cls_ab, spec.m_max) for g, p, degs in spec.points()]
+    jobs = [(g, p, degs, args.num_class, args.m_max) for g, p, degs in _scan_points(args)]
 
     workers = _worker_count()
     if workers > 1 and len(jobs) > 1:
+        # Imported here so that the other subcommands skip its import time.
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_scan_row, jobs, chunksize=8))
+            results = list(pool.map(_scan_row, jobs, chunksize=8))
     else:
-        rows = [_scan_row(job) for job in jobs]
+        results = [_scan_row(job) for job in jobs]
 
-    deg_cols = ["d1", "d2"] + (["d3"] if spec.d3_range is not None else [])
+    deg_cols = ["d1", "d2"] + (["d3"] if args.d3_range else [])
     header = "\t".join(["genus", "char", *deg_cols, "a", "b", "big", "verdict",
                         "volume", "agree"])
     print(header, file=out)
-    for row in rows:
+    for row, _ in results:
         print(row, file=out)
-    disagreement = any(row.rsplit("\t", 1)[1] == "false" for row in rows)
-    return EXIT_DISAGREE if disagreement else EXIT_OK
+    return EXIT_OK if all(agree for _, agree in results) else EXIT_DISAGREE
 
 
 # ------------------------------------------------------------------ blowup
+
+_KIND_NAMES = {int: "an integer", bool: "a boolean", list: "a list", dict: "an object"}
+
 
 def _require(obj: dict, key: str, kind, where: str):
     if key not in obj:
         raise ValueError(f"{where}.{key}: required field missing")
     value = obj[key]
-    if kind is int and (not isinstance(value, int) or isinstance(value, bool)):
-        raise ValueError(f"{where}.{key}: expected an integer")
-    if kind is bool and not isinstance(value, bool):
-        raise ValueError(f"{where}.{key}: expected a boolean")
-    if kind is list and not isinstance(value, list):
-        raise ValueError(f"{where}.{key}: expected a list")
-    if kind is dict and not isinstance(value, dict):
-        raise ValueError(f"{where}.{key}: expected an object")
+    # json.load builds exact int/bool/list/dict values, so an exact type
+    # test also keeps true/false out of integer fields.
+    if type(value) is not kind:
+        raise ValueError(f"{where}.{key}: expected {_KIND_NAMES[kind]}")
     return value
 
 
@@ -235,7 +191,7 @@ def load_scenario(path: str) -> BlowupScenario:
     genus = _require(base, "genus", int, "scenario.base")
     characteristic = _require(base, "characteristic", int, "scenario.base")
     degrees = _require(base, "degrees", list, "scenario.base")
-    if not all(isinstance(d, int) and not isinstance(d, bool) for d in degrees):
+    if not all(type(d) is int for d in degrees):
         raise ValueError("scenario.base.degrees: expected a list of integers")
     budget = _require(raw, "budget_class", dict, "scenario")
     a = _require(budget, "a", int, "scenario.budget_class")
@@ -254,7 +210,6 @@ def load_scenario(path: str) -> BlowupScenario:
 def cmd_blowup(args: argparse.Namespace, out) -> int:
     scenario = load_scenario(args.scenario)
     cert = certify_big_anticanonical(scenario)
-    g = scenario.base.curve.genus
     lines = [
         f"certified: {_bool_str(cert.certified)}",
         f"big_part: {cert.big_part}",
@@ -263,11 +218,8 @@ def cmd_blowup(args: argparse.Namespace, out) -> int:
         f"effective_part: {cert.effective_part}",
         "witness: -K(Xtilde) = pullback(big_part) + effective_part",
     ]
-    surface = BlownUpSurface(scenario.base)
-    k = surface.canonical_class()
-    lines.append(f"k_squared_step_0: {check_class(surface, k, k)}")
-    for i in range(1, cert.n_steps + 1):
-        surface = blow_up(surface)
+    for i in range(cert.n_steps + 1):
+        surface = BlownUpSurface(scenario.base, i)
         k = surface.canonical_class()
         lines.append(f"k_squared_step_{i}: {check_class(surface, k, k)}")
     print("\n".join(lines), file=out)
@@ -332,7 +284,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_surface_args(p_classify)
     p_classify.add_argument("--class", dest="num_class", type=_parse_class, default=None,
                             help="class a,b (default: -K)")
-    p_classify.add_argument("--out", default=None)
     p_classify.set_defaults(func=cmd_classify)
 
     p_scan = sub.add_parser("scan", help="grid scan with oracle agreement check")
@@ -344,12 +295,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--class", dest="num_class", type=_parse_class, default=None,
                         help="class a,b (default: -K per surface)")
     p_scan.add_argument("--m-max", type=int, default=32)
-    p_scan.add_argument("--out", default=None)
     p_scan.set_defaults(func=cmd_scan)
 
     p_blowup = sub.add_parser("blowup", help="certify a blow-up scenario file")
     p_blowup.add_argument("scenario", help="path to a scenario JSON file")
-    p_blowup.add_argument("--out", default=None)
     p_blowup.set_defaults(func=cmd_blowup)
 
     p_h0 = sub.add_parser("h0", help="section-count interval for a class")
@@ -358,15 +307,16 @@ def build_parser() -> argparse.ArgumentParser:
                       help="class a,b (default: -K)")
     p_h0.add_argument("--m-max", type=int, default=None,
                       help="also run the growth classifier up to this m")
-    p_h0.add_argument("--out", default=None)
     p_h0.set_defaults(func=cmd_h0)
 
     p_frob = sub.add_parser("frobenius", help="Frobenius pull-back of a bundle")
     _add_surface_args(p_frob)
     p_frob.add_argument("--e", type=int, default=0, help="number of Frobenius iterations")
-    p_frob.add_argument("--out", default=None)
     p_frob.set_defaults(func=cmd_frobenius)
 
+    # Added last so that --out keeps its place at the end of each usage line.
+    for subparser in sub.choices.values():
+        subparser.add_argument("--out", default=None)
     return parser
 
 

@@ -35,9 +35,6 @@ class H0Interval:
         if not 0 <= self.lo <= self.hi:
             raise ValueError("interval needs 0 <= lo <= hi")
 
-    def __add__(self, other: "H0Interval") -> "H0Interval":
-        return H0Interval(self.lo + other.lo, self.hi + other.hi)
-
 
 class Verdict(enum.Enum):
     BIG_CERTIFIED = "BIG_CERTIFIED"
@@ -55,19 +52,20 @@ class GrowthReport:
 def h0_interval_curve(curve: Curve, degree: int) -> H0Interval:
     """Bounds for h^0 of a degree-d line bundle on the curve.
 
-    d < 0 gives [0, 0]; d = 0 gives [0, 1] (the twist may or may not be
-    trivial); in the special range 0 < d <= 2g-2 the Euler characteristic
-    bounds from below and Clifford's inequality from above; beyond 2g-2
-    the count d - g + 1 is exact.
+    Beyond 2g-2 the count d - g + 1 is exact (on P^1 that is every
+    d >= -1); otherwise d < 0 gives [0, 0], d = 0 gives [0, 1] (the twist
+    may or may not be trivial), and in the special range 0 < d <= 2g-2
+    the Euler characteristic bounds from below and Clifford's inequality
+    from above.
     """
     g = curve.genus
+    if degree > 2 * g - 2:
+        exact = degree - g + 1
+        return H0Interval(exact, exact)
     if degree < 0:
         return H0Interval(0, 0)
     if degree == 0:
         return H0Interval(0, 1)
-    if degree > 2 * g - 2:
-        exact = degree - g + 1
-        return H0Interval(exact, exact)
     return H0Interval(max(0, degree - g + 1), degree // 2 + 1)
 
 
@@ -147,39 +145,26 @@ def _ladder(m_max: int) -> list[int]:
     return ms
 
 
-def growth_classify(
-    surface: RuledSurface, cls: NumClass, m_max: int, mode: str = "volume"
-) -> GrowthReport:
+def growth_classify(surface: RuledSurface, cls: NumClass, m_max: int) -> GrowthReport:
     """Classify the growth of the certified lower/upper bounds.
 
     Samples h0_class_interval on m*cls along a halving ladder down from
     m_max.  BIG_CERTIFIED requires the lower bound at m_max to exceed half
-    of the exact asymptote (volume mode, the default) or to witness
-    super-(r-1) growth against the previous rung (ladder mode).
-    NOT_BIG_CERTIFIED requires the upper bound to stay below the
-    (1+g)*(r*m+1)^(r-1) ceiling on every rung.
+    of the exact asymptote vol * m_max^r / r!.  NOT_BIG_CERTIFIED requires
+    the upper bound to stay below the (1+g)*(r*m+1)^(r-1) ceiling on every
+    rung.
     """
     if m_max < 8:
         raise ValueError("m_max must be at least 8")
-    if mode not in ("volume", "ladder"):
-        raise ValueError(f"unknown mode {mode!r}")
     ms = _ladder(m_max)
     samples = tuple((m, h0_class_interval(surface, m * cls)) for m in ms)
     r = surface.rank
     g = surface.curve.genus
     lo_last = samples[-1][1].lo
     fitted = Fraction(factorial(r) * lo_last, m_max**r)
+    vol = volume(surface, cls)
 
-    if mode == "volume":
-        vol = volume(surface, cls)
-        big_ok = vol > 0 and lo_last > vol * m_max**r / (2 * factorial(r))
-    else:
-        big_ok = False
-        if len(samples) >= 2 and lo_last > 0:
-            m_prev, prev = samples[-2]
-            big_ok = Fraction(lo_last, m_max**r) >= Fraction(prev.lo, m_prev**r) / 2
-
-    if big_ok:
+    if vol > 0 and lo_last > vol * m_max**r / (2 * factorial(r)):
         verdict = Verdict.BIG_CERTIFIED
     elif all(iv.hi <= (1 + g) * (r * m + 1) ** (r - 1) for m, iv in samples):
         verdict = Verdict.NOT_BIG_CERTIFIED

@@ -68,6 +68,17 @@ class TestSplitBundle:
         with pytest.raises(ValueError):
             SplitBundle(())
 
+    def test_rejects_bool_degree(self):
+        with pytest.raises(ValueError):
+            SplitBundle((True, 0))
+
+    def test_rejects_non_integer_before_sorting(self):
+        # Unsortable entries must still give ValueError, not TypeError.
+        with pytest.raises(ValueError):
+            SplitBundle((1, "x"))
+        with pytest.raises(ValueError):
+            SplitBundle((1.5, 0))
+
     def test_slope(self):
         assert SplitBundle((3, 1, 1, 0)).slope == Fraction(5, 4)
 

@@ -124,6 +124,22 @@ class TestScan:
         )
         assert code == EXIT_IO
 
+    def test_pool_matches_serial(self, capsys, monkeypatch):
+        # Two of the four rows disagree (high genus), so the exit code must
+        # carry each row's agree flag back through the process pool.
+        argv = ["scan", "--genus-range", "29:30", "--d1-range", "0:1",
+                "--d2-range", "0:0", "--class", "1,0", "--m-max", "16"]
+        runs = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("RSK_THREADS", threads)
+            runs.append(run_cli(capsys, *argv)[:2])
+        assert runs[0] == runs[1]
+        code, out = runs[0]
+        assert code == EXIT_DISAGREE
+        rows = out.splitlines()[1:]
+        assert len(rows) == 4
+        assert sum(row.endswith("\tfalse") for row in rows) == 2
+
     def test_rank3_grid(self, capsys, monkeypatch):
         monkeypatch.setenv("RSK_THREADS", "1")
         code, out, _ = run_cli(
@@ -183,6 +199,14 @@ class TestH0:
         code, out, _ = run_cli(capsys, "h0", "--genus", "1", "--degrees", "1,0")
         assert code == EXIT_OK
         assert "h0_lo: 1" in out and "h0_hi: 2" in out
+
+    def test_genus0_degree0_exact(self, capsys):
+        # P^1 x P^1: the class xi has k in {(1,0),(0,1)}, two degree-0
+        # points on P^1, each with exactly one section.
+        code, out, _ = run_cli(capsys, "h0", "--genus", "0", "--degrees", "0,0",
+                               "--class", "1,0")
+        assert code == EXIT_OK
+        assert "h0_lo: 2" in out and "h0_hi: 2" in out
 
     def test_growth_section(self, capsys):
         code, out, _ = run_cli(

@@ -1,5 +1,5 @@
 """Exact bigness/nefness tests for divisor classes on projective bundles
-over curves, brute-force section-count oracles, and blow-up certificates."""
+over curves, section-count oracles, and blow-up certificates."""
 
 from .blowups import (
     BigAnticanonicalCertificate,

@@ -3,14 +3,12 @@
 Subcommands: classify | scan | blowup | h0 | frobenius.  Exit codes:
 0 success / agreement, 1 oracle disagreement, 2 validation failure,
 3 file I/O failure (reading a scenario file or writing --out).
-RSK_THREADS caps scan parallelism (0 = auto).
 """
 from __future__ import annotations
 
 import argparse
 import itertools
 import json
-import os
 import sys
 from typing import Optional, Sequence
 
@@ -111,13 +109,13 @@ def _scan_points(args: argparse.Namespace) -> list[tuple[int, int, tuple[int, ..
     return points
 
 
-def _scan_row(job: tuple[int, int, tuple[int, ...], Optional[NumClass], int]) -> tuple[str, bool]:
-    g, p, degrees, num_class, m_max = job
+def _scan_row(g: int, p: int, degrees: tuple[int, ...], num_class: Optional[NumClass],
+              m_max: int) -> tuple[str, bool]:
     surface = RuledSurface(Curve(g, p), SplitBundle(degrees))
     cls = num_class if num_class is not None else -canonical_class(surface)
     big = big_test(surface, cls)
-    vol = volume(surface, cls)
-    verdict = growth_classify(surface, cls, m_max).verdict
+    report = growth_classify(surface, cls, m_max)
+    vol, verdict = report.volume, report.verdict
     agree = (
         (big and verdict is Verdict.BIG_CERTIFIED)
         or (not big and verdict is Verdict.NOT_BIG_CERTIFIED)
@@ -128,30 +126,9 @@ def _scan_row(job: tuple[int, int, tuple[int, ...], Optional[NumClass], int]) ->
     return "\t".join(str(x) for x in fields), agree
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("RSK_THREADS", "0")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ValueError(f"RSK_THREADS must be an integer, got {raw!r}")
-    if n < 0:
-        raise ValueError("RSK_THREADS must be non-negative")
-    if n == 0:
-        return os.cpu_count() or 1
-    return n
-
-
 def cmd_scan(args: argparse.Namespace, out) -> int:
-    jobs = [(g, p, degs, args.num_class, args.m_max) for g, p, degs in _scan_points(args)]
-
-    workers = _worker_count()
-    if workers > 1 and len(jobs) > 1:
-        # Imported here so that the other subcommands skip its import time.
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_scan_row, jobs, chunksize=8))
-    else:
-        results = [_scan_row(job) for job in jobs]
+    results = [_scan_row(g, p, degs, args.num_class, args.m_max)
+               for g, p, degs in _scan_points(args)]
 
     deg_cols = ["d1", "d2"] + (["d3"] if args.d3_range else [])
     header = "\t".join(["genus", "char", *deg_cols, "a", "b", "big", "verdict",
@@ -232,14 +209,14 @@ def cmd_h0(args: argparse.Namespace, out) -> int:
     surface = _build_surface(args)
     cls = args.num_class if args.num_class is not None else -canonical_class(surface)
     iv = h0_class_interval(surface, cls)
+    report = growth_classify(surface, cls, args.m_max) if args.m_max is not None else None
     lines = [
         f"class: {cls}",
         f"h0_lo: {iv.lo}",
         f"h0_hi: {iv.hi}",
-        f"volume: {volume(surface, cls)}",
+        f"volume: {volume(surface, cls) if report is None else report.volume}",
     ]
-    if args.m_max is not None:
-        report = growth_classify(surface, cls, args.m_max)
+    if report is not None:
         lines.append(f"verdict: {report.verdict.value}")
         lines.append(f"fitted_lo_coefficient: {report.fitted_lo_coefficient}")
         for m, sample in report.samples:
@@ -250,10 +227,27 @@ def cmd_h0(args: argparse.Namespace, out) -> int:
 
 # --------------------------------------------------------------- frobenius
 
+# Python's default limit on the decimal digits of an int it converts to str.
+_MAX_DIGITS = 4300
+
+
+def _check_printable_pullback(p: int, e: int, degrees: tuple[int, ...]) -> None:
+    """Reject an --e whose degrees p**e * d would not print, without ever
+    building a p**e much larger than the limit."""
+    limit = 10**_MAX_DIGITS
+    # p**e >= 2**(e * (bit_length - 1)), so this test needs no p**e at all.
+    if (e * (p.bit_length() - 1) >= limit.bit_length()
+            or p**e * max(1, *(abs(d) for d in degrees)) >= limit):
+        raise ValueError(f"--e {e}: the pulled-back degrees p^e*d would exceed "
+                         f"{_MAX_DIGITS} decimal digits")
+
+
 def cmd_frobenius(args: argparse.Namespace, out) -> int:
     degrees = _parse_int_list(args.degrees, "--degrees")
     curve = Curve(args.genus, args.char)
     bundle = SplitBundle(degrees)
+    if args.e > 0 and curve.characteristic > 0:
+        _check_printable_pullback(curve.characteristic, args.e, bundle.degrees)
     pulled = frobenius_pullback(curve, bundle, args.e)
     lines = [f"pullback_degrees: {','.join(str(d) for d in pulled.degrees)}"]
     if bundle.rank == 2:
@@ -276,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ruledsurf",
         description="Exact bigness/nefness tests on projective bundles over curves, "
-                    "with brute-force section-count oracles and blow-up certificates.",
+                    "with section-count oracles and blow-up certificates.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -1,5 +1,6 @@
 import itertools
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import given
@@ -58,6 +59,31 @@ class TestCurve:
     def test_accepts_primes(self):
         Curve(1, 2)
         Curve(1, 97)
+
+    def test_large_prime_decided_quickly(self):
+        assert Curve(1, 1000000000000000003).characteristic == 1000000000000000003
+
+    def test_rejects_carmichael_and_strong_pseudoprime(self):
+        # 561 fools the Fermat test to every coprime base; 3215031751 is a
+        # strong pseudoprime to the bases 2, 3, 5 and 7.
+        for n in (561, 3215031751):
+            with pytest.raises(ValueError, match="0 or a prime"):
+                Curve(1, n)
+
+    def test_primality_matches_trial_division(self):
+        def trial(n):
+            return n >= 2 and all(n % d for d in range(2, isqrt(n) + 1))
+        for n in range(2, 3000):
+            try:
+                Curve(0, n)
+                accepted = True
+            except ValueError:
+                accepted = False
+            assert accepted == trial(n), n
+
+    def test_characteristic_beyond_primality_bound(self):
+        with pytest.raises(ValueError, match="below 3317044064679887385961981"):
+            Curve(1, 3317044064679887385961981)
 
 
 class TestSplitBundle:

@@ -62,10 +62,21 @@ class TestClassify:
         code, _, _ = run_cli(capsys, "classify", "--genus", "-1", "--degrees", "1,0")
         assert code == EXIT_VALIDATION
 
+    def test_large_prime_characteristic(self, capsys):
+        code, out, _ = run_cli(capsys, "classify", "--genus", "2", "--char",
+                               "1000000000000000003", "--degrees", "1,0")
+        assert code == EXIT_OK
+        assert "min_destabilizing_e: 1" in out
+
+    def test_characteristic_beyond_primality_bound(self, capsys):
+        code, _, err = run_cli(capsys, "classify", "--genus", "1", "--char",
+                               "3317044064679887385961981", "--degrees", "1,0")
+        assert code == EXIT_VALIDATION
+        assert "characteristic must be below" in err
+
 
 class TestScan:
-    def test_small_grid_agrees(self, capsys, monkeypatch):
-        monkeypatch.setenv("RSK_THREADS", "1")
+    def test_small_grid_agrees(self, capsys):
         code, out, _ = run_cli(
             capsys, "scan", "--genus-range", "1:2", "--d1-range", "0:4",
             "--d2-range", "0:0", "--m-max", "32",
@@ -78,8 +89,7 @@ class TestScan:
         assert len(lines) == 1 + 2 * 5
         assert all(line.split("\t")[-1] == "true" for line in lines[1:])
 
-    def test_deterministic_output(self, capsys, monkeypatch, tmp_path):
-        monkeypatch.setenv("RSK_THREADS", "1")
+    def test_deterministic_output(self, capsys, tmp_path):
         args = ["scan", "--genus-range", "1:1", "--d1-range=-1:2",
                 "--d2-range=-1:1", "--m-max", "16"]
         out1 = tmp_path / "a.tsv"
@@ -88,8 +98,7 @@ class TestScan:
         assert main(args + ["--out", str(out2)]) == EXIT_OK
         assert out1.read_bytes() == out2.read_bytes()
 
-    def test_single_point_matches_classify(self, capsys, monkeypatch):
-        monkeypatch.setenv("RSK_THREADS", "1")
+    def test_single_point_matches_classify(self, capsys):
         code, out, _ = run_cli(
             capsys, "scan", "--genus-range", "2:2", "--d1-range", "5:5",
             "--d2-range", "0:0", "--m-max", "32",
@@ -116,32 +125,26 @@ class TestScan:
         )
         assert code == EXIT_VALIDATION
 
-    def test_unwritable_out(self, capsys, monkeypatch):
-        monkeypatch.setenv("RSK_THREADS", "1")
+    def test_unwritable_out(self, capsys):
         code, _, err = run_cli(
             capsys, "scan", "--genus-range", "1:1", "--d1-range", "1:1",
             "--d2-range", "0:0", "--out", "/nonexistent-dir/out.tsv",
         )
         assert code == EXIT_IO
 
-    def test_pool_matches_serial(self, capsys, monkeypatch):
-        # Two of the four rows disagree (high genus), so the exit code must
-        # carry each row's agree flag back through the process pool.
-        argv = ["scan", "--genus-range", "29:30", "--d1-range", "0:1",
-                "--d2-range", "0:0", "--class", "1,0", "--m-max", "16"]
-        runs = []
-        for threads in ("1", "2"):
-            monkeypatch.setenv("RSK_THREADS", threads)
-            runs.append(run_cli(capsys, *argv)[:2])
-        assert runs[0] == runs[1]
-        code, out = runs[0]
+    def test_disagreement_sets_exit_code(self, capsys):
+        # Two of the four rows disagree (high genus): the exit code must
+        # follow each row's agree flag.
+        code, out, _ = run_cli(
+            capsys, "scan", "--genus-range", "29:30", "--d1-range", "0:1",
+            "--d2-range", "0:0", "--class", "1,0", "--m-max", "16",
+        )
         assert code == EXIT_DISAGREE
         rows = out.splitlines()[1:]
         assert len(rows) == 4
         assert sum(row.endswith("\tfalse") for row in rows) == 2
 
-    def test_rank3_grid(self, capsys, monkeypatch):
-        monkeypatch.setenv("RSK_THREADS", "1")
+    def test_rank3_grid(self, capsys):
         code, out, _ = run_cli(
             capsys, "scan", "--genus-range", "1:1", "--d1-range", "1:2",
             "--d2-range", "0:0", "--d3-range", "0:0", "--m-max", "16",
@@ -226,6 +229,16 @@ class TestFrobenius:
         assert code == EXIT_OK
         assert "pullback_degrees: 4,0" in out
         assert "min_destabilizing_e: 0" in out
+
+    def test_e_just_past_printable_bound(self, capsys):
+        # 3^e * 2 first reaches 4301 decimal digits at e = 9012.
+        argv = ["frobenius", "--genus", "1", "--char", "3", "--degrees", "2,1"]
+        code, out, _ = run_cli(capsys, *argv, "--e", "9011")
+        assert code == EXIT_OK
+        assert len(out.split()[1].split(",")[0]) == 4300
+        code, _, err = run_cli(capsys, *argv, "--e", "9012")
+        assert code == EXIT_VALIDATION
+        assert "--e 9012" in err
 
     def test_char_zero_error(self, capsys):
         code, _, err = run_cli(

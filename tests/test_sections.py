@@ -25,6 +25,30 @@ def surface(g, *degrees, p=0):
     return RuledSurface(Curve(g, p), SplitBundle(degrees))
 
 
+def compositions(total, parts):
+    """All k in Z^parts_{>=0} with sum(k) = total."""
+    if parts == 1:
+        yield (total,)
+        return
+    for head in range(total + 1):
+        for rest in compositions(total - head, parts - 1):
+            yield (head,) + rest
+
+
+def brute_force_interval(s, cls):
+    """Reference for h0_class_interval: one curve interval per lattice point."""
+    if cls.a < 0:
+        return H0Interval(0, 0)
+    if cls.a == 0 and cls.b == 0:
+        return H0Interval(1, 1)
+    lo = hi = 0
+    for k in compositions(cls.a, s.rank):
+        iv = h0_interval_curve(s.curve, sum(ki * di for ki, di in zip(k, s.bundle.degrees)) + cls.b)
+        lo += iv.lo
+        hi += iv.hi
+    return H0Interval(lo, hi)
+
+
 class TestH0IntervalCurve:
     def test_negative_degree(self):
         assert h0_interval_curve(Curve(2), -1) == H0Interval(0, 0)
@@ -66,6 +90,36 @@ class TestH0ClassInterval:
 
     def test_negative_a(self):
         assert h0_class_interval(surface(1, 1, 0), NumClass(-1, 10)) == H0Interval(0, 0)
+
+    @given(st.integers(0, 40), st.lists(st.integers(-6, 6), min_size=2, max_size=4),
+           st.integers(0, 12), st.integers(-40, 40))
+    @settings(max_examples=300)
+    def test_matches_brute_force(self, g, degrees, a, b):
+        s = surface(g, *degrees)
+        assert h0_class_interval(s, NumClass(a, b)) == brute_force_interval(s, NumClass(a, b))
+
+    @pytest.mark.parametrize("g, degrees, cls", [
+        (0, (3, 1, -2), NumClass(7, 2)),     # genus 0: exact from degree -1 up
+        (0, (0, 0), NumClass(5, -1)),        # genus 0, equal degrees
+        (2, (4, 4), NumClass(6, -20)),       # equal last two degrees: step 0
+        (5, (3, 1, 1), NumClass(9, -4)),     # step 0 in rank 3
+        (3, (2, -1, -1, -1), NumClass(8, 3)),
+        (3, (4, 1), NumClass(0, 5)),         # a = 0, b != 0: one point of degree b
+        (3, (4, 1), NumClass(0, -5)),
+        (30, (1, 0), NumClass(1, 0)),        # the high-genus (1, 0) class
+        (30, (1, 0), NumClass(64, 0)),
+    ])
+    def test_matches_brute_force_cases(self, g, degrees, cls):
+        s = surface(g, *degrees)
+        assert h0_class_interval(s, cls) == brute_force_interval(s, cls)
+
+    def test_rank2_large_m_is_fast(self):
+        # O(g) for rank 2 whatever a is: a brute-force walk would visit
+        # 10^12 points here.
+        # degrees 5j for j = 0..a: [0, 1] at j = 0, then exactly 5j - 2.
+        a = 10**12
+        exact = 5 * a * (a + 1) // 2 - 2 * a
+        assert h0_class_interval(surface(3, 5, 0), NumClass(a, 0)) == H0Interval(exact, exact + 1)
 
     @given(st.integers(1, 3), st.integers(-3, 3), st.integers(-3, 3),
            st.integers(0, 4), st.integers(-5, 5), st.integers(0, 4))

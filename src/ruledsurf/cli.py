@@ -1,14 +1,16 @@
 """Command-line front end.
 
 Subcommands: classify | scan | blowup | h0 | frobenius.  Exit codes:
-0 success / agreement, 1 oracle disagreement, 2 validation failure,
-3 file I/O failure (reading a scenario file or writing --out).
+0 success / agreement, 1 oracle disagreement, 2 validation failure
+(a request over a work limit included), 3 file I/O failure (reading a
+scenario file or writing --out).
 """
 from __future__ import annotations
 
 import argparse
 import itertools
 import json
+import math
 import sys
 from typing import Optional, Sequence
 
@@ -21,6 +23,10 @@ EXIT_OK = 0
 EXIT_DISAGREE = 1
 EXIT_VALIDATION = 2
 EXIT_IO = 3
+
+# Most grid points (genera x characteristics x degree ranges, before the
+# d1 >= d2 >= d3 filter) one scan may ask for.
+MAX_SCAN_POINTS = 10**5
 
 
 def _parse_int_list(text: str, what: str) -> tuple[int, ...]:
@@ -59,7 +65,7 @@ def _build_surface(args: argparse.Namespace) -> RuledSurface:
 
 # ---------------------------------------------------------------- classify
 
-def cmd_classify(args: argparse.Namespace, out) -> int:
+def cmd_classify(args: argparse.Namespace) -> tuple[int, list[str]]:
     surface = _build_surface(args)
     bundle = surface.bundle
     hn = hn_data(bundle)
@@ -85,8 +91,7 @@ def cmd_classify(args: argparse.Namespace, out) -> int:
     if surface.curve.characteristic > 0 and bundle.rank == 2:
         e = min_destabilizing_e(surface.curve, bundle)
         lines.append(f"min_destabilizing_e: {'none' if e is None else e}")
-    print("\n".join(lines), file=out)
-    return EXIT_OK
+    return EXIT_OK, lines
 
 
 # -------------------------------------------------------------------- scan
@@ -101,6 +106,10 @@ def _scan_points(args: argparse.Namespace) -> list[tuple[int, int, tuple[int, ..
         ranges.append(_parse_range(args.d3_range, "--d3-range"))
     if args.m_max < 8:
         raise ValueError("--m-max must be at least 8")
+    size = len(genera) * len(chars) * math.prod(len(r) for r in ranges)
+    if size > MAX_SCAN_POINTS:
+        raise ValueError(f"scan grid has {size} points before filtering, "
+                         f"above the limit of {MAX_SCAN_POINTS}")
     degree_tuples = [degs for degs in itertools.product(*ranges)
                      if all(x >= y for x, y in zip(degs, degs[1:]))]
     points = [(g, p, degs) for g in genera for p in chars for degs in degree_tuples]
@@ -116,27 +125,21 @@ def _scan_row(g: int, p: int, degrees: tuple[int, ...], num_class: Optional[NumC
     big = big_test(surface, cls)
     report = growth_classify(surface, cls, m_max)
     vol, verdict = report.volume, report.verdict
-    agree = (
-        (big and verdict is Verdict.BIG_CERTIFIED)
-        or (not big and verdict is Verdict.NOT_BIG_CERTIFIED)
-        or (verdict is Verdict.INCONCLUSIVE and vol == 0)
-    )
+    agree = verdict is (Verdict.BIG_CERTIFIED if big else Verdict.NOT_BIG_CERTIFIED)
     fields = [g, p, *degrees, cls.a, cls.b, _bool_str(big), verdict.value, vol,
               _bool_str(agree)]
     return "\t".join(str(x) for x in fields), agree
 
 
-def cmd_scan(args: argparse.Namespace, out) -> int:
+def cmd_scan(args: argparse.Namespace) -> tuple[int, list[str]]:
     results = [_scan_row(g, p, degs, args.num_class, args.m_max)
                for g, p, degs in _scan_points(args)]
 
     deg_cols = ["d1", "d2"] + (["d3"] if args.d3_range else [])
     header = "\t".join(["genus", "char", *deg_cols, "a", "b", "big", "verdict",
                         "volume", "agree"])
-    print(header, file=out)
-    for row, _ in results:
-        print(row, file=out)
-    return EXIT_OK if all(agree for _, agree in results) else EXIT_DISAGREE
+    code = EXIT_OK if all(agree for _, agree in results) else EXIT_DISAGREE
+    return code, [header, *(row for row, _ in results)]
 
 
 # ------------------------------------------------------------------ blowup
@@ -184,7 +187,7 @@ def load_scenario(path: str) -> BlowupScenario:
     return BlowupScenario(surface, NumClass(a, b), tuple(steps))
 
 
-def cmd_blowup(args: argparse.Namespace, out) -> int:
+def cmd_blowup(args: argparse.Namespace) -> tuple[int, list[str]]:
     scenario = load_scenario(args.scenario)
     cert = certify_big_anticanonical(scenario)
     lines = [
@@ -199,13 +202,12 @@ def cmd_blowup(args: argparse.Namespace, out) -> int:
         surface = BlownUpSurface(scenario.base, i)
         k = surface.canonical_class()
         lines.append(f"k_squared_step_{i}: {check_class(surface, k, k)}")
-    print("\n".join(lines), file=out)
-    return EXIT_OK
+    return EXIT_OK, lines
 
 
 # ---------------------------------------------------------------------- h0
 
-def cmd_h0(args: argparse.Namespace, out) -> int:
+def cmd_h0(args: argparse.Namespace) -> tuple[int, list[str]]:
     surface = _build_surface(args)
     cls = args.num_class if args.num_class is not None else -canonical_class(surface)
     iv = h0_class_interval(surface, cls)
@@ -221,8 +223,7 @@ def cmd_h0(args: argparse.Namespace, out) -> int:
         lines.append(f"fitted_lo_coefficient: {report.fitted_lo_coefficient}")
         for m, sample in report.samples:
             lines.append(f"sample_m_{m}: [{sample.lo}, {sample.hi}]")
-    print("\n".join(lines), file=out)
-    return EXIT_OK
+    return EXIT_OK, lines
 
 
 # --------------------------------------------------------------- frobenius
@@ -242,7 +243,7 @@ def _check_printable_pullback(p: int, e: int, degrees: tuple[int, ...]) -> None:
                          f"{_MAX_DIGITS} decimal digits")
 
 
-def cmd_frobenius(args: argparse.Namespace, out) -> int:
+def cmd_frobenius(args: argparse.Namespace) -> tuple[int, list[str]]:
     degrees = _parse_int_list(args.degrees, "--degrees")
     curve = Curve(args.genus, args.char)
     bundle = SplitBundle(degrees)
@@ -253,8 +254,7 @@ def cmd_frobenius(args: argparse.Namespace, out) -> int:
     if bundle.rank == 2:
         e = min_destabilizing_e(curve, bundle)
         lines.append(f"min_destabilizing_e: {'none' if e is None else e}")
-    print("\n".join(lines), file=out)
-    return EXIT_OK
+    return EXIT_OK, lines
 
 
 # -------------------------------------------------------------------- main
@@ -321,17 +321,21 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as err:
         return EXIT_VALIDATION if err.code not in (0, None) else EXIT_OK
 
-    out_path = getattr(args, "out", None)
     try:
-        if out_path:
-            try:
-                out = open(out_path, "w")
-            except OSError as err:
-                print(f"error: cannot open output path: {err}", file=sys.stderr)
-                return EXIT_IO
-            with out:
-                return args.func(args, out)
-        return args.func(args, sys.stdout)
+        # Output is written only once the command has succeeded, so a
+        # rejected input never truncates an existing --out file.
+        code, lines = args.func(args)
+        if not args.out:
+            print("\n".join(lines))
+            return code
+        try:
+            out = open(args.out, "w")
+        except OSError as err:
+            print(f"error: cannot open output path: {err}", file=sys.stderr)
+            return EXIT_IO
+        with out:
+            print("\n".join(lines), file=out)
+        return code
     except OSError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_IO

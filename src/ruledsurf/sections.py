@@ -111,6 +111,24 @@ def _prefixes(degrees: Sequence[int], base: int, left: int) -> Iterator[tuple[in
         yield from _prefixes(degrees[1:], base + k * degrees[0], left - k)
 
 
+# Most work units (see _lattice_work) one h0_class_interval call, or one
+# growth_classify ladder, may take; a unit costs under a microsecond, so an
+# accepted call stays within seconds.
+MAX_LATTICE_WORK = 10**7
+
+
+def _lattice_work(head: int, genus: int, a: int) -> int:
+    """Work units of h0_class_interval on a class a*xi + b*f, a >= 0, in
+    rank head + 2: C(a+head, head) prefixes, each one unit plus at most
+    min(a+1, 2g-1) curve calls."""
+    return comb(a + head, head) * (1 + min(a + 1, max(0, 2 * genus - 1)))
+
+
+def _over_limit(what: str, work: int) -> ValueError:
+    return ValueError(f"{what}: the lattice sums need {work} work units, "
+                      f"above the limit of {MAX_LATTICE_WORK}")
+
+
 def h0_class_interval(surface: RuledSurface, cls: NumClass) -> H0Interval:
     """Sum the curve intervals over the lattice slice sum(k) = a.
 
@@ -119,6 +137,9 @@ def h0_class_interval(surface: RuledSurface, cls: NumClass) -> H0Interval:
     progression each.  The class (0, 0) is the structure sheaf: its unique
     lattice point carries the identically trivial twist, so the count is
     exactly 1.
+
+    Raises ValueError, before walking, when the work exceeds
+    MAX_LATTICE_WORK.
     """
     if cls.a < 0:
         return H0Interval(0, 0)
@@ -126,6 +147,9 @@ def h0_class_interval(surface: RuledSurface, cls: NumClass) -> H0Interval:
         return H0Interval(1, 1)
     *head, d_prev, d_last = surface.bundle.degrees
     curve = surface.curve
+    work = _lattice_work(len(head), curve.genus, cls.a)
+    if work > MAX_LATTICE_WORK:
+        raise _over_limit(f"class {cls}", work)
     lo = hi = 0
     for base, left in _prefixes(head, cls.b, cls.a):
         plo, phi = _progression_interval(curve, base + left * d_last, d_prev - d_last, left + 1)
@@ -180,28 +204,36 @@ def _ladder(m_max: int) -> list[int]:
 
 
 def growth_classify(surface: RuledSurface, cls: NumClass, m_max: int) -> GrowthReport:
-    """Classify the growth of the certified lower/upper bounds.
+    """Classify bigness from the exact volume, confirmed by section counts.
 
     Samples h0_class_interval on m*cls along a halving ladder down from
-    m_max.  BIG_CERTIFIED requires the lower bound at m_max to exceed half
-    of the exact asymptote vol * m_max^r / r!.  NOT_BIG_CERTIFIED requires
-    the upper bound to stay below the (1+g)*(r*m+1)^(r-1) ceiling on every
-    rung.
+    m_max; a ladder whose total work exceeds MAX_LATTICE_WORK raises
+    ValueError before any sum.  With fitted = r! * lo(m_max) / m_max^r:
+
+    - NOT_BIG_CERTIFIED iff vol == 0.  A class is big exactly when its
+      volume is positive, and the upper bounds at finitely many m cannot
+      show that the counts grow slower than m^r: any ceiling on them is a
+      guess.  Only the exact volume can certify non-bigness.
+    - BIG_CERTIFIED iff fitted > vol / 2: the certified lower bounds
+      already reach half of the exact asymptote.
+    - INCONCLUSIVE otherwise: vol > 0, but the counts up to m_max do not
+      yet confirm it.
     """
     if m_max < 8:
         raise ValueError("m_max must be at least 8")
     ms = _ladder(m_max)
-    samples = tuple((m, h0_class_interval(surface, m * cls)) for m in ms)
     r = surface.rank
-    g = surface.curve.genus
-    lo_last = samples[-1][1].lo
-    fitted = Fraction(factorial(r) * lo_last, m_max**r)
+    if cls.a > 0:
+        work = sum(_lattice_work(r - 2, surface.curve.genus, m * cls.a) for m in ms)
+        if work > MAX_LATTICE_WORK:
+            raise _over_limit(f"class {cls} up to m = {m_max}", work)
+    samples = tuple((m, h0_class_interval(surface, m * cls)) for m in ms)
+    fitted = Fraction(factorial(r) * samples[-1][1].lo, m_max**r)
     vol = volume(surface, cls)
-
-    if vol > 0 and lo_last > vol * m_max**r / (2 * factorial(r)):
-        verdict = Verdict.BIG_CERTIFIED
-    elif all(iv.hi <= (1 + g) * (r * m + 1) ** (r - 1) for m, iv in samples):
+    if vol == 0:
         verdict = Verdict.NOT_BIG_CERTIFIED
+    elif fitted > vol / 2:
+        verdict = Verdict.BIG_CERTIFIED
     else:
         verdict = Verdict.INCONCLUSIVE
     return GrowthReport(samples, verdict, fitted, vol)

@@ -1,8 +1,15 @@
 import json
+import time
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from ruledsurf.cli import EXIT_DISAGREE, EXIT_IO, EXIT_OK, EXIT_VALIDATION, main
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def run_cli(capsys, *argv):
@@ -144,6 +151,27 @@ class TestScan:
         assert len(rows) == 4
         assert sum(row.endswith("\tfalse") for row in rows) == 2
 
+    def test_zero_volume_on_big_class_disagrees(self, capsys, monkeypatch):
+        # A volume that wrongly reads 0 on a big class must show up as a
+        # disagreement with the slope test.
+        monkeypatch.setattr("ruledsurf.sections.volume", lambda surface, cls: Fraction(0))
+        code, out, _ = run_cli(
+            capsys, "scan", "--genus-range", "1:1", "--d1-range", "1:1",
+            "--d2-range", "0:0", "--m-max", "16",
+        )
+        assert code == EXIT_DISAGREE
+        row = out.splitlines()[1].split("\t")
+        assert row[6] == "true"  # big by the slope test
+        assert row[-1] == "false"
+
+    def test_disagreeing_scan_writes_out(self, tmp_path):
+        out = tmp_path / "grid.tsv"
+        code = main(["scan", "--genus-range", "29:30", "--d1-range", "0:1",
+                     "--d2-range", "0:0", "--class", "1,0", "--m-max", "16",
+                     "--out", str(out)])
+        assert code == EXIT_DISAGREE
+        assert len(out.read_text().splitlines()) == 1 + 4
+
     def test_rank3_grid(self, capsys):
         code, out, _ = run_cli(
             capsys, "scan", "--genus-range", "1:1", "--d1-range", "1:2",
@@ -219,6 +247,45 @@ class TestH0:
         assert "verdict: BIG_CERTIFIED" in out
         assert "sample_m_32:" in out
 
+    def test_high_genus_big_class_inconclusive(self, capsys):
+        # Big (volume 1) but not yet confirmed by the counts up to m = 64:
+        # never labelled NOT_BIG_CERTIFIED.
+        code, out, _ = run_cli(capsys, "h0", "--genus", "30", "--degrees", "1,0",
+                               "--class", "1,0", "--m-max", "64")
+        assert code == EXIT_OK
+        assert "volume: 1\n" in out
+        assert "verdict: INCONCLUSIVE\n" in out
+
+
+class TestOut:
+    @pytest.mark.parametrize("argv", [
+        ["scan", "--genus-range", "2:1", "--d1-range", "0:1", "--d2-range", "0:1"],
+        ["h0", "--genus", "1", "--degrees", "1,0", "--m-max", "3"],
+    ])
+    def test_rejected_input_keeps_existing_file(self, tmp_path, argv):
+        out = tmp_path / "keep.txt"
+        out.write_text("earlier results\n")
+        assert main(argv + ["--out", str(out)]) == EXIT_VALIDATION
+        assert out.read_text() == "earlier results\n"
+
+
+class TestWorkBounds:
+    @pytest.mark.parametrize("argv", [
+        ["h0", "--genus", "2", "--degrees", "1,0,0", "--m-max", "100000000"],
+        ["h0", "--genus", "1000000000", "--degrees", "1,0", "--class", "1000000000,0"],
+        ["h0", "--genus", "2", "--degrees", "3,1,0,-2", "--class", "4000,0"],
+        # each rung is under the limit; the 37 rungs together are not
+        ["h0", "--genus", "1000000", "--degrees", "1,0", "--class", "1,0",
+         "--m-max", str(2**39)],
+        ["scan", "--genus-range", "0:1000000000", "--d1-range", "0:1", "--d2-range", "0:1"],
+    ])
+    def test_rejected_quickly(self, capsys, argv):
+        start = time.perf_counter()
+        code, _, err = run_cli(capsys, *argv)
+        assert time.perf_counter() - start < 1.0
+        assert code == EXIT_VALIDATION
+        assert "limit of" in err
+
 
 class TestFrobenius:
     def test_pullback(self, capsys):
@@ -246,3 +313,81 @@ class TestFrobenius:
         )
         assert code == EXIT_VALIDATION
         assert "characteristic zero" in err
+
+
+# ------------------------------------------------------------------ argv fuzz
+
+_JUNK = st.sampled_from(["", "x", "1.5", "1,0", "-", "3:1", " 2", "1e3", "5"])
+
+
+def _token(good):
+    """Mostly well-formed values, one time in sixteen a malformed one."""
+    # Hypothesis favours the ends of an integer range, so the malformed
+    # branch sits in the middle.
+    return st.integers(0, 15).flatmap(lambda i: _JUNK if i == 8 else good)
+
+
+def _range(lo, hi):
+    """lo:hi ranges, now and then an empty one."""
+    return st.tuples(st.integers(lo, hi), st.integers(-1, 2)).map(
+        lambda r: f"{r[0]}:{r[0] + r[1]}")
+
+
+_TOKENS = {
+    "--genus": _token(st.integers(-1, 45).map(str)),
+    "--char": _token(st.sampled_from(["0", "2", "3", "5", "7919", "4", "561"])),
+    "--degrees": _token(st.lists(st.integers(-4, 8), min_size=2, max_size=4)
+                        .map(lambda ds: ",".join(map(str, ds)))),
+    "--class": _token(st.tuples(st.integers(-3, 6), st.integers(-12, 12))
+                      .map(lambda c: f"{c[0]},{c[1]}")),
+    "--m-max": _token(st.sampled_from(["8", "16", "7"])),
+    "--e": _token(st.integers(-1, 5).map(str)),
+    "--chars": _token(st.sampled_from(["0", "2,3", "5,5", "0,4"])),
+    "--genus-range": _token(_range(-1, 3)),
+    "--d1-range": _token(_range(-2, 2)),
+    "--d2-range": _token(_range(-2, 2)),
+    "--d3-range": _token(_range(-2, 2)),
+}
+_FLAGS = {
+    "classify": ["--genus", "--char", "--degrees", "--class"],
+    "scan": ["--genus-range", "--chars", "--d1-range", "--d2-range", "--d3-range",
+             "--class", "--m-max"],
+    "blowup": [],
+    "h0": ["--genus", "--char", "--degrees", "--class", "--m-max"],
+    "frobenius": ["--genus", "--char", "--degrees", "--e"],
+}
+
+
+@st.composite
+def _argv(draw, tmp: Path):
+    command = draw(st.sampled_from([*_FLAGS, "nosuch"]))
+    argv = [command]
+    for flag in _FLAGS.get(command, []):
+        if draw(st.integers(0, 19)) != 10:  # mostly present, sometimes missing
+            argv.append(f"{flag}={draw(_TOKENS[flag])}")
+    if command == "blowup":
+        argv.append(draw(st.sampled_from([
+            str(SCENARIOS / "fibers_deg3_elliptic.json"), str(tmp / "broken.json"),
+            str(tmp / "missing.json"), str(tmp)])))
+    out = draw(st.sampled_from([None, tmp / "out.txt", tmp / "no" / "out.txt", tmp]))
+    if out is not None:
+        argv.append(f"--out={out}")
+    return argv
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("fuzz")
+    (tmp / "broken.json").write_text('{"base": ')
+    return tmp
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_argv_fuzz_exits_cleanly(fuzz_dir, capsys, data):
+    # Small inputs only: every call must return a documented exit code
+    # and raise nothing (a traceback fails the test).
+    argv = data.draw(_argv(fuzz_dir))
+    assert main(argv) in (EXIT_OK, EXIT_DISAGREE, EXIT_VALIDATION, EXIT_IO)
+    capsys.readouterr()

@@ -5,15 +5,12 @@ from .blowups import (
     BigAnticanonicalCertificate,
     BlownUpSurface,
     BlowupScenario,
-    BlowupStep,
     ExtClass,
-    blow_up,
     certify_big_anticanonical,
     check_class,
 )
 from .bundles import (
     Curve,
-    HNData,
     SplitBundle,
     frobenius_pullback,
     hn_data,
@@ -44,18 +41,15 @@ __all__ = [
     "BigAnticanonicalCertificate",
     "BlownUpSurface",
     "BlowupScenario",
-    "BlowupStep",
     "Curve",
     "ExtClass",
     "GrowthReport",
     "H0Interval",
-    "HNData",
     "NumClass",
     "RuledSurface",
     "SplitBundle",
     "Verdict",
     "big_test",
-    "blow_up",
     "canonical_class",
     "certify_big_anticanonical",
     "check_class",

@@ -3,10 +3,10 @@
 The numerical lattice of the blown-up surface is Z*xi + Z*f + Z*e_1 +
 ... + Z*e_n with each exceptional class of self-intersection -1,
 orthogonal to everything else.  The canonical class gains +e_i at each
-step.
+step, so K^2 drops by exactly one per blow-up.
 
 A blow-up scenario records an effective "budget" class D on the base and,
-for each blow-up, the author's assertion that the center lies on the
+for each blow-up, a flag: the author's assertion that the center lies on the
 strict transform of D.  If -K - D is big on the base and every center
 honors the assertion, the anticanonical class upstairs decomposes as
 (pullback of the big class) + (pullback(D) - sum e_i), the second summand
@@ -15,7 +15,7 @@ result means "not certified", never "not big".
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .surfaces import NumClass, RuledSurface, big_test, canonical_class, intersect, pseff_test
 
@@ -51,19 +51,6 @@ class BlownUpSurface:
         k = canonical_class(self.base)
         return ExtClass(k.a, k.b, (1,) * self.n)
 
-    def pullback(self, cls: NumClass) -> ExtClass:
-        return ExtClass(cls.a, cls.b, (0,) * self.n)
-
-    def exceptional(self, i: int) -> ExtClass:
-        if not 1 <= i <= self.n:
-            raise ValueError(f"exceptional index {i} out of range 1..{self.n}")
-        return ExtClass(0, 0, tuple(1 if j == i - 1 else 0 for j in range(self.n)))
-
-
-def blow_up(surface: BlownUpSurface) -> BlownUpSurface:
-    """Blow up one more point: the lattice extends orthogonally by a new
-    (-1)-class and K gains the new exceptional."""
-    return BlownUpSurface(surface.base, surface.n + 1)
 
 
 def check_class(surface: BlownUpSurface, cls: ExtClass, other: ExtClass) -> int:
@@ -75,19 +62,15 @@ def check_class(surface: BlownUpSurface, cls: ExtClass, other: ExtClass) -> int:
 
 
 @dataclass(frozen=True)
-class BlowupStep:
-    on_strict_transform: bool
-
-
-@dataclass(frozen=True)
 class BlowupScenario:
     """A base surface, an effective budget class D, and a chain of blow-up
-    steps with incidence flags.  Rejected at construction if the budget is
+    steps, each recorded by its incidence flag (True: the center lies on
+    the strict transform of D).  Rejected at construction if the budget is
     not pseudoeffective on the base."""
 
     base: RuledSurface
     budget_class: NumClass
-    steps: tuple[BlowupStep, ...] = field(default_factory=tuple)
+    steps: tuple[bool, ...] = ()
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "steps", tuple(self.steps))
@@ -102,7 +85,6 @@ class BigAnticanonicalCertificate:
     big_part_is_big: bool
     effective_part: ExtClass
     steps_on_strict_transform: bool
-    n_steps: int
 
 
 def certify_big_anticanonical(scenario: BlowupScenario) -> BigAnticanonicalCertificate:
@@ -111,14 +93,12 @@ def certify_big_anticanonical(scenario: BlowupScenario) -> BigAnticanonicalCerti
     d = scenario.budget_class
     big_part = -canonical_class(base) - d
     big_ok = big_test(base, big_part)
-    steps_ok = all(step.on_strict_transform for step in scenario.steps)
-    n = len(scenario.steps)
-    effective_part = ExtClass(d.a, d.b, (-1,) * n)
+    steps_ok = all(scenario.steps)
+    effective_part = ExtClass(d.a, d.b, (-1,) * len(scenario.steps))
     return BigAnticanonicalCertificate(
         certified=big_ok and steps_ok,
         big_part=big_part,
         big_part_is_big=big_ok,
         effective_part=effective_part,
         steps_on_strict_transform=steps_ok,
-        n_steps=n,
     )

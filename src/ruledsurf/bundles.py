@@ -3,12 +3,15 @@
 Everything here is pure integer / exact rational arithmetic.  A curve is
 known to the rest of the library only through its genus and the
 characteristic of the ground field; a bundle only through the multiset of
-degrees of its line-bundle summands.
+degrees of its line-bundle summands.  The Harder-Narasimhan filtration of
+a split bundle is its grading by degree, so mu_max and mu_min are its
+largest and smallest degrees.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby
 from math import comb
 from typing import Optional
 
@@ -93,42 +96,19 @@ class SplitBundle:
     def slope(self) -> Fraction:
         return Fraction(self.det_degree, self.rank)
 
-
-@dataclass(frozen=True)
-class HNData:
-    """Harder-Narasimhan data of a split bundle: (slope, multiplicity)
-    blocks in strictly decreasing slope order."""
-
-    blocks: tuple[tuple[Fraction, int], ...]
+    @property
+    def mu_max(self) -> int:
+        return self.degrees[0]
 
     @property
-    def mu_max(self) -> Fraction:
-        return self.blocks[0][0]
-
-    @property
-    def mu_min(self) -> Fraction:
-        return self.blocks[-1][0]
-
-    @property
-    def rank(self) -> int:
-        return sum(mult for _, mult in self.blocks)
-
-    @property
-    def semistable(self) -> bool:
-        return len(self.blocks) == 1
+    def mu_min(self) -> int:
+        return self.degrees[-1]
 
 
-def hn_data(bundle: SplitBundle) -> HNData:
-    """Group the summands by degree; for a split bundle the HN filtration
-    is the filtration by degree-graded pieces."""
-    blocks: list[tuple[Fraction, int]] = []
-    for d in bundle.degrees:
-        slope = Fraction(d)
-        if blocks and blocks[-1][0] == slope:
-            blocks[-1] = (slope, blocks[-1][1] + 1)
-        else:
-            blocks.append((slope, 1))
-    return HNData(tuple(blocks))
+def hn_data(bundle: SplitBundle) -> tuple[tuple[int, int], ...]:
+    """(slope, multiplicity) blocks in strictly decreasing slope order: for
+    a split bundle the HN filtration is its grading by degree."""
+    return tuple((d, len(list(group))) for d, group in groupby(bundle.degrees))
 
 
 def symmetric_power_stats(bundle: SplitBundle, n: int) -> tuple[int, int, Fraction]:

@@ -14,9 +14,10 @@ import math
 import sys
 from typing import Optional, Sequence
 
-from .blowups import BlownUpSurface, BlowupScenario, BlowupStep, certify_big_anticanonical, check_class
+from .blowups import BlownUpSurface, BlowupScenario, certify_big_anticanonical, check_class
 from .bundles import Curve, SplitBundle, frobenius_pullback, hn_data, min_destabilizing_e
-from .sections import Verdict, growth_classify, h0_class_interval, volume
+from .sections import (Verdict, check_lattice_work, growth_classify, h0_class_interval,
+                       ladder_work, volume)
 from .surfaces import NumClass, RuledSurface, big_test, canonical_class, nef_test, pseff_test
 
 EXIT_OK = 0
@@ -68,7 +69,6 @@ def _build_surface(args: argparse.Namespace) -> RuledSurface:
 def cmd_classify(args: argparse.Namespace) -> tuple[int, list[str]]:
     surface = _build_surface(args)
     bundle = surface.bundle
-    hn = hn_data(bundle)
     k = canonical_class(surface)
     cls = args.num_class if args.num_class is not None else -k
     lines = [
@@ -76,10 +76,10 @@ def cmd_classify(args: argparse.Namespace) -> tuple[int, list[str]]:
         f"characteristic: {surface.curve.characteristic}",
         f"degrees: {','.join(str(d) for d in bundle.degrees)}",
         f"slope: {bundle.slope}",
-        "hn_blocks: " + " ".join(f"{slope}^{mult}" for slope, mult in hn.blocks),
-        f"mu_max: {hn.mu_max}",
-        f"mu_min: {hn.mu_min}",
-        f"semistable: {_bool_str(hn.semistable)}",
+        "hn_blocks: " + " ".join(f"{slope}^{mult}" for slope, mult in hn_data(bundle)),
+        f"mu_max: {bundle.mu_max}",
+        f"mu_min: {bundle.mu_min}",
+        f"semistable: {_bool_str(bundle.mu_max == bundle.mu_min)}",
         f"canonical_class: {k}",
         f"class: {cls}",
         f"big: {_bool_str(big_test(surface, cls))}",
@@ -118,22 +118,27 @@ def _scan_points(args: argparse.Namespace) -> list[tuple[int, int, tuple[int, ..
     return points
 
 
-def _scan_row(g: int, p: int, degrees: tuple[int, ...], num_class: Optional[NumClass],
-              m_max: int) -> tuple[str, bool]:
-    surface = RuledSurface(Curve(g, p), SplitBundle(degrees))
-    cls = num_class if num_class is not None else -canonical_class(surface)
+def _scan_row(surface: RuledSurface, cls: NumClass, m_max: int) -> tuple[str, bool]:
     big = big_test(surface, cls)
     report = growth_classify(surface, cls, m_max)
     vol, verdict = report.volume, report.verdict
     agree = verdict is (Verdict.BIG_CERTIFIED if big else Verdict.NOT_BIG_CERTIFIED)
-    fields = [g, p, *degrees, cls.a, cls.b, _bool_str(big), verdict.value, vol,
-              _bool_str(agree)]
+    fields = [surface.curve.genus, surface.curve.characteristic, *surface.bundle.degrees,
+              cls.a, cls.b, _bool_str(big), verdict.value, vol, _bool_str(agree)]
     return "\t".join(str(x) for x in fields), agree
 
 
 def cmd_scan(args: argparse.Namespace) -> tuple[int, list[str]]:
-    results = [_scan_row(g, p, degs, args.num_class, args.m_max)
-               for g, p, degs in _scan_points(args)]
+    rows = []
+    for g, p, degs in _scan_points(args):
+        surface = RuledSurface(Curve(g, p), SplitBundle(degs))
+        cls = args.num_class if args.num_class is not None else -canonical_class(surface)
+        rows.append((surface, cls))
+    # Each row's ladder is bounded on its own; bound the whole scan before
+    # the first row too.
+    check_lattice_work(f"scan of {len(rows)} rows up to m = {args.m_max}",
+                       sum(ladder_work(surface, cls, args.m_max) for surface, cls in rows))
+    results = [_scan_row(surface, cls, args.m_max) for surface, cls in rows]
 
     deg_cols = ["d1", "d2"] + (["d3"] if args.d3_range else [])
     header = "\t".join(["genus", "char", *deg_cols, "a", "b", "big", "verdict",
@@ -181,8 +186,7 @@ def load_scenario(path: str) -> BlowupScenario:
     for i, step in enumerate(steps_raw):
         if not isinstance(step, dict):
             raise ValueError(f"scenario.steps[{i}]: expected an object")
-        flag = _require(step, "on_strict_transform", bool, f"scenario.steps[{i}]")
-        steps.append(BlowupStep(flag))
+        steps.append(_require(step, "on_strict_transform", bool, f"scenario.steps[{i}]"))
     surface = RuledSurface(Curve(genus, characteristic), SplitBundle(tuple(degrees)))
     return BlowupScenario(surface, NumClass(a, b), tuple(steps))
 
@@ -198,10 +202,12 @@ def cmd_blowup(args: argparse.Namespace) -> tuple[int, list[str]]:
         f"effective_part: {cert.effective_part}",
         "witness: -K(Xtilde) = pullback(big_part) + effective_part",
     ]
-    for i in range(cert.n_steps + 1):
-        surface = BlownUpSurface(scenario.base, i)
-        k = surface.canonical_class()
-        lines.append(f"k_squared_step_{i}: {check_class(surface, k, k)}")
+    # Each blow-up adds one orthogonal (-1)-class to K, so K_i^2 = K_n^2 + (n - i).
+    n = len(scenario.steps)
+    surface = BlownUpSurface(scenario.base, n)
+    k = surface.canonical_class()
+    k_squared = check_class(surface, k, k)
+    lines += [f"k_squared_step_{i}: {k_squared + n - i}" for i in range(n + 1)]
     return EXIT_OK, lines
 
 

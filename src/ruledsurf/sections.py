@@ -111,9 +111,10 @@ def _prefixes(degrees: Sequence[int], base: int, left: int) -> Iterator[tuple[in
         yield from _prefixes(degrees[1:], base + k * degrees[0], left - k)
 
 
-# Most work units (see _lattice_work) one h0_class_interval call, or one
-# growth_classify ladder, may take; a unit costs under a microsecond, so an
-# accepted call stays within seconds.
+# Most work units (see _lattice_work) one h0_class_interval call, one
+# growth_classify ladder, or the ladders of all rows of one scan together
+# may take; a unit costs under a microsecond, so an accepted call stays
+# within seconds.
 MAX_LATTICE_WORK = 10**7
 
 
@@ -124,9 +125,11 @@ def _lattice_work(head: int, genus: int, a: int) -> int:
     return comb(a + head, head) * (1 + min(a + 1, max(0, 2 * genus - 1)))
 
 
-def _over_limit(what: str, work: int) -> ValueError:
-    return ValueError(f"{what}: the lattice sums need {work} work units, "
-                      f"above the limit of {MAX_LATTICE_WORK}")
+def check_lattice_work(what: str, work: int) -> None:
+    """Raise ValueError when work exceeds MAX_LATTICE_WORK."""
+    if work > MAX_LATTICE_WORK:
+        raise ValueError(f"{what}: the lattice sums need {work} work units, "
+                         f"above the limit of {MAX_LATTICE_WORK}")
 
 
 def h0_class_interval(surface: RuledSurface, cls: NumClass) -> H0Interval:
@@ -147,9 +150,7 @@ def h0_class_interval(surface: RuledSurface, cls: NumClass) -> H0Interval:
         return H0Interval(1, 1)
     *head, d_prev, d_last = surface.bundle.degrees
     curve = surface.curve
-    work = _lattice_work(len(head), curve.genus, cls.a)
-    if work > MAX_LATTICE_WORK:
-        raise _over_limit(f"class {cls}", work)
+    check_lattice_work(f"class {cls}", _lattice_work(len(head), curve.genus, cls.a))
     lo = hi = 0
     for base, left in _prefixes(head, cls.b, cls.a):
         plo, phi = _progression_interval(curve, base + left * d_last, d_prev - d_last, left + 1)
@@ -184,9 +185,22 @@ def _truncated_power_divdiff(knots: Sequence[int], power: int) -> Fraction:
     return table[0][n - 1]
 
 
+# Highest rank volume accepts.  With degrees below 100 in absolute value
+# its r x r table of exact Fractions costs about 0.1 s at rank 128, near
+# the cost of starting the interpreter, and grows faster than r^3: about
+# 1 s at rank 256-300, 4.5 s at rank 600.  Larger degrees lengthen every
+# entry and cost more.
+MAX_RANK = 128
+
+
 def volume(surface: RuledSurface, cls: NumClass) -> Fraction:
-    """Exact lim r! h^0(m*cls)/m^r; positive exactly on big classes."""
+    """Exact lim r! h^0(m*cls)/m^r; positive exactly on big classes.
+
+    Raises ValueError when the rank exceeds MAX_RANK.
+    """
     r = surface.rank
+    if r > MAX_RANK:
+        raise ValueError(f"volume: rank {r} is above the limit of {MAX_RANK}")
     if cls.a <= 0:
         return Fraction(0)
     knots = [cls.a * d + cls.b for d in surface.bundle.degrees]
@@ -201,6 +215,15 @@ def _ladder(m_max: int) -> list[int]:
         m //= 2
     ms.reverse()
     return ms
+
+
+def ladder_work(surface: RuledSurface, cls: NumClass, m_max: int) -> int:
+    """Work units of the h0_class_interval sums on the halving ladder of
+    growth_classify; 0 when a <= 0, where no rung walks a lattice."""
+    if cls.a <= 0:
+        return 0
+    head, genus = surface.rank - 2, surface.curve.genus
+    return sum(_lattice_work(head, genus, m * cls.a) for m in _ladder(m_max))
 
 
 def growth_classify(surface: RuledSurface, cls: NumClass, m_max: int) -> GrowthReport:
@@ -221,13 +244,9 @@ def growth_classify(surface: RuledSurface, cls: NumClass, m_max: int) -> GrowthR
     """
     if m_max < 8:
         raise ValueError("m_max must be at least 8")
-    ms = _ladder(m_max)
+    check_lattice_work(f"class {cls} up to m = {m_max}", ladder_work(surface, cls, m_max))
     r = surface.rank
-    if cls.a > 0:
-        work = sum(_lattice_work(r - 2, surface.curve.genus, m * cls.a) for m in ms)
-        if work > MAX_LATTICE_WORK:
-            raise _over_limit(f"class {cls} up to m = {m_max}", work)
-    samples = tuple((m, h0_class_interval(surface, m * cls)) for m in ms)
+    samples = tuple((m, h0_class_interval(surface, m * cls)) for m in _ladder(m_max))
     fitted = Fraction(factorial(r) * samples[-1][1].lo, m_max**r)
     vol = volume(surface, cls)
     if vol == 0:

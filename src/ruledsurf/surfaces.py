@@ -6,17 +6,18 @@ xi^r = deg E, xi^(r-1).f = 1, and any product with two or more fiber
 factors vanishes.
 
 Big/pseudoeffective tests use the slope criterion: a*xi + b*f is big iff
-a > 0 and b + a*mu_max(E) > 0.  For the anticanonical class of a rank-2
-surface this reads deg L - deg M > 2g - 2, and for O(n) twisted by a
-degree-c pullback it reads n*deg L + c > 0 on P(L + O).  The nef test is
-the dual statement with mu_min and is only supported in rank 2.
+a > 0 and b + a*mu_max(E) > 0, mu_max(E) being the largest summand
+degree.  For the anticanonical class of a rank-2 surface this reads
+deg L - deg M > 2g - 2, and for O(n) twisted by a degree-c pullback it
+reads n*deg L + c > 0 on P(L + O).  The nef test is the dual statement
+with mu_min and is only supported in rank 2.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import prod
 
-from .bundles import Curve, SplitBundle, hn_data
+from .bundles import Curve, SplitBundle
 
 
 @dataclass(frozen=True)
@@ -25,9 +26,6 @@ class NumClass:
 
     a: int
     b: int
-
-    def __add__(self, other: "NumClass") -> "NumClass":
-        return NumClass(self.a + other.a, self.b + other.b)
 
     def __sub__(self, other: "NumClass") -> "NumClass":
         return NumClass(self.a - other.a, self.b - other.b)
@@ -87,14 +85,14 @@ def big_test(surface: RuledSurface, cls: NumClass) -> bool:
     """a*xi + b*f is big iff a > 0 and b + a*mu_max(E) > 0."""
     if cls.a <= 0:
         return False
-    return cls.b + cls.a * hn_data(surface.bundle).mu_max > 0
+    return cls.b + cls.a * surface.bundle.mu_max > 0
 
 
 def pseff_test(surface: RuledSurface, cls: NumClass) -> bool:
     """Closure of the big cone: a >= 0 and b + a*mu_max(E) >= 0."""
     if cls.a < 0:
         return False
-    return cls.b + cls.a * hn_data(surface.bundle).mu_max >= 0
+    return cls.b + cls.a * surface.bundle.mu_max >= 0
 
 
 def nef_test(surface: RuledSurface, cls: NumClass) -> bool:
@@ -107,4 +105,4 @@ def nef_test(surface: RuledSurface, cls: NumClass) -> bool:
         raise ValueError("nef test unsupported for rank >= 3")
     if cls.a < 0:
         return False
-    return cls.b + cls.a * hn_data(surface.bundle).mu_min >= 0
+    return cls.b + cls.a * surface.bundle.mu_min >= 0

@@ -111,36 +111,39 @@ class TestSplitBundle:
 
 class TestHNData:
     def test_two_distinct_degrees(self):
-        hn = hn_data(SplitBundle((5, 0)))
-        assert hn.blocks == ((5, 1), (0, 1))
-        assert hn.mu_max == 5 and hn.mu_min == 0
+        b = SplitBundle((5, 0))
+        assert hn_data(b) == ((5, 1), (0, 1))
+        assert b.mu_max == 5 and b.mu_min == 0
 
     def test_single_block_semistable(self):
-        hn = hn_data(SplitBundle((2, 2, 2)))
-        assert hn.blocks == ((2, 3),)
-        assert hn.semistable
+        b = SplitBundle((2, 2, 2))
+        assert hn_data(b) == ((2, 3),)
+        assert b.mu_max == b.mu_min == 2
 
     def test_three_blocks(self):
-        hn = hn_data(SplitBundle((3, 1, 1, 0)))
-        assert hn.blocks == ((3, 1), (1, 2), (0, 1))
+        b = SplitBundle((3, 1, 1, 0))
+        assert hn_data(b) == ((3, 1), (1, 2), (0, 1))
+        assert b.mu_max == 3 and b.mu_min == 0
 
     @given(degree_lists)
     def test_permutation_invariance(self, degrees):
-        hns = {hn_data(SplitBundle(tuple(p)))
-               for p in itertools.permutations(degrees)}
-        assert len(hns) == 1
+        bundles = [SplitBundle(tuple(p)) for p in itertools.permutations(degrees)]
+        assert len({hn_data(b) for b in bundles}) == 1
+        assert len({(b.mu_max, b.mu_min) for b in bundles}) == 1
 
     @given(degree_lists)
     def test_mu_max_matches_subsum_search(self, degrees):
-        hn = hn_data(SplitBundle(tuple(degrees)))
-        assert hn.mu_max == mu_max_bruteforce(degrees)
-        assert hn.mu_min == -mu_max_bruteforce([-d for d in degrees])
+        b = SplitBundle(tuple(degrees))
+        assert b.mu_max == mu_max_bruteforce(degrees)
+        assert b.mu_min == -mu_max_bruteforce([-d for d in degrees])
+        blocks = hn_data(b)
+        assert (blocks[0][0], blocks[-1][0]) == (b.mu_max, b.mu_min)
 
     @given(degree_lists)
     def test_multiplicities_sum_to_rank(self, degrees):
-        hn = hn_data(SplitBundle(tuple(degrees)))
-        assert hn.rank == len(degrees)
-        slopes = [s for s, _ in hn.blocks]
+        blocks = hn_data(SplitBundle(tuple(degrees)))
+        assert sum(mult for _, mult in blocks) == len(degrees)
+        slopes = [s for s, _ in blocks]
         assert slopes == sorted(slopes, reverse=True)
         assert len(set(slopes)) == len(slopes)
 

@@ -224,6 +224,24 @@ class TestBlowup:
         assert code == EXIT_VALIDATION
         assert "pseudoeffective" in err
 
+    def test_rank3_base_rejected(self, capsys, tmp_path):
+        path = write_scenario(tmp_path, base={"genus": 1, "characteristic": 0,
+                                              "degrees": [3, 0, 0]})
+        code, out, err = run_cli(capsys, "blowup", path)
+        assert code == EXIT_VALIDATION
+        assert out == "" and "rank-2" in err
+
+    def test_long_chain_report_is_linear(self, capsys, tmp_path):
+        n = 100_000
+        path = write_scenario(tmp_path, steps=[{"on_strict_transform": True}] * n)
+        start = time.perf_counter()
+        code, out, _ = run_cli(capsys, "blowup", path)
+        assert time.perf_counter() - start < 1.0
+        assert code == EXIT_OK
+        # genus 1: K^2 = 8(1 - g) = 0 on the base, and each blow-up lowers it by one
+        k_lines = [line for line in out.splitlines() if line.startswith("k_squared_step_")]
+        assert k_lines == [f"k_squared_step_{i}: {-i}" for i in range(n + 1)]
+
 
 class TestH0:
     def test_interval_output(self, capsys):
@@ -278,6 +296,10 @@ class TestWorkBounds:
         ["h0", "--genus", "1000000", "--degrees", "1,0", "--class", "1,0",
          "--m-max", str(2**39)],
         ["scan", "--genus-range", "0:1000000000", "--d1-range", "0:1", "--d2-range", "0:1"],
+        # every row's ladder is under the limit; the 18,376 rows together are not
+        ["scan", "--genus-range", "1:1", "--d1-range=0:45", "--d2-range=-1:44",
+         "--d3-range=-1:44", "--m-max", "64"],
+        ["classify", "--genus", "2", "--degrees", ",".join(str(d) for d in range(600))],
     ])
     def test_rejected_quickly(self, capsys, argv):
         start = time.perf_counter()

@@ -78,7 +78,7 @@ class TestIntersect:
     @given(small_classes, small_classes, small_classes, st.integers(-3, 3))
     def test_multilinear(self, c1, c2, c3, t):
         s = rank2_surface(1, 2, 0)
-        assert intersect(s, [c1 + t * c3, c2]) == (
+        assert intersect(s, [NumClass(c1.a + t * c3.a, c1.b + t * c3.b), c2]) == (
             intersect(s, [c1, c2]) + t * intersect(s, [c3, c2])
         )
 

@@ -16,8 +16,8 @@ from typing import Optional, Sequence
 
 from .blowups import BlownUpSurface, BlowupScenario, certify_big_anticanonical, check_class
 from .bundles import Curve, SplitBundle, frobenius_pullback, hn_data, min_destabilizing_e
-from .sections import (Verdict, check_lattice_work, growth_classify, h0_class_interval,
-                       ladder_work, volume)
+from .sections import (MAX_DIGITS, Verdict, check_lattice_work, growth_classify,
+                       h0_class_interval, ladder, lattice_work, volume)
 from .surfaces import NumClass, RuledSurface, big_test, canonical_class, nef_test, pseff_test
 
 EXIT_OK = 0
@@ -120,7 +120,7 @@ def _scan_points(args: argparse.Namespace) -> list[tuple[int, int, tuple[int, ..
 
 def _scan_row(surface: RuledSurface, cls: NumClass, m_max: int) -> tuple[str, bool]:
     big = big_test(surface, cls)
-    report = growth_classify(surface, cls, m_max)
+    report = growth_classify(surface, cls, (m_max,))
     vol, verdict = report.volume, report.verdict
     agree = verdict is (Verdict.BIG_CERTIFIED if big else Verdict.NOT_BIG_CERTIFIED)
     fields = [surface.curve.genus, surface.curve.characteristic, *surface.bundle.degrees,
@@ -134,10 +134,10 @@ def cmd_scan(args: argparse.Namespace) -> tuple[int, list[str]]:
         surface = RuledSurface(Curve(g, p), SplitBundle(degs))
         cls = args.num_class if args.num_class is not None else -canonical_class(surface)
         rows.append((surface, cls))
-    # Each row's ladder is bounded on its own; bound the whole scan before
-    # the first row too.
+    # A row sums only its top rung, m_max * cls, and each is bounded on its
+    # own; bound the whole scan before the first row too.
     check_lattice_work(f"scan of {len(rows)} rows up to m = {args.m_max}",
-                       sum(ladder_work(surface, cls, args.m_max) for surface, cls in rows))
+                       sum(lattice_work(surface, args.m_max * cls) for surface, cls in rows))
     results = [_scan_row(surface, cls, args.m_max) for surface, cls in rows]
 
     deg_cols = ["d1", "d2"] + (["d3"] if args.d3_range else [])
@@ -217,7 +217,7 @@ def cmd_h0(args: argparse.Namespace) -> tuple[int, list[str]]:
     surface = _build_surface(args)
     cls = args.num_class if args.num_class is not None else -canonical_class(surface)
     iv = h0_class_interval(surface, cls)
-    report = growth_classify(surface, cls, args.m_max) if args.m_max is not None else None
+    report = None if args.m_max is None else growth_classify(surface, cls, ladder(args.m_max))
     lines = [
         f"class: {cls}",
         f"h0_lo: {iv.lo}",
@@ -234,19 +234,15 @@ def cmd_h0(args: argparse.Namespace) -> tuple[int, list[str]]:
 
 # --------------------------------------------------------------- frobenius
 
-# Python's default limit on the decimal digits of an int it converts to str.
-_MAX_DIGITS = 4300
-
-
 def _check_printable_pullback(p: int, e: int, degrees: tuple[int, ...]) -> None:
     """Reject an --e whose degrees p**e * d would not print, without ever
     building a p**e much larger than the limit."""
-    limit = 10**_MAX_DIGITS
+    limit = 10**MAX_DIGITS
     # p**e >= 2**(e * (bit_length - 1)), so this test needs no p**e at all.
     if (e * (p.bit_length() - 1) >= limit.bit_length()
             or p**e * max(1, *(abs(d) for d in degrees)) >= limit):
         raise ValueError(f"--e {e}: the pulled-back degrees p^e*d would exceed "
-                         f"{_MAX_DIGITS} decimal digits")
+                         f"{MAX_DIGITS} decimal digits")
 
 
 def cmd_frobenius(args: argparse.Namespace) -> tuple[int, list[str]]:

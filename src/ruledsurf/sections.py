@@ -111,18 +111,22 @@ def _prefixes(degrees: Sequence[int], base: int, left: int) -> Iterator[tuple[in
         yield from _prefixes(degrees[1:], base + k * degrees[0], left - k)
 
 
-# Most work units (see _lattice_work) one h0_class_interval call, one
-# growth_classify ladder, or the ladders of all rows of one scan together
-# may take; a unit costs under a microsecond, so an accepted call stays
-# within seconds.
+# Most work units (see lattice_work) one h0_class_interval call, the rungs
+# of one growth_classify call, or the top rungs of all rows of one scan
+# together may take.  A unit costs 0.3-1.3 microseconds (2 vCPUs, Python
+# 3.11.7; the most at genus 1, where a prefix has at most one curve call),
+# so an accepted call can take up to about 13 s.
 MAX_LATTICE_WORK = 10**7
 
 
-def _lattice_work(head: int, genus: int, a: int) -> int:
-    """Work units of h0_class_interval on a class a*xi + b*f, a >= 0, in
-    rank head + 2: C(a+head, head) prefixes, each one unit plus at most
-    min(a+1, 2g-1) curve calls."""
-    return comb(a + head, head) * (1 + min(a + 1, max(0, 2 * genus - 1)))
+def lattice_work(surface: RuledSurface, cls: NumClass) -> int:
+    """Work units of h0_class_interval(surface, cls): C(a+r-2, r-2)
+    prefixes, each one unit plus at most min(a+1, 2g-1) curve calls; 0 when
+    a < 0, where no lattice is walked."""
+    if cls.a < 0:
+        return 0
+    head, genus = surface.rank - 2, surface.curve.genus
+    return comb(cls.a + head, head) * (1 + min(cls.a + 1, max(0, 2 * genus - 1)))
 
 
 def check_lattice_work(what: str, work: int) -> None:
@@ -148,9 +152,9 @@ def h0_class_interval(surface: RuledSurface, cls: NumClass) -> H0Interval:
         return H0Interval(0, 0)
     if cls.a == 0 and cls.b == 0:
         return H0Interval(1, 1)
+    check_lattice_work(f"class {cls}", lattice_work(surface, cls))
     *head, d_prev, d_last = surface.bundle.degrees
     curve = surface.curve
-    check_lattice_work(f"class {cls}", _lattice_work(len(head), curve.genus, cls.a))
     lo = hi = 0
     for base, left in _prefixes(head, cls.b, cls.a):
         plo, phi = _progression_interval(curve, base + left * d_last, d_prev - d_last, left + 1)
@@ -159,9 +163,23 @@ def h0_class_interval(surface: RuledSurface, cls: NumClass) -> H0Interval:
     return H0Interval(lo, hi)
 
 
+# Python's default limit on the decimal digits of an int it converts to str.
+MAX_DIGITS = 4300
+_DIGIT_LIMIT = 10**MAX_DIGITS
+
+
+def _check_digits(x: Fraction) -> Fraction:
+    """x, unless its numerator or denominator passes MAX_DIGITS digits."""
+    if abs(x.numerator) >= _DIGIT_LIMIT or x.denominator >= _DIGIT_LIMIT:
+        raise ValueError(f"volume: the exact arithmetic needs numbers above the "
+                         f"limit of {MAX_DIGITS} decimal digits")
+    return x
+
+
 def _truncated_power_divdiff(knots: Sequence[int], power: int) -> Fraction:
     """Divided difference of t -> max(t, 0)**power over the given knots,
-    with repeated knots treated as confluent (derivative) entries."""
+    with repeated knots treated as confluent (derivative) entries; one row
+    of the table is kept, row[i] spanning v[i..i+span]."""
     v = sorted(Fraction(x) for x in knots)
     n = len(v)
 
@@ -172,31 +190,29 @@ def _truncated_power_divdiff(knots: Sequence[int], power: int) -> Fraction:
             return Fraction(0)
         return comb(power, k) * t ** (power - k)
 
-    table = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        table[i][i] = confluent(v[i], 0)
+    row = [_check_digits(confluent(t, 0)) for t in v]
     for span in range(1, n):
         for i in range(n - span):
-            j = i + span
-            if v[i] == v[j]:
-                table[i][j] = confluent(v[i], span)
+            if v[i] == v[i + span]:
+                row[i] = _check_digits(confluent(v[i], span))
             else:
-                table[i][j] = (table[i + 1][j] - table[i][j - 1]) / (v[j] - v[i])
-    return table[0][n - 1]
+                row[i] = _check_digits((row[i + 1] - row[i]) / (v[i + span] - v[i]))
+    return row[0]
 
 
 # Highest rank volume accepts.  With degrees below 100 in absolute value
-# its r x r table of exact Fractions costs about 0.1 s at rank 128, near
-# the cost of starting the interpreter, and grows faster than r^3: about
-# 1 s at rank 256-300, 4.5 s at rank 600.  Larger degrees lengthen every
-# entry and cost more.
+# its r passes over a row of r exact Fractions cost about 0.1 s at rank
+# 128, near the interpreter's start-up, and grow faster than r^3: about
+# 1 s at rank 256-300.  Larger degrees cost more, up to MAX_DIGITS.
 MAX_RANK = 128
 
 
 def volume(surface: RuledSurface, cls: NumClass) -> Fraction:
     """Exact lim r! h^0(m*cls)/m^r; positive exactly on big classes.
 
-    Raises ValueError when the rank exceeds MAX_RANK.
+    Raises ValueError when the rank exceeds MAX_RANK, or when an entry of
+    the divided-difference table or the volume itself has more than
+    MAX_DIGITS decimal digits.
     """
     r = surface.rank
     if r > MAX_RANK:
@@ -204,34 +220,23 @@ def volume(surface: RuledSurface, cls: NumClass) -> Fraction:
     if cls.a <= 0:
         return Fraction(0)
     knots = [cls.a * d + cls.b for d in surface.bundle.degrees]
-    return Fraction(cls.a) ** (r - 1) * _truncated_power_divdiff(knots, r)
+    return _check_digits(Fraction(cls.a) ** (r - 1) * _truncated_power_divdiff(knots, r))
 
 
-def _ladder(m_max: int) -> list[int]:
-    ms = []
-    m = m_max
-    while m >= 8:
-        ms.append(m)
-        m //= 2
-    ms.reverse()
-    return ms
+def ladder(m_max: int) -> tuple[int, ...]:
+    """The halving ladder m_max // 2^k >= 8, ascending, that `h0 --m-max` prints."""
+    if m_max < 8:
+        raise ValueError("m_max must be at least 8")
+    return tuple(m_max >> k for k in reversed(range(m_max.bit_length() - 3)))
 
 
-def ladder_work(surface: RuledSurface, cls: NumClass, m_max: int) -> int:
-    """Work units of the h0_class_interval sums on the halving ladder of
-    growth_classify; 0 when a <= 0, where no rung walks a lattice."""
-    if cls.a <= 0:
-        return 0
-    head, genus = surface.rank - 2, surface.curve.genus
-    return sum(_lattice_work(head, genus, m * cls.a) for m in _ladder(m_max))
-
-
-def growth_classify(surface: RuledSurface, cls: NumClass, m_max: int) -> GrowthReport:
+def growth_classify(surface: RuledSurface, cls: NumClass, rungs: Sequence[int]) -> GrowthReport:
     """Classify bigness from the exact volume, confirmed by section counts.
 
-    Samples h0_class_interval on m*cls along a halving ladder down from
-    m_max; a ladder whose total work exceeds MAX_LATTICE_WORK raises
-    ValueError before any sum.  With fitted = r! * lo(m_max) / m_max^r:
+    Samples h0_class_interval on m*cls at each m of the ascending rungs (a
+    scan passes (m_max,), `h0 --m-max` ladder(m_max)); rungs whose summed
+    lattice_work exceeds MAX_LATTICE_WORK raise ValueError before any sum.
+    Only the last rung decides: with fitted = r! * lo(m_max) / m_max^r,
 
     - NOT_BIG_CERTIFIED iff vol == 0.  A class is big exactly when its
       volume is positive, and the upper bounds at finitely many m cannot
@@ -239,14 +244,14 @@ def growth_classify(surface: RuledSurface, cls: NumClass, m_max: int) -> GrowthR
       guess.  Only the exact volume can certify non-bigness.
     - BIG_CERTIFIED iff fitted > vol / 2: the certified lower bounds
       already reach half of the exact asymptote.
-    - INCONCLUSIVE otherwise: vol > 0, but the counts up to m_max do not
+    - INCONCLUSIVE otherwise: vol > 0, but the count at m_max does not
       yet confirm it.
     """
-    if m_max < 8:
-        raise ValueError("m_max must be at least 8")
-    check_lattice_work(f"class {cls} up to m = {m_max}", ladder_work(surface, cls, m_max))
+    m_max = rungs[-1]
+    check_lattice_work(f"class {cls} up to m = {m_max}",
+                       sum(lattice_work(surface, m * cls) for m in rungs))
     r = surface.rank
-    samples = tuple((m, h0_class_interval(surface, m * cls)) for m in _ladder(m_max))
+    samples = tuple((m, h0_class_interval(surface, m * cls)) for m in rungs)
     fitted = Fraction(factorial(r) * samples[-1][1].lo, m_max**r)
     vol = volume(surface, cls)
     if vol == 0:

@@ -36,8 +36,6 @@ class NumClass:
     def __rmul__(self, t: int) -> "NumClass":
         return NumClass(t * self.a, t * self.b)
 
-    __mul__ = __rmul__
-
     def __str__(self) -> str:
         return f"({self.a}, {self.b})"
 

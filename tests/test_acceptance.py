@@ -28,6 +28,7 @@ from ruledsurf import (
     volume,
 )
 from ruledsurf.cli import EXIT_OK, main
+from ruledsurf.sections import ladder
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -53,7 +54,7 @@ def test_criterion_1_rank2_grid():
         if big_test(s, mk) != expected:
             ok = False
             break
-        rep = growth_classify(s, mk, 64)
+        rep = growth_classify(s, mk, ladder(64))
         if d1 - d2 != 2 * g - 2:
             want = Verdict.BIG_CERTIFIED if expected else Verdict.NOT_BIG_CERTIFIED
             if rep.verdict is not want:
@@ -80,7 +81,7 @@ def test_criterion_2_rank3_grid():
                     expected = 2 * d1 - d2 - d3 > 2 * g - 2
                     if big_test(s, mk) != expected:
                         ok = False
-                    rep = growth_classify(s, mk, 24)
+                    rep = growth_classify(s, mk, ladder(24))
                     if 2 * d1 - d2 - d3 != 2 * g - 2:
                         want = (Verdict.BIG_CERTIFIED if expected
                                 else Verdict.NOT_BIG_CERTIFIED)

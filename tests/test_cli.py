@@ -1,4 +1,5 @@
 import json
+import random
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from ruledsurf import NumClass, cli, sections
 from ruledsurf.cli import EXIT_DISAGREE, EXIT_IO, EXIT_OK, EXIT_VALIDATION, main
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -16,6 +18,21 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def count_h0_calls(monkeypatch):
+    """Record the class of every h0_class_interval call, from the CLI and
+    from the growth classifier."""
+    calls = []
+    original = sections.h0_class_interval
+
+    def counting(surface, cls):
+        calls.append(cls)
+        return original(surface, cls)
+
+    monkeypatch.setattr(sections, "h0_class_interval", counting)
+    monkeypatch.setattr(cli, "h0_class_interval", counting)
+    return calls
 
 
 def write_scenario(tmp_path, name="scenario.json", **overrides):
@@ -43,6 +60,14 @@ class TestClassify:
         assert code == EXIT_OK
         assert "big: false" in out
         assert "volume: 0" in out
+
+    def test_rank_128_small_degrees_print_volume(self, capsys):
+        # Under the digit limit: 128 degrees below 100 in absolute value.
+        degrees = ",".join(str(d) for d in random.Random(7).choices(range(-99, 100), k=128))
+        code, out, err = run_cli(capsys, "classify", "--genus", "2", f"--degrees={degrees}")
+        assert (code, err) == (EXIT_OK, "")
+        assert "big: true" in out
+        assert Fraction(out.split("volume: ")[1].split()[0]) > 0
 
     def test_min_destabilizing_e(self, capsys):
         code, out, _ = run_cli(
@@ -172,6 +197,17 @@ class TestScan:
         assert code == EXIT_DISAGREE
         assert len(out.read_text().splitlines()) == 1 + 4
 
+    def test_row_sums_only_its_top_rung(self, capsys, monkeypatch):
+        calls = count_h0_calls(monkeypatch)
+        code, out, _ = run_cli(
+            capsys, "scan", "--genus-range", "1:2", "--d1-range", "0:4",
+            "--d2-range", "0:0", "--m-max", "64",
+        )
+        assert code == EXIT_OK
+        assert len(out.splitlines()) == 1 + 10
+        # One sum per row, at m_max * (-K); the lower rungs are not summed.
+        assert calls == [64 * NumClass(2, 2 - 2 * g - d1) for g in (1, 2) for d1 in range(5)]
+
     def test_rank3_grid(self, capsys):
         code, out, _ = run_cli(
             capsys, "scan", "--genus-range", "1:1", "--d1-range", "1:2",
@@ -265,6 +301,16 @@ class TestH0:
         assert "verdict: BIG_CERTIFIED" in out
         assert "sample_m_32:" in out
 
+    def test_sums_each_rung_once(self, capsys, monkeypatch):
+        calls = count_h0_calls(monkeypatch)
+        code, out, _ = run_cli(capsys, "h0", "--genus", "2", "--degrees", "5,0",
+                               "--m-max", "64")
+        assert code == EXIT_OK
+        # The class itself, then each rung of the ladder 8, 16, 32, 64.
+        assert calls == [m * NumClass(2, -7) for m in (1, 8, 16, 32, 64)]
+        samples = [line.split(":")[0] for line in out.splitlines() if line.startswith("sample_m_")]
+        assert samples == ["sample_m_8", "sample_m_16", "sample_m_32", "sample_m_64"]
+
     def test_high_genus_big_class_inconclusive(self, capsys):
         # Big (volume 1) but not yet confirmed by the counts up to m = 64:
         # never labelled NOT_BIG_CERTIFIED.
@@ -287,6 +333,9 @@ class TestOut:
         assert out.read_text() == "earlier results\n"
 
 
+TEN_DIGIT_DEGREES = ",".join(str(d) for d in random.Random(7).sample(range(10**9, 10**10), 128))
+
+
 class TestWorkBounds:
     @pytest.mark.parametrize("argv", [
         ["h0", "--genus", "2", "--degrees", "1,0,0", "--m-max", "100000000"],
@@ -296,10 +345,14 @@ class TestWorkBounds:
         ["h0", "--genus", "1000000", "--degrees", "1,0", "--class", "1,0",
          "--m-max", str(2**39)],
         ["scan", "--genus-range", "0:1000000000", "--d1-range", "0:1", "--d2-range", "0:1"],
-        # every row's ladder is under the limit; the 18,376 rows together are not
+        # every row's top rung is under the limit; the 18,376 rows together are not
         ["scan", "--genus-range", "1:1", "--d1-range=0:45", "--d2-range=-1:44",
-         "--d3-range=-1:44", "--m-max", "64"],
+         "--d3-range=-1:44", "--m-max", "128"],
         ["classify", "--genus", "2", "--degrees", ",".join(str(d) for d in range(600))],
+        # the divided differences of 128 or 64 ten-digit degrees outgrow
+        # the printable digits
+        ["classify", "--genus", "2", "--degrees", TEN_DIGIT_DEGREES],
+        ["classify", "--genus", "2", "--degrees", ",".join(TEN_DIGIT_DEGREES.split(",")[:64])],
     ])
     def test_rejected_quickly(self, capsys, argv):
         start = time.perf_counter()

@@ -16,6 +16,9 @@ from math import comb
 from typing import Optional
 
 
+# Python's default limit on the decimal digits of an int it converts to str.
+MAX_DIGITS = 4300
+
 # Miller-Rabin with the first 13 primes as bases decides primality exactly
 # for every n below this bound (Sorenson & Webster 2015).
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -142,14 +145,25 @@ def instability_certificate(
 
 
 def frobenius_pullback(curve: Curve, bundle: SplitBundle, e: int) -> SplitBundle:
-    """Pull back along e iterations of Frobenius: degrees scale by p^e."""
+    """Pull back along e iterations of Frobenius: degrees scale by p^e.
+
+    Raises ValueError when a degree p^e * d would pass MAX_DIGITS decimal
+    digits, without ever building a p^e much larger than that.
+    """
     if e < 0:
         raise ValueError("e must be non-negative")
     if e == 0:
         return bundle
-    if curve.characteristic == 0:
+    p = curve.characteristic
+    if p == 0:
         raise ValueError("Frobenius undefined in characteristic zero")
-    scale = curve.characteristic ** e
+    limit = 10**MAX_DIGITS
+    # p**e >= 2**(e * (bit_length - 1)), so this test needs no p**e at all.
+    if (e * (p.bit_length() - 1) >= limit.bit_length()
+            or p**e * max(1, *(abs(d) for d in bundle.degrees)) >= limit):
+        raise ValueError(f"frobenius: e = {e} makes the degrees p^e*d pass the "
+                         f"limit of {MAX_DIGITS} decimal digits")
+    scale = p**e
     return SplitBundle(tuple(scale * d for d in bundle.degrees))
 
 

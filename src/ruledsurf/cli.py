@@ -16,8 +16,8 @@ from typing import Optional, Sequence
 
 from .blowups import BlownUpSurface, BlowupScenario, certify_big_anticanonical, check_class
 from .bundles import Curve, SplitBundle, frobenius_pullback, hn_data, min_destabilizing_e
-from .sections import (MAX_DIGITS, Verdict, check_lattice_work, growth_classify,
-                       h0_class_interval, ladder, lattice_work, volume)
+from .sections import (Verdict, check_lattice_work, growth_classify, h0_class_interval,
+                       ladder, lattice_work, volume)
 from .surfaces import NumClass, RuledSurface, big_test, canonical_class, nef_test, pseff_test
 
 EXIT_OK = 0
@@ -234,23 +234,10 @@ def cmd_h0(args: argparse.Namespace) -> tuple[int, list[str]]:
 
 # --------------------------------------------------------------- frobenius
 
-def _check_printable_pullback(p: int, e: int, degrees: tuple[int, ...]) -> None:
-    """Reject an --e whose degrees p**e * d would not print, without ever
-    building a p**e much larger than the limit."""
-    limit = 10**MAX_DIGITS
-    # p**e >= 2**(e * (bit_length - 1)), so this test needs no p**e at all.
-    if (e * (p.bit_length() - 1) >= limit.bit_length()
-            or p**e * max(1, *(abs(d) for d in degrees)) >= limit):
-        raise ValueError(f"--e {e}: the pulled-back degrees p^e*d would exceed "
-                         f"{MAX_DIGITS} decimal digits")
-
-
 def cmd_frobenius(args: argparse.Namespace) -> tuple[int, list[str]]:
     degrees = _parse_int_list(args.degrees, "--degrees")
     curve = Curve(args.genus, args.char)
     bundle = SplitBundle(degrees)
-    if args.e > 0 and curve.characteristic > 0:
-        _check_printable_pullback(curve.characteristic, args.e, bundle.degrees)
     pulled = frobenius_pullback(curve, bundle, args.e)
     lines = [f"pullback_degrees: {','.join(str(d) for d in pulled.degrees)}"]
     if bundle.rank == 2:

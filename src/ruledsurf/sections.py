@@ -6,12 +6,14 @@ k in Z^r_{>=0} with sum(k) = a, of degree sum(k_i d_i) + b.  The per-point
 count is only known up to bounds (Riemann-Roch from below, Clifford from
 above in the special range), so the result type is an interval.
 
-The slice is summed as a union of arithmetic progressions: once
-k_1..k_{r-2} are fixed, the points with k_{r-1} + k_r = left have degrees
-start + j*(d_{r-1} - d_r) for j = 0..left.  Degrees beyond 2g-2 are exact
-and summed by the arithmetic-series formula, negative degrees contribute
-nothing, and only the at most 2g-1 degrees in [0, 2g-2] are bounded one
-by one.  Rank 2 costs O(g) whatever a is; rank r costs O(a^(r-2) * g).
+The slice is summed by the direct-sum recursion
+Sym^a(L + E') = sum over k = 0..a of L^k (x) Sym^(a-k) E': fixing k_1
+leaves the slice of E' one rank lower.  In rank 2 the points have degrees
+start + j*(d_1 - d_2) for j = 0..a, one arithmetic progression: degrees
+beyond 2g-2 are exact and summed by the arithmetic-series formula,
+negative degrees contribute nothing, and only the at most 2g-1 degrees in
+[0, 2g-2] are bounded one by one.  Rank 2 costs O(g) whatever a is; rank
+r costs O(a^(r-2) * g).
 
 The exact limit lim r! h^0(mD)/m^r is the integral of the positive part
 of the linear form over the dilated simplex; by Hermite-Genocchi it
@@ -25,9 +27,9 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
-from typing import Iterator, Sequence
+from typing import Sequence
 
-from .bundles import Curve
+from .bundles import MAX_DIGITS, Curve
 from .surfaces import NumClass, RuledSurface
 
 
@@ -58,23 +60,16 @@ class GrowthReport:
 
 
 def h0_interval_curve(curve: Curve, degree: int) -> H0Interval:
-    """Bounds for h^0 of a degree-d line bundle on the curve.
-
-    Beyond 2g-2 the count d - g + 1 is exact (on P^1 that is every
-    d >= -1); otherwise d < 0 gives [0, 0], d = 0 gives [0, 1] (the twist
-    may or may not be trivial), and in the special range 0 < d <= 2g-2
-    the Euler characteristic bounds from below and Clifford's inequality
-    from above.
+    """Bounds for h^0 of a degree-d line bundle on the curve: [0, 0] for
+    d < 0, else [max(0, d-g+1), max(floor(d/2)+1, d-g+1)].  Riemann-Roch
+    bounds from below and Clifford from above; beyond 2g-2, where d - g + 1
+    is exact, it is the larger of the two (so on P^1 every d is exact).  At
+    d = 0 and g > 0 the twist may or may not be trivial: [0, 1].
     """
-    g = curve.genus
-    if degree > 2 * g - 2:
-        exact = degree - g + 1
-        return H0Interval(exact, exact)
     if degree < 0:
         return H0Interval(0, 0)
-    if degree == 0:
-        return H0Interval(0, 1)
-    return H0Interval(max(0, degree - g + 1), degree // 2 + 1)
+    chi = degree - curve.genus + 1
+    return H0Interval(max(0, chi), max(degree // 2 + 1, chi))
 
 
 def _progression_interval(curve: Curve, start: int, step: int, n: int) -> tuple[int, int]:
@@ -101,32 +96,40 @@ def _progression_interval(curve: Curve, start: int, step: int, n: int) -> tuple[
     return lo + exact, hi + exact
 
 
-def _prefixes(degrees: Sequence[int], base: int, left: int) -> Iterator[tuple[int, int]]:
-    """(base + sum(k_i d_i), left - sum(k_i)) for every k >= 0 over the given
-    degrees with sum(k) <= left."""
-    if not degrees:
-        yield base, left
-        return
+def _slice_interval(curve: Curve, degrees: Sequence[int], i: int, base: int,
+                    left: int) -> tuple[int, int]:
+    """Sum the curve intervals over k_i + ... + k_r = left, at degrees
+    base + sum(k_j d_j) over j >= i: the sum over k_i = 0..left of the
+    slice one rank lower, down to the progression of the last two degrees."""
+    if i == len(degrees) - 2:
+        return _progression_interval(curve, base + left * degrees[-1],
+                                     degrees[-2] - degrees[-1], left + 1)
+    lo = hi = 0
     for k in range(left + 1):
-        yield from _prefixes(degrees[1:], base + k * degrees[0], left - k)
+        plo, phi = _slice_interval(curve, degrees, i + 1, base + k * degrees[i], left - k)
+        lo += plo
+        hi += phi
+    return lo, hi
 
 
 # Most work units (see lattice_work) one h0_class_interval call, the rungs
 # of one growth_classify call, or the top rungs of all rows of one scan
-# together may take.  A unit costs 0.3-1.3 microseconds (2 vCPUs, Python
-# 3.11.7; the most at genus 1, where a prefix has at most one curve call),
-# so an accepted call can take up to about 13 s.
-MAX_LATTICE_WORK = 10**7
+# together may take.  A unit is one call of the walk.  On 2 vCPUs with
+# Python 3.11.7 a unit cost 0.2-2.0 microseconds with degrees of up to 100
+# digits (a curve call 1.6) and up to 2.4 on a busy host, so an accepted
+# call takes about 10 s at most.
+MAX_LATTICE_WORK = 4 * 10**6
 
 
 def lattice_work(surface: RuledSurface, cls: NumClass) -> int:
-    """Work units of h0_class_interval(surface, cls): C(a+r-2, r-2)
-    prefixes, each one unit plus at most min(a+1, 2g-1) curve calls; 0 when
+    """Work units of h0_class_interval(surface, cls), one per call it makes:
+    C(a+r-1, r-2) calls of the recursion, of which the C(a+r-2, r-2) rank-2
+    leaves each make at most min(a+1, max(1, 2g-1)) curve calls; 0 when
     a < 0, where no lattice is walked."""
     if cls.a < 0:
         return 0
-    head, genus = surface.rank - 2, surface.curve.genus
-    return comb(cls.a + head, head) * (1 + min(cls.a + 1, max(0, 2 * genus - 1)))
+    a, r, genus = cls.a, surface.rank, surface.curve.genus
+    return comb(a + r - 1, r - 2) + comb(a + r - 2, r - 2) * min(a + 1, max(1, 2 * genus - 1))
 
 
 def check_lattice_work(what: str, work: int) -> None:
@@ -139,11 +142,11 @@ def check_lattice_work(what: str, work: int) -> None:
 def h0_class_interval(surface: RuledSurface, cls: NumClass) -> H0Interval:
     """Sum the curve intervals over the lattice slice sum(k) = a.
 
-    The walk fixes k_1..k_{r-2}; the remaining k_{r-1} + k_r = left points
-    have degrees start + j*(d_{r-1} - d_r), j = 0..left, one arithmetic
-    progression each.  The class (0, 0) is the structure sheaf: its unique
-    lattice point carries the identically trivial twist, so the count is
-    exactly 1.
+    The direct-sum recursion fixes k_1, then k_2, ..., down to rank 2,
+    where the points with k_{r-1} + k_r = left have degrees
+    start + j*(d_{r-1} - d_r), j = 0..left, one arithmetic progression.
+    The class (0, 0) is the structure sheaf: its unique lattice point
+    carries the identically trivial twist, so the count is exactly 1.
 
     Raises ValueError, before walking, when the work exceeds
     MAX_LATTICE_WORK.
@@ -153,18 +156,9 @@ def h0_class_interval(surface: RuledSurface, cls: NumClass) -> H0Interval:
     if cls.a == 0 and cls.b == 0:
         return H0Interval(1, 1)
     check_lattice_work(f"class {cls}", lattice_work(surface, cls))
-    *head, d_prev, d_last = surface.bundle.degrees
-    curve = surface.curve
-    lo = hi = 0
-    for base, left in _prefixes(head, cls.b, cls.a):
-        plo, phi = _progression_interval(curve, base + left * d_last, d_prev - d_last, left + 1)
-        lo += plo
-        hi += phi
-    return H0Interval(lo, hi)
+    return H0Interval(*_slice_interval(surface.curve, surface.bundle.degrees, 0, cls.b, cls.a))
 
 
-# Python's default limit on the decimal digits of an int it converts to str.
-MAX_DIGITS = 4300
 _DIGIT_LIMIT = 10**MAX_DIGITS
 
 
@@ -200,23 +194,13 @@ def _truncated_power_divdiff(knots: Sequence[int], power: int) -> Fraction:
     return row[0]
 
 
-# Highest rank volume accepts.  With degrees below 100 in absolute value
-# its r passes over a row of r exact Fractions cost about 0.1 s at rank
-# 128, near the interpreter's start-up, and grow faster than r^3: about
-# 1 s at rank 256-300.  Larger degrees cost more, up to MAX_DIGITS.
-MAX_RANK = 128
-
-
 def volume(surface: RuledSurface, cls: NumClass) -> Fraction:
     """Exact lim r! h^0(m*cls)/m^r; positive exactly on big classes.
 
-    Raises ValueError when the rank exceeds MAX_RANK, or when an entry of
-    the divided-difference table or the volume itself has more than
-    MAX_DIGITS decimal digits.
+    Raises ValueError when an entry of the divided-difference table or
+    the volume itself has more than MAX_DIGITS decimal digits.
     """
     r = surface.rank
-    if r > MAX_RANK:
-        raise ValueError(f"volume: rank {r} is above the limit of {MAX_RANK}")
     if cls.a <= 0:
         return Fraction(0)
     knots = [cls.a * d + cls.b for d in surface.bundle.degrees]

@@ -40,17 +40,28 @@ class NumClass:
         return f"({self.a}, {self.b})"
 
 
+# Highest rank a projective bundle may have: it bounds both the volume's
+# divided-difference table and the depth of the lattice walk (one frame
+# per summand).  With degrees below 100 in absolute value the table costs
+# about 0.1 s at rank 128 and grows faster than r^3 (about 1 s at rank
+# 256-300); larger degrees cost more, up to bundles.MAX_DIGITS.
+MAX_RANK = 128
+
+
 @dataclass(frozen=True)
 class RuledSurface:
-    """P_C(E) for a split bundle E of rank >= 2 (a surface when r = 2,
-    a higher projective bundle otherwise)."""
+    """P_C(E) for a split bundle E of rank 2..MAX_RANK (a surface when
+    r = 2, a higher projective bundle otherwise)."""
 
     curve: Curve
     bundle: SplitBundle
 
     def __post_init__(self) -> None:
-        if self.bundle.rank < 2:
+        r = self.bundle.rank
+        if r < 2:
             raise ValueError("projective bundle needs rank >= 2")
+        if r > MAX_RANK:
+            raise ValueError(f"projective bundle: rank {r} is above the limit of {MAX_RANK}")
 
     @property
     def rank(self) -> int:

@@ -1,4 +1,5 @@
 import itertools
+import time
 from fractions import Fraction
 from math import isqrt
 
@@ -217,6 +218,14 @@ class TestFrobenius:
         bundle = SplitBundle(tuple(degrees))
         once = frobenius_pullback(curve, frobenius_pullback(curve, bundle, e1), e2)
         assert once == frobenius_pullback(curve, bundle, e1 + e2)
+
+    def test_printable_bound(self):
+        # The bound is checked before p**e is built: a 10^8-fold pullback
+        # would otherwise run for more than a minute.
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="limit of 4300"):
+            frobenius_pullback(Curve(1, 3), SplitBundle((2, 1)), 10**8)
+        assert time.perf_counter() - start < 1.0
 
 
 class TestMinDestabilizingE:

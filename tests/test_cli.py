@@ -353,6 +353,11 @@ class TestWorkBounds:
         # the printable digits
         ["classify", "--genus", "2", "--degrees", TEN_DIGIT_DEGREES],
         ["classify", "--genus", "2", "--degrees", ",".join(TEN_DIGIT_DEGREES.split(",")[:64])],
+        # 87,541,245 recursion calls on a rank-100 slice with a = 4
+        ["h0", "--genus", "1", "--degrees", ",".join(str(d) for d in range(100, 0, -1)),
+         "--class", "4,-400"],
+        # a walk 1,199 frames deep, past the interpreter's recursion limit
+        ["h0", "--genus", "1", "--degrees", ",".join(["0"] * 1200), "--class", "1,0"],
     ])
     def test_rejected_quickly(self, capsys, argv):
         start = time.perf_counter()
@@ -380,7 +385,7 @@ class TestFrobenius:
         assert len(out.split()[1].split(",")[0]) == 4300
         code, _, err = run_cli(capsys, *argv, "--e", "9012")
         assert code == EXIT_VALIDATION
-        assert "--e 9012" in err
+        assert "e = 9012" in err
 
     def test_char_zero_error(self, capsys):
         code, _, err = run_cli(

@@ -1,8 +1,8 @@
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ruledsurf import (
@@ -19,7 +19,8 @@ from ruledsurf import (
     h0_interval_curve,
     volume,
 )
-from ruledsurf.sections import ladder
+from ruledsurf import sections
+from ruledsurf.sections import ladder, lattice_work
 
 
 def surface(g, *degrees, p=0):
@@ -92,7 +93,7 @@ class TestH0ClassInterval:
     def test_negative_a(self):
         assert h0_class_interval(surface(1, 1, 0), NumClass(-1, 10)) == H0Interval(0, 0)
 
-    @given(st.integers(0, 40), st.lists(st.integers(-6, 6), min_size=2, max_size=4),
+    @given(st.integers(0, 40), st.lists(st.integers(-6, 6), min_size=2, max_size=6),
            st.integers(0, 12), st.integers(-40, 40))
     @settings(max_examples=300)
     def test_matches_brute_force(self, g, degrees, a, b):
@@ -123,12 +124,53 @@ class TestH0ClassInterval:
         assert h0_class_interval(surface(3, 5, 0), NumClass(a, 0)) == H0Interval(exact, exact + 1)
 
     def test_work_bound(self):
-        # a = 128 in rank 4 at g = 40 is C(130, 2) * 80 = 670,800 work
-        # units, the size of the largest benchmark query, and runs;
-        # C(4002, 2) * 4 units does not.
+        # a = 128 in rank 4 at g = 40 is C(131, 2) + C(130, 2) * 79 =
+        # 670,930 work units, near the largest benchmark query, and runs;
+        # C(4003, 2) + C(4002, 2) * 3 units do not.
         assert h0_class_interval(surface(40, 3, 1, 0, -2), NumClass(128, 0)).lo > 0
-        with pytest.raises(ValueError, match="limit of 10000000"):
+        with pytest.raises(ValueError, match="limit of 4000000"):
             h0_class_interval(surface(2, 3, 1, 0, -2), NumClass(4000, 0))
+
+    @given(st.integers(0, 6), st.lists(st.integers(-5, 5), min_size=2, max_size=6),
+           st.integers(0, 10), st.integers(-30, 30))
+    @settings(max_examples=200)
+    def test_work_counts_calls(self, g, degrees, a, b):
+        # One work unit is one call: the recursion makes exactly
+        # C(a+r-1, r-2) calls, C(a+r-2, r-2) of them rank-2 leaves, and
+        # each leaf makes at most min(a+1, max(1, 2g-1)) curve calls.
+        s = surface(g, *degrees)
+        cls = NumClass(a, b)
+        assume((a, b) != (0, 0))
+        calls = {"slice": 0, "curve": 0}
+        per_leaf = []
+
+        def count_slice(*args):
+            calls["slice"] += 1
+            return walk(*args)
+
+        def count_curve(*args):
+            calls["curve"] += 1
+            return curve(*args)
+
+        def count_leaf(*args):
+            before = calls["curve"]
+            result = leaf(*args)
+            per_leaf.append(calls["curve"] - before)
+            return result
+
+        walk, curve, leaf = (sections._slice_interval, sections.h0_interval_curve,
+                             sections._progression_interval)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sections, "_slice_interval", count_slice)
+            mp.setattr(sections, "h0_interval_curve", count_curve)
+            mp.setattr(sections, "_progression_interval", count_leaf)
+            h0_class_interval(s, cls)
+        r = s.rank
+        leaf_bound = min(a + 1, max(1, 2 * g - 1))
+        assert calls["slice"] == comb(a + r - 1, r - 2)
+        assert len(per_leaf) == comb(a + r - 2, r - 2)
+        assert max(per_leaf) <= leaf_bound
+        assert lattice_work(s, cls) == calls["slice"] + len(per_leaf) * leaf_bound
 
     @given(st.integers(1, 3), st.integers(-3, 3), st.integers(-3, 3),
            st.integers(0, 4), st.integers(-5, 5), st.integers(0, 4))

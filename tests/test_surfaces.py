@@ -28,6 +28,11 @@ class TestRuledSurface:
         with pytest.raises(ValueError):
             RuledSurface(Curve(1), SplitBundle((1,)))
 
+    def test_rank_limit(self):
+        assert RuledSurface(Curve(1), SplitBundle((0,) * 128)).rank == 128
+        with pytest.raises(ValueError, match="limit of 128"):
+            RuledSurface(Curve(1), SplitBundle((0,) * 129))
+
 
 class TestCanonicalClass:
     def test_elliptic(self):

@@ -6,14 +6,18 @@ k in Z^r_{>=0} with sum(k) = a, of degree sum(k_i d_i) + b.  The per-point
 count is only known up to bounds (Riemann-Roch from below, Clifford from
 above in the special range), so the result type is an interval.
 
-The slice is summed by the direct-sum recursion
+Both bounds are sums of ramps R(floor((d + c)/q) + e), R(x) = max(0, x),
+q in {1, 2}.  The slice is summed by the direct-sum recursion
 Sym^a(L + E') = sum over k = 0..a of L^k (x) Sym^(a-k) E': fixing k_1
 leaves the slice of E' one rank lower.  In rank 2 the points have degrees
-start + j*(d_1 - d_2) for j = 0..a, one arithmetic progression: degrees
-beyond 2g-2 are exact and summed by the arithmetic-series formula,
-negative degrees contribute nothing, and only the at most 2g-1 degrees in
-[0, 2g-2] are bounded one by one.  Rank 2 costs O(g) whatever a is; rank
-r costs O(a^(r-2) * g).
+start + j*(d_1 - d_2) for j = 0..a, one arithmetic progression, over
+which a ramp sums in closed form: one floor division finds the j where it
+is positive, and there it is an arithmetic series.  In rank 3 the
+progression at k_1 moves linearly with k_1, so along each residue class
+of k_1 modulo q*max(d_2 - d_3, 1) its sum is a quadratic on at most three
+pieces, summed from three values each.  Rank 2 costs O(1) whatever a and
+g are, rank 3 O(min(a, d_2 - d_3 + 1)), and rank r the recursion down to
+C(a+r-3, r-3) rank-3 nodes.
 
 The exact limit lim r! h^0(mD)/m^r is the integral of the positive part
 of the linear form over the dilated simplex; by Hermite-Genocchi it
@@ -59,51 +63,127 @@ class GrowthReport:
     volume: Fraction
 
 
+def _ramps(genus: int) -> tuple[tuple[int, int, int], ...]:
+    """The curve bound as ramps R(floor((d + c)/q) + e), R(x) = max(0, x),
+    each given as (q, c, e): lo(d) = R(d - g + 1) is the first, and hi(d) =
+    R(floor(d/2) + 1) + R(floor((d+1)/2) - g) the sum of the other two."""
+    return (1, 0, 1 - genus), (2, 0, 1), (2, 1, -genus)
+
+
 def h0_interval_curve(curve: Curve, degree: int) -> H0Interval:
     """Bounds for h^0 of a degree-d line bundle on the curve: [0, 0] for
     d < 0, else [max(0, d-g+1), max(floor(d/2)+1, d-g+1)].  Riemann-Roch
     bounds from below and Clifford from above; beyond 2g-2, where d - g + 1
     is exact, it is the larger of the two (so on P^1 every d is exact).  At
-    d = 0 and g > 0 the twist may or may not be trivial: [0, 1].
+    d = 0 and g > 0 the twist may or may not be trivial: [0, 1].  Both ends
+    are the ramps of _ramps, which vanish for d < 0.
     """
-    if degree < 0:
-        return H0Interval(0, 0)
-    chi = degree - curve.genus + 1
-    return H0Interval(max(0, chi), max(degree // 2 + 1, chi))
+    lo, hi1, hi2 = ((degree + c) // q + e for q, c, e in _ramps(curve.genus))
+    return H0Interval(max(0, lo), max(0, hi1) + max(0, hi2))
+
+
+def _ramp_sum(ramp: tuple[int, int, int], start: int, step: int, n: int) -> int:
+    """Sum of the ramp over the degrees start + j*step, 0 <= j < n, step >= 0.
+
+    The ramp is positive from the first j with start + c + j*step >=
+    q*(1 - e) on; over that range it is an arithmetic series, less half
+    the number of odd numerators when q = 2.
+    """
+    q, c, e = ramp
+    y = start + c
+    u = y - q * (1 - e)  # the ramp is positive at j iff u + j*step >= 0
+    if u >= 0:
+        first = 0
+    elif step:
+        first = -(u // step)
+        if first >= n:
+            return 0
+    else:
+        return 0
+    count = n - first
+    x = y + first * step
+    total = count * x + step * count * (count - 1) // 2
+    if q == 2:
+        odd = (count + (x & 1)) // 2 if step & 1 else count * (x & 1)
+        total = (total - odd) // 2
+    return total + e * count
 
 
 def _progression_interval(curve: Curve, start: int, step: int, n: int) -> tuple[int, int]:
-    """Sum the curve intervals over the degrees start + j*step, 0 <= j < n.
+    """Sum the curve intervals over the degrees start + j*step, 0 <= j < n,
+    step >= 0: one ramp sum for lo, two for hi."""
+    lo, hi1, hi2 = _ramps(curve.genus)
+    return (_ramp_sum(lo, start, step, n),
+            _ramp_sum(hi1, start, step, n) + _ramp_sum(hi2, start, step, n))
 
-    step >= 0.  Negative degrees contribute nothing; degrees beyond 2g-2
-    are exact (d - g + 1) and are summed as one arithmetic series; only
-    the at most 2g-1 degrees in [0, 2g-2] go through h0_interval_curve.
+
+def _first_at_least_zero(a: int, b: int, end: int) -> int:
+    """The least t in [0, end) with a + b*t >= 0, for b >= 0; end if none."""
+    if a >= 0:
+        return 0
+    return end if b == 0 else min(end, -(a // b))
+
+
+def _quadratic_sum(f, first: int, stride: int, n: int) -> int:
+    """Sum of f(first + stride*t) over 0 <= t < n, a quadratic in t there,
+    from its first three values: n*p0 + C(n,2)*dp0 + C(n,3)*d2p0."""
+    if n <= 3:
+        return sum(f(first + stride * t) for t in range(n))
+    p0, p1, p2 = f(first), f(first + stride), f(first + 2 * stride)
+    return n * p0 + comb(n, 2) * (p1 - p0) + comb(n, 3) * (p2 - 2 * p1 + p0)
+
+
+def _node_ramp_sum(ramp: tuple[int, int, int], start: int, slope: int, step: int,
+                   left: int) -> int:
+    """Sum over k = 0..left of _ramp_sum(ramp, start + k*slope, step,
+    left - k + 1), with slope >= step >= 0.
+
+    Along each residue class k = rho + period*t, period = q*max(step, 1),
+    the progression's first positive j moves by q*slope per t and its
+    length by period, so the leaf sum is a quadratic in t on at most three
+    pieces: empty (first positive j past the end), partial, and full (first
+    positive j at 0), in that order; each boundary is one floor division,
+    and the empty piece is skipped.
     """
-    if step == 0:
-        iv = h0_interval_curve(curve, start)
-        return n * iv.lo, n * iv.hi
-    g = curve.genus
-    first_nonneg = min(n, max(0, -(start // step)))
-    first_exact = min(n, max(first_nonneg, (2 * g - 2 - start) // step + 1))
-    lo = hi = 0
-    for j in range(first_nonneg, first_exact):
-        iv = h0_interval_curve(curve, start + j * step)
-        lo += iv.lo
-        hi += iv.hi
-    count = n - first_exact
-    # sum of (start + j*step - g + 1) for first_exact <= j < n
-    exact = count * (start - g + 1) + step * (first_exact + n - 1) * count // 2
-    return lo + exact, hi + exact
+    q, c, e = ramp
+    period = q * max(step, 1)
+    if 6 * period > left:
+        # Each residue class then holds at most six values of k, so its
+        # pieces would save no ramp sums: sum the left + 1 leaves.
+        return sum(_ramp_sum(ramp, start + k * slope, step, left - k + 1) for k in range(left + 1))
+
+    def leaf(k: int) -> int:
+        return _ramp_sum(ramp, start + k * slope, step, left - k + 1)
+
+    total = 0
+    for rho in range(period):
+        terms = (left - rho) // period + 1
+        u = start + rho * slope + c - q * (1 - e)
+        if step:
+            j = -(u // step)
+            begin = _first_at_least_zero(left - rho - j, q * (slope - step), terms)
+            full = _first_at_least_zero(-j, q * slope, terms)
+        else:
+            begin = full = _first_at_least_zero(u, q * slope, terms)
+        total += (_quadratic_sum(leaf, rho + period * begin, period, full - begin)
+                  + _quadratic_sum(leaf, rho + period * full, period, terms - full))
+    return total
 
 
 def _slice_interval(curve: Curve, degrees: Sequence[int], i: int, base: int,
                     left: int) -> tuple[int, int]:
     """Sum the curve intervals over k_i + ... + k_r = left, at degrees
     base + sum(k_j d_j) over j >= i: the sum over k_i = 0..left of the
-    slice one rank lower, down to the progression of the last two degrees."""
+    slice one rank lower, down to rank 3, which is summed in closed form
+    per residue of k_i (rank 2 is one progression)."""
     if i == len(degrees) - 2:
         return _progression_interval(curve, base + left * degrees[-1],
                                      degrees[-2] - degrees[-1], left + 1)
+    if i == len(degrees) - 3:
+        lo, hi1, hi2 = (_node_ramp_sum(ramp, base + left * degrees[-1], degrees[i] - degrees[-1],
+                                       degrees[-2] - degrees[-1], left)
+                        for ramp in _ramps(curve.genus))
+        return lo, hi1 + hi2
     lo = hi = 0
     for k in range(left + 1):
         plo, phi = _slice_interval(curve, degrees, i + 1, base + k * degrees[i], left - k)
@@ -114,22 +194,48 @@ def _slice_interval(curve: Curve, degrees: Sequence[int], i: int, base: int,
 
 # Most work units (see lattice_work) one h0_class_interval call, the rungs
 # of one growth_classify call, or the top rungs of all rows of one scan
-# together may take.  A unit is one call of the walk.  On 2 vCPUs with
-# Python 3.11.7 a unit cost 0.2-2.0 microseconds with degrees of up to 100
-# digits (a curve call 1.6) and up to 2.4 on a busy host, so an accepted
-# call takes about 10 s at most.
-MAX_LATTICE_WORK = 4 * 10**6
+# together may take.  A unit is one call of the recursion or of _ramp_sum,
+# weighted by the length of its integers.  On 2 vCPUs with Python 3.11.7 a
+# unit cost 0.4-1.2 microseconds on 40 shapes of rank 2-128, genus 0-10^6
+# and degrees or a of 1-4,000 digits, and up to 1.6 with 100-digit degrees
+# (still of weight 1) on a rank-3 slice summed leaf by leaf, so an
+# accepted call takes about 10 s at most.
+MAX_LATTICE_WORK = 6 * 10**6
 
 
 def lattice_work(surface: RuledSurface, cls: NumClass) -> int:
-    """Work units of h0_class_interval(surface, cls), one per call it makes:
-    C(a+r-1, r-2) calls of the recursion, of which the C(a+r-2, r-2) rank-2
-    leaves each make at most min(a+1, max(1, 2g-1)) curve calls; 0 when
-    a < 0, where no lattice is walked."""
+    """Work units of h0_class_interval(surface, cls): a bound on its calls
+    of the recursion and of _ramp_sum, times a weight for long integers;
+    0 when a < 0.
+
+    Rank 2 is one call and three ramp sums.  In rank r >= 3 the recursion
+    makes C(a+r-2, r-3) calls, C(a+r-3, r-3) of them rank-3 nodes.  A node
+    with left = l sums each of its three ramps leaf by leaf when l+1 <=
+    6*period, else over its period residues with at most six ramp sums
+    each: at most min(l+1, 6*period) ramp sums, period = q*max(s, 1) and
+    s = d_{r-1} - d_r.  Summed over the nodes, min(l+1, M) is
+    C(a+r-2, r-2) - C(a+r-2-M, r-2) for M <= a+1.
+
+    A call's time grows with the bit length `size` of the largest degree
+    magnitude |b| + a*max|d_i| it touches, and once a is long too with the
+    products of the two: the weight 1 + size*(bits(a) + 500) // 400000 was
+    fitted to measured times, from 1-digit to 4,000-digit degrees and a.
+    """
     if cls.a < 0:
         return 0
-    a, r, genus = cls.a, surface.rank, surface.curve.genus
-    return comb(a + r - 1, r - 2) + comb(a + r - 2, r - 2) * min(a + 1, max(1, 2 * genus - 1))
+    a, r, degrees = cls.a, surface.rank, surface.bundle.degrees
+    if r == 2:
+        units = 4
+    else:
+        step = max(degrees[-2] - degrees[-1], 1)
+
+        def ramp_sums(m: int) -> int:
+            m = min(m, a + 1)
+            return comb(a + r - 2, r - 2) - comb(a + r - 2 - m, r - 2)
+
+        units = comb(a + r - 2, r - 3) + ramp_sums(6 * step) + 2 * ramp_sums(12 * step)
+    size = (abs(cls.b) + a * max(abs(d) for d in degrees)).bit_length()
+    return units * (1 + size * (a.bit_length() + 500) // 400000)
 
 
 def check_lattice_work(what: str, work: int) -> None:
@@ -142,9 +248,10 @@ def check_lattice_work(what: str, work: int) -> None:
 def h0_class_interval(surface: RuledSurface, cls: NumClass) -> H0Interval:
     """Sum the curve intervals over the lattice slice sum(k) = a.
 
-    The direct-sum recursion fixes k_1, then k_2, ..., down to rank 2,
-    where the points with k_{r-1} + k_r = left have degrees
-    start + j*(d_{r-1} - d_r), j = 0..left, one arithmetic progression.
+    The direct-sum recursion fixes k_1, then k_2, ..., down to rank 3,
+    which is summed in closed form per residue of k_{r-2}; in rank 2 the
+    points have degrees start + j*(d_1 - d_2), j = 0..a, one arithmetic
+    progression.
     The class (0, 0) is the structure sheaf: its unique lattice point
     carries the identically trivial twist, so the count is exactly 1.
 

@@ -336,14 +336,61 @@ class TestOut:
 TEN_DIGIT_DEGREES = ",".join(str(d) for d in random.Random(7).sample(range(10**9, 10**10), 128))
 
 
+def _rank2_sums(g, m):
+    """lo and hi summed over the degrees d = 0..m, for m even and above 2g:
+    lo sums d - g + 1 over d >= g; hi sums floor(d/2) + 1, plus ceil(d/2) - g
+    where that is positive (each value i > g of ceil(d/2) occurs twice)."""
+    tri = lambda n: n * (n + 1) // 2
+    return tri(m - g + 1), (m // 2) ** 2 + m + 1 + 2 * tri(m // 2 - g)
+
+
 class TestWorkBounds:
+    @pytest.mark.parametrize("argv, lines", [
+        # m*(3, -3) has one point of degree >= 0, k = (3m, 0, 0) of degree
+        # 0, so every rung is [0, 1]
+        (["h0", "--genus", "2", "--degrees", "1,0,0", "--m-max", "100000000"],
+         ["h0_lo: 0", "h0_hi: 1", "verdict: NOT_BIG_CERTIFIED",
+          *(f"sample_m_{m}: [0, 1]" for m in sections.ladder(10**8))]),
+        # degrees d = 0..N, N = 10^9 = g, all in the Clifford band [0, 2g-2]:
+        # only d = N has d-g+1 > 0, and hi sums floor(d/2)+1 = (N/2)^2 + N + 1
+        (["h0", "--genus", "1000000000", "--degrees", "1,0", "--class", "1000000000,0"],
+         ["h0_lo: 1", "h0_hi: {}".format((10**9 // 2) ** 2 + 10**9 + 1)]),
+        # as the O(a^2) walk over its 8 million rank-2 progressions sums them
+        (["h0", "--genus", "2", "--degrees", "3,1,0,-2", "--class", "4000,0"],
+         ["h0_lo: 27060638312711", "h0_hi: 27060641517512"]),
+        (["h0", "--genus", "1000000", "--degrees", "1,0", "--class", "1,0",
+          "--m-max", str(2**39)],
+         ["h0_lo: 0", "h0_hi: 2", "verdict: BIG_CERTIFIED",
+          "sample_m_{}: [{}, {}]".format(2**39, *_rank2_sums(10**6, 2**39))]),
+    ])
+    def test_accepted_quickly(self, capsys, argv, lines):
+        # Refused while the walk looped over k_1 and over the band degrees.
+        start = time.perf_counter()
+        code, out, _ = run_cli(capsys, *argv)
+        assert time.perf_counter() - start < 1.0
+        assert code == EXIT_OK
+        assert set(lines) <= set(out.splitlines())
+
+    def test_rank3_huge_class_is_fast(self, capsys):
+        # Rank 3 costs O(min(a, gap)): 61 work units at a = 10^12.
+        start = time.perf_counter()
+        code, out, _ = run_cli(capsys, "h0", "--genus", "2", "--degrees", "4,0,-2",
+                               "--class", "1000000000000,-5")
+        assert time.perf_counter() - start < 0.1
+        assert code == EXIT_OK
+        assert int(out.split("h0_lo: ")[1].split()[0]) > 0
+
     @pytest.mark.parametrize("argv", [
-        ["h0", "--genus", "2", "--degrees", "1,0,0", "--m-max", "100000000"],
-        ["h0", "--genus", "1000000000", "--degrees", "1,0", "--class", "1000000000,0"],
-        ["h0", "--genus", "2", "--degrees", "3,1,0,-2", "--class", "4000,0"],
-        # each rung is under the limit; the 37 rungs together are not
-        ["h0", "--genus", "1000000", "--degrees", "1,0", "--class", "1,0",
-         "--m-max", str(2**39)],
+        # each rung is under the limit; the 18 rungs together are not
+        ["h0", "--genus", "1", "--degrees", "10000000,5000000,0", "--class", "1,0",
+         "--m-max", "1048576"],
+        # 4,000-digit degrees: 900,004 calls that each cost about 18 us
+        ["h0", "--genus", "1", "--degrees", f"{10**4000},1,-{10**4000}",
+         "--class", "300000,0"],
+        # a rank-4 slice: 400,001 rank-3 nodes
+        ["h0", "--genus", "2", "--degrees", "3,1,0,-2", "--class", "400000,0"],
+        # a rank-3 slice summed leaf by leaf: 2,000,001 leaves of three ramp sums
+        ["h0", "--genus", "0", "--degrees", "1000000,500000,0", "--class", "2000000,0"],
         ["scan", "--genus-range", "0:1000000000", "--d1-range", "0:1", "--d2-range", "0:1"],
         # every row's top rung is under the limit; the 18,376 rows together are not
         ["scan", "--genus-range", "1:1", "--d1-range=0:45", "--d2-range=-1:44",
@@ -353,7 +400,7 @@ class TestWorkBounds:
         # the printable digits
         ["classify", "--genus", "2", "--degrees", TEN_DIGIT_DEGREES],
         ["classify", "--genus", "2", "--degrees", ",".join(TEN_DIGIT_DEGREES.split(",")[:64])],
-        # 87,541,245 recursion calls on a rank-100 slice with a = 4
+        # 83,291,670 recursion calls on a rank-100 slice with a = 4
         ["h0", "--genus", "1", "--degrees", ",".join(str(d) for d in range(100, 0, -1)),
          "--class", "4,-400"],
         # a walk 1,199 frames deep, past the interpreter's recursion limit

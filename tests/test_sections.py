@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, lcm
 
 import pytest
 from hypothesis import assume, given, settings
@@ -51,6 +51,35 @@ def brute_force_interval(s, cls):
     return H0Interval(lo, hi)
 
 
+def walk_by_k(g, degrees, i, base, left):
+    """Reference for h0_class_interval on large slices: the O(a) walk the
+    closed form replaced.  It loops over k_i at every rank down to one
+    progression in rank 2, whose degrees beyond 2g-2 are summed as an
+    arithmetic series and whose at most 2g-1 degrees in [0, 2g-2] go
+    through h0_interval_curve one by one."""
+    if i == len(degrees) - 2:
+        start, step, n = base + left * degrees[-1], degrees[-2] - degrees[-1], left + 1
+        if step == 0:
+            iv = h0_interval_curve(Curve(g), start)
+            return n * iv.lo, n * iv.hi
+        first_nonneg = min(n, max(0, -(start // step)))
+        first_exact = min(n, max(first_nonneg, (2 * g - 2 - start) // step + 1))
+        lo = hi = 0
+        for j in range(first_nonneg, first_exact):
+            iv = h0_interval_curve(Curve(g), start + j * step)
+            lo += iv.lo
+            hi += iv.hi
+        count = n - first_exact
+        exact = count * (start - g + 1) + step * (first_exact + n - 1) * count // 2
+        return lo + exact, hi + exact
+    lo = hi = 0
+    for k in range(left + 1):
+        plo, phi = walk_by_k(g, degrees, i + 1, base + k * degrees[i], left - k)
+        lo += plo
+        hi += phi
+    return lo, hi
+
+
 class TestH0IntervalCurve:
     def test_negative_degree(self):
         assert h0_interval_curve(Curve(2), -1) == H0Interval(0, 0)
@@ -75,6 +104,16 @@ class TestH0IntervalCurve:
     def test_invalid_interval_rejected(self):
         with pytest.raises(ValueError):
             H0Interval(3, 2)
+
+    def test_explicit_statement(self):
+        # The brute-force oracle reads this function, so it is pinned to
+        # the plain statement and not to the ramps it is computed from.
+        for g in range(301):
+            curve = Curve(g)
+            for d in range(-20, 701):
+                want = (0, 0) if d < 0 else (max(0, d - g + 1), max(d // 2 + 1, d - g + 1))
+                iv = h0_interval_curve(curve, d)
+                assert (iv.lo, iv.hi) == want, (g, d)
 
 
 class TestH0ClassInterval:
@@ -116,61 +155,78 @@ class TestH0ClassInterval:
         assert h0_class_interval(s, cls) == brute_force_interval(s, cls)
 
     def test_rank2_large_m_is_fast(self):
-        # O(g) for rank 2 whatever a is: a brute-force walk would visit
-        # 10^12 points here.
+        # O(1) for rank 2 whatever a and g are: a brute-force walk would
+        # visit 10^12 points here.
         # degrees 5j for j = 0..a: [0, 1] at j = 0, then exactly 5j - 2.
         a = 10**12
         exact = 5 * a * (a + 1) // 2 - 2 * a
         assert h0_class_interval(surface(3, 5, 0), NumClass(a, 0)) == H0Interval(exact, exact + 1)
 
+    @given(st.integers(3, 5), st.one_of(st.integers(0, 3), st.integers(0, 10**3)),
+           st.integers(0, 10**4), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_matches_walk_by_k(self, r, g, a, data):
+        # The closed form per residue of k_1 against the O(a) walk, on
+        # slices too large for the brute force.  a is halved until the
+        # walk's leaves times its curve calls per leaf are cheap, so large
+        # a comes with low genus or rank 3.
+        while comb(a + r - 2, r - 2) * min(a + 1, max(1, 2 * g - 1)) > 30_000:
+            a //= 2
+        degrees = sorted(data.draw(st.lists(st.integers(-12, 12), min_size=r, max_size=r)),
+                         reverse=True)
+        # Centre the slice's degrees near the Clifford band [0, 2g-2].
+        b = -a * data.draw(st.integers(-12, 12)) + data.draw(st.integers(-3 * g - 20, 3 * g + 20))
+        assume((a, b) != (0, 0))
+        got = h0_class_interval(surface(g, *degrees), NumClass(a, b))
+        assert got == H0Interval(*walk_by_k(g, degrees, 0, b, a))
+
     def test_work_bound(self):
-        # a = 128 in rank 4 at g = 40 is C(131, 2) + C(130, 2) * 79 =
-        # 670,930 work units, near the largest benchmark query, and runs;
-        # C(4003, 2) + C(4002, 2) * 3 units do not.
+        # a = 128 in rank 4 at g = 40 is 130 calls and at most 7,122 ramp
+        # sums, and runs; a = 400000 is 400,002 calls and 24.0 million ramp
+        # sums, and does not.
         assert h0_class_interval(surface(40, 3, 1, 0, -2), NumClass(128, 0)).lo > 0
-        with pytest.raises(ValueError, match="limit of 4000000"):
-            h0_class_interval(surface(2, 3, 1, 0, -2), NumClass(4000, 0))
+        with pytest.raises(ValueError, match="limit of 6000000"):
+            h0_class_interval(surface(2, 3, 1, 0, -2), NumClass(400000, 0))
+
+    def test_work_weighs_long_integers(self):
+        # The same rank-3 slice, 900,004 calls, costs about 1 us a call
+        # with 10-digit degrees and about 18 with 4,000-digit ones.
+        cls = NumClass(300000, 0)
+        short = lattice_work(surface(1, 10**10, 1, -10**10), cls)
+        long = lattice_work(surface(1, 10**4000, 1, -10**4000), cls)
+        assert short == 900004
+        assert long == 18 * short > sections.MAX_LATTICE_WORK
 
     @given(st.integers(0, 6), st.lists(st.integers(-5, 5), min_size=2, max_size=6),
-           st.integers(0, 10), st.integers(-30, 30))
+           st.integers(0, 30), st.integers(-60, 60))
     @settings(max_examples=200)
     def test_work_counts_calls(self, g, degrees, a, b):
-        # One work unit is one call: the recursion makes exactly
-        # C(a+r-1, r-2) calls, C(a+r-2, r-2) of them rank-2 leaves, and
-        # each leaf makes at most min(a+1, max(1, 2g-1)) curve calls.
+        # No curve call on the walk: a rank-2 leaf is three ramp sums, and
+        # the recursion makes C(a+r-2, r-3) calls down to rank 3.  Its calls
+        # and ramp sums together are at most lattice_work.
         s = surface(g, *degrees)
         cls = NumClass(a, b)
         assume((a, b) != (0, 0))
-        calls = {"slice": 0, "curve": 0}
-        per_leaf = []
+        calls = {"slice": 0, "ramp": 0, "curve": 0}
 
-        def count_slice(*args):
-            calls["slice"] += 1
-            return walk(*args)
+        def counting(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
 
-        def count_curve(*args):
-            calls["curve"] += 1
-            return curve(*args)
-
-        def count_leaf(*args):
-            before = calls["curve"]
-            result = leaf(*args)
-            per_leaf.append(calls["curve"] - before)
-            return result
-
-        walk, curve, leaf = (sections._slice_interval, sections.h0_interval_curve,
-                             sections._progression_interval)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(sections, "_slice_interval", count_slice)
-            mp.setattr(sections, "h0_interval_curve", count_curve)
-            mp.setattr(sections, "_progression_interval", count_leaf)
+            for name, attr in (("slice", "_slice_interval"), ("ramp", "_ramp_sum"),
+                               ("curve", "h0_interval_curve")):
+                mp.setattr(sections, attr, counting(name, getattr(sections, attr)))
             h0_class_interval(s, cls)
         r = s.rank
-        leaf_bound = min(a + 1, max(1, 2 * g - 1))
-        assert calls["slice"] == comb(a + r - 1, r - 2)
-        assert len(per_leaf) == comb(a + r - 2, r - 2)
-        assert max(per_leaf) <= leaf_bound
-        assert lattice_work(s, cls) == calls["slice"] + len(per_leaf) * leaf_bound
+        assert calls["curve"] == 0
+        if r == 2:
+            assert calls == {"slice": 1, "ramp": 3, "curve": 0}
+        else:
+            assert calls["slice"] == comb(a + r - 2, r - 3)
+        assert calls["slice"] + calls["ramp"] <= lattice_work(s, cls)
 
     @given(st.integers(1, 3), st.integers(-3, 3), st.integers(-3, 3),
            st.integers(0, 4), st.integers(-5, 5), st.integers(0, 4))
@@ -231,6 +287,27 @@ class TestVolume:
             errors.append(abs(vol - Fraction(2 * lo, m * m)))
         assert errors == sorted(errors, reverse=True)
         assert errors[-1] <= Fraction(1, 64)
+
+
+class TestLeadingCoefficient:
+    def test_third_difference_is_volume(self):
+        # lo(m) is exact outside the Clifford band, so along m = k*M, M a
+        # multiple of its quasi-period, it is a cubic in k whose leading
+        # coefficient is vol/3!: the third difference over M^3 is vol and
+        # the fourth is 0.  On the 160 rows of the rank-3 scan grid.
+        rows = [(g, (d1, d2, d3)) for g in (1, 2) for d1 in range(0, 5)
+                for d2 in range(-2, min(4, d1) + 1) for d3 in range(-2, min(4, d2) + 1)]
+        assert len(rows) == 160
+        for g, degrees in rows:
+            s = surface(g, *degrees)
+            gaps = [x - y for i, x in enumerate(degrees) for y in degrees[i + 1:] if x != y]
+            period = 8 * lcm(*gaps)
+            anti = -canonical_class(s)
+            diffs = [h0_class_interval(s, k * period * anti).lo for k in range(1, 6)]
+            for _ in range(3):
+                diffs = [y - x for x, y in zip(diffs, diffs[1:])]
+            assert [Fraction(d, period**3) for d in diffs] == [volume(s, anti)] * 2, (g, degrees)
+            assert diffs[1] - diffs[0] == 0
 
 
 class TestGrowthClassify:

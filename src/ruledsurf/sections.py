@@ -17,20 +17,27 @@ progression at k_1 moves linearly with k_1, so along each residue class
 of k_1 modulo q*max(d_2 - d_3, 1) its sum is a quadratic on at most three
 pieces, summed from three values each.  Rank 2 costs O(1) whatever a and
 g are, rank 3 O(min(a, d_2 - d_3 + 1)), and rank r the recursion down to
-C(a+r-3, r-3) rank-3 nodes.
+C(a+r-3, r-3) rank-3 nodes.  Outside the band 0 <= d <= 2g-2 (so at
+g = 0 everywhere) hi = lo, and a rank-2 or rank-3 slice none of whose
+degrees reaches the band sums only lo.
 
 The exact limit lim r! h^0(mD)/m^r is the integral of the positive part
 of the linear form over the dilated simplex; by Hermite-Genocchi it
 equals a^(r-1) times the divided difference of t -> max(t, 0)^r over the
-vertex values v_i = a*d_i + b.  Repeated vertex values are handled as
-confluent knots (derivative entries), never by perturbation.
+vertex values v_i = a*d_i + b.  When at most one of them lies on one side
+of 0, as in every class of rank 2 and 3, that divided difference has a
+closed form in integers, one quotient; in rank 2 it is the Zariski
+decomposition's vol = D^2 + (D.C_0)^2/e.  Otherwise, or for values too
+long for the closed form to know that the table stays under MAX_DIGITS,
+the divided-difference table is built, with repeated vertex values
+handled as confluent knots (derivative entries), never by perturbation.
 """
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, prod
 from typing import Sequence
 
 from .bundles import MAX_DIGITS, Curve
@@ -111,10 +118,15 @@ def _ramp_sum(ramp: tuple[int, int, int], start: int, step: int, n: int) -> int:
 
 def _progression_interval(curve: Curve, start: int, step: int, n: int) -> tuple[int, int]:
     """Sum the curve intervals over the degrees start + j*step, 0 <= j < n,
-    step >= 0: one ramp sum for lo, two for hi."""
-    lo, hi1, hi2 = _ramps(curve.genus)
-    return (_ramp_sum(lo, start, step, n),
-            _ramp_sum(hi1, start, step, n) + _ramp_sum(hi2, start, step, n))
+    step >= 0: one ramp sum for lo, and two for hi unless no degree lies
+    in the band 0 <= d <= 2g-2, outside which hi = lo."""
+    g = curve.genus
+    lo, hi1, hi2 = _ramps(g)
+    total = _ramp_sum(lo, start, step, n)
+    j = _first_at_least_zero(start, step, n)
+    if j == n or start + j * step > 2 * g - 2:
+        return total, total
+    return total, _ramp_sum(hi1, start, step, n) + _ramp_sum(hi2, start, step, n)
 
 
 def _first_at_least_zero(a: int, b: int, end: int) -> int:
@@ -180,10 +192,15 @@ def _slice_interval(curve: Curve, degrees: Sequence[int], i: int, base: int,
         return _progression_interval(curve, base + left * degrees[-1],
                                      degrees[-2] - degrees[-1], left + 1)
     if i == len(degrees) - 3:
-        lo, hi1, hi2 = (_node_ramp_sum(ramp, base + left * degrees[-1], degrees[i] - degrees[-1],
-                                       degrees[-2] - degrees[-1], left)
-                        for ramp in _ramps(curve.genus))
-        return lo, hi1 + hi2
+        start = base + left * degrees[-1]
+        slope, step = degrees[i] - degrees[-1], degrees[-2] - degrees[-1]
+        ramps = _ramps(curve.genus)
+        lo = _node_ramp_sum(ramps[0], start, slope, step, left)
+        # The node's degrees lie in [start, start + left*slope]; when that
+        # range misses the band 0 <= d <= 2g-2 (always at g = 0), hi = lo.
+        if start + left * slope < 0 or max(start, 0) > 2 * curve.genus - 2:
+            return lo, lo
+        return lo, sum(_node_ramp_sum(ramp, start, slope, step, left) for ramp in ramps[1:])
     lo = hi = 0
     for k in range(left + 1):
         plo, phi = _slice_interval(curve, degrees, i + 1, base + k * degrees[i], left - k)
@@ -267,6 +284,8 @@ def h0_class_interval(surface: RuledSurface, cls: NumClass) -> H0Interval:
 
 
 _DIGIT_LIMIT = 10**MAX_DIGITS
+# 2**_LIMIT_BITS < _DIGIT_LIMIT, as _DIGIT_LIMIT is no power of two.
+_LIMIT_BITS = _DIGIT_LIMIT.bit_length() - 1
 
 
 def _check_digits(x: Fraction) -> Fraction:
@@ -301,17 +320,69 @@ def _truncated_power_divdiff(knots: Sequence[int], power: int) -> Fraction:
     return row[0]
 
 
+def _one_sided_divdiff(knots: Sequence[int]) -> tuple[int, int] | None:
+    """The divided difference f[v] of f(t) = max(t, 0)**r over the r knots
+    v, as (num, den) with den > 0, when at most one knot is positive or at
+    most one is negative; None otherwise.
+
+    t**r = f(t) + (-1)**r f(-t); over r knots the divided difference of
+    t**r is sum(v) and that of f(-t) is (-1)**(r-1) f[-v], so f[v] =
+    sum(v) + f[-v].  f vanishes with its first r - 1 derivatives on t <= 0,
+    so f[v] = 0 with no knot above 0, and f[v] = sum(v) with none below.
+    With one positive knot p, f[v] is the term of p in the partial-fraction
+    sum, p**r / prod(p - v_j) over the other knots, repeated or not (f[v]
+    is continuous in the knots); with one negative knot, f[-v] is that
+    term for -v.
+    """
+    pos = [v for v in knots if v > 0]
+    neg = [v for v in knots if v < 0]
+    if not neg:
+        return sum(knots), 1
+    if not pos:
+        return 0, 1
+    if len(pos) == 1:
+        p = pos[0]
+        return p ** len(knots), prod(p - v for v in knots if v != p)
+    if len(neg) == 1:
+        n = neg[0]
+        den = prod(v - n for v in knots if v != n)
+        return sum(knots) * den + (-n) ** len(knots), den
+    return None
+
+
 def volume(surface: RuledSurface, cls: NumClass) -> Fraction:
     """Exact lim r! h^0(m*cls)/m^r; positive exactly on big classes.
 
+    It is a^(r-1) times the divided difference of max(t, 0)**r over the
+    knots v_i = a*d_i + b: in closed form (_one_sided_divdiff) when at
+    most one knot lies on one side of 0, which covers every class of rank
+    2 and 3, and by the table of _truncated_power_divdiff otherwise.  In
+    rank 2 the closed form is Zariski's vol = D^2 + (D.C_0)^2/e.
+
     Raises ValueError when an entry of the divided-difference table or
-    the volume itself has more than MAX_DIGITS decimal digits.
+    the volume itself has more than MAX_DIGITS decimal digits.  The closed
+    form builds no table, so it is taken only for knots |v_i| <= K with
+    (bits(K) + 1) * C(r+1, 2) <= _LIMIT_BITS, under which no entry can
+    reach the limit: an entry over s + 1 <= r of the knots is, by Cramer's
+    rule on the confluent Vandermonde system of its Hermite interpolant,
+    an integer over prod (y_j - y_i)^(m_i m_j) across its distinct knots
+    y of multiplicities m, at most (2K)^C(s+1, 2); and it is f^(s)/s! at
+    a point of [-K, K], at most C(r, s) K^(r-s) <= (2K)^r.  So both its
+    reduced numerator and denominator are at most (2K)^C(r+1, 2) <
+    2**((bits(K) + 1) * C(r+1, 2)) <= 2**_LIMIT_BITS.  Larger knots go to
+    the table and its checks.
     """
     r = surface.rank
     if cls.a <= 0:
         return Fraction(0)
     knots = [cls.a * d + cls.b for d in surface.bundle.degrees]
-    return _check_digits(Fraction(cls.a) ** (r - 1) * _truncated_power_divdiff(knots, r))
+    closed = None
+    if (max(map(abs, knots)).bit_length() + 1) * comb(r + 1, 2) <= _LIMIT_BITS:
+        closed = _one_sided_divdiff(knots)
+    if closed is None:
+        return _check_digits(Fraction(cls.a) ** (r - 1) * _truncated_power_divdiff(knots, r))
+    num, den = closed
+    return _check_digits(Fraction(cls.a ** (r - 1) * num, den))
 
 
 def ladder(m_max: int) -> tuple[int, ...]:
@@ -327,7 +398,9 @@ def growth_classify(surface: RuledSurface, cls: NumClass, rungs: Sequence[int]) 
     Samples h0_class_interval on m*cls at each m of the ascending rungs (a
     scan passes (m_max,), `h0 --m-max` ladder(m_max)); rungs whose summed
     lattice_work exceeds MAX_LATTICE_WORK raise ValueError before any sum.
-    Only the last rung decides: with fitted = r! * lo(m_max) / m_max^r,
+    Only the last rung decides, with fitted = r! * lo(m_max) / m_max^r
+    (returned as fitted_lo_coefficient; fitted > vol / 2 is decided in
+    integers, as 2 * r! * lo * den > num * m_max^r for vol = num/den):
 
     - NOT_BIG_CERTIFIED iff vol == 0.  A class is big exactly when its
       volume is positive, and the upper bounds at finitely many m cannot
@@ -343,12 +416,12 @@ def growth_classify(surface: RuledSurface, cls: NumClass, rungs: Sequence[int]) 
                        sum(lattice_work(surface, m * cls) for m in rungs))
     r = surface.rank
     samples = tuple((m, h0_class_interval(surface, m * cls)) for m in rungs)
-    fitted = Fraction(factorial(r) * samples[-1][1].lo, m_max**r)
+    fitted_num, fitted_den = factorial(r) * samples[-1][1].lo, m_max**r
     vol = volume(surface, cls)
     if vol == 0:
         verdict = Verdict.NOT_BIG_CERTIFIED
-    elif fitted > vol / 2:
+    elif 2 * fitted_num * vol.denominator > vol.numerator * fitted_den:
         verdict = Verdict.BIG_CERTIFIED
     else:
         verdict = Verdict.INCONCLUSIVE
-    return GrowthReport(samples, verdict, fitted, vol)
+    return GrowthReport(samples, verdict, Fraction(fitted_num, fitted_den), vol)

@@ -216,3 +216,24 @@ def test_criterion_8_symmetric_power_oracle():
                 if (rank, degree) != (o_rank, o_degree):
                     ok = False
     report(8, "symmetric-power rank/degree match monomial enumeration (r<=4, n<=6, |d|<=3)", ok)
+
+
+def test_criterion_9_hirzebruch_grid():
+    # F_n is P(O + O(n)) over P^1: degrees (n, 0) at genus 0.  vol(-K) is
+    # 8 for n <= 2, where -K is nef, and (n + 2)^2/n beyond; in general,
+    # with e = d1 - d2, it is 8(1 - g) + (e + 2g - 2)^2/e where -K is big
+    # (e > 2g - 2) and meets the negative section negatively (e > 2 - 2g).
+    hirzebruch = [RuledSurface(Curve(0), SplitBundle((n, 0))) for n in range(7)]
+    ok = ([volume(s, -canonical_class(s)) for s in hirzebruch]
+          == [8, 8, 8, Fraction(25, 3), 9, Fraction(49, 5), Fraction(32, 3)])
+    for g in range(4):
+        for e in range(9):
+            s = RuledSurface(Curve(g), SplitBundle((e, 0)))
+            mk = -canonical_class(s)
+            nef_and_big = nef_test(s, mk) and big_test(s, mk) and volume(s, mk) > 0
+            if nef_and_big != (g == 0 and e <= 2):
+                ok = False
+            if e > abs(2 * g - 2) and volume(s, mk) != 8 * (1 - g) + Fraction((e + 2 * g - 2) ** 2, e):
+                ok = False
+    report(9, "vol(-K) on F_0..F_6 is 8, 8, 8, 25/3, 9, 49/5, 32/3; "
+              "-K nef and big iff g = 0 and e <= 2 (g <= 3, e <= 8)", ok)

@@ -69,6 +69,19 @@ class TestClassify:
         assert "big: true" in out
         assert Fraction(out.split("volume: ")[1].split()[0]) > 0
 
+    def test_volume_digit_limit_on_table_entries(self, capsys):
+        # The volume of (1, 0) on degrees (K, 0) is K, but the table's
+        # entry D^2 = K^2 must stay within 4,300 digits too: it has 4,300
+        # at K = 10^2150 - 1 and 4,301 at K = 10^2150.
+        argv = ["classify", "--genus", "1", "--class", "1,0", "--degrees"]
+        code, out, _ = run_cli(capsys, *argv, f"{10**2150 - 1},0")
+        assert code == EXIT_OK
+        assert f"volume: {10**2150 - 1}" in out
+        for k in (10**2150, 10**2200):
+            code, _, err = run_cli(capsys, *argv, f"{k},0")
+            assert code == EXIT_VALIDATION
+            assert "limit of 4300 decimal digits" in err
+
     def test_min_destabilizing_e(self, capsys):
         code, out, _ = run_cli(
             capsys, "classify", "--genus", "2", "--char", "2", "--degrees", "1,0"
@@ -207,6 +220,24 @@ class TestScan:
         assert len(out.splitlines()) == 1 + 10
         # One sum per row, at m_max * (-K); the lower rungs are not summed.
         assert calls == [64 * NumClass(2, 2 - 2 * g - d1) for g in (1, 2) for d1 in range(5)]
+
+    @pytest.mark.parametrize("argv", [
+        ["scan", "--genus-range", "0:40", "--d1-range=-4:8", "--d2-range=-4:8",
+         "--class=1,0", "--m-max", "64"],
+        ["scan", "--genus-range", "1:2", "--d1-range=0:4", "--d2-range=-2:4",
+         "--d3-range=-2:4", "--m-max", "64"],
+    ])
+    def test_grid_volumes_skip_table(self, capsys, monkeypatch, argv):
+        # Rank 2 and 3 have at most one knot on one side of 0, so no row
+        # of the two benchmark scan grids builds the divided-difference
+        # table.
+        calls = []
+        monkeypatch.setattr(sections, "_truncated_power_divdiff",
+                            lambda *args: calls.append(args))
+        code, out, _ = run_cli(capsys, *argv)
+        assert code in (EXIT_OK, EXIT_DISAGREE)
+        assert len(out.splitlines()) in (1 + 3731, 1 + 160)
+        assert calls == []
 
     def test_rank3_grid(self, capsys):
         code, out, _ = run_cli(
@@ -362,9 +393,14 @@ class TestWorkBounds:
           "--m-max", str(2**39)],
          ["h0_lo: 0", "h0_hi: 2", "verdict: BIG_CERTIFIED",
           "sample_m_{}: [{}, {}]".format(2**39, *_rank2_sums(10**6, 2**39))]),
+        # knots (K, K) just under and just over the size up to which the
+        # volume skips the divided-difference table: one volume, 2K
+        *((["classify", "--genus", "1", "--degrees=0,0", f"--class=1,{k}"],
+           [f"volume: {2 * k}"]) for k in (2**4760 - 1, 2**4760)),
     ])
     def test_accepted_quickly(self, capsys, argv, lines):
-        # Refused while the walk looped over k_1 and over the band degrees.
+        # The h0 queries were refused while the walk looped over k_1 and
+        # over the band degrees.
         start = time.perf_counter()
         code, out, _ = run_cli(capsys, *argv)
         assert time.perf_counter() - start < 1.0
@@ -405,6 +441,15 @@ class TestWorkBounds:
          "--class", "4,-400"],
         # a walk 1,199 frames deep, past the interpreter's recursion limit
         ["h0", "--genus", "1", "--degrees", ",".join(["0"] * 1200), "--class", "1,0"],
+        # the table's entry D^2 = 10^4400 has 4,401 digits, though the
+        # volume 10^2200 has fewer
+        ["classify", "--genus", "1", "--degrees", f"{10**2200},0", "--class", "1,0"],
+        # the volume a^(r-1) * r * K has over 4,300 digits, with the knots
+        # K just under and just over the size up to which it skips the table
+        *(["classify", "--genus", "1", "--degrees=0,0", f"--class={10**2900},{k}"]
+          for k in (2**4760 - 1, 2**4760)),
+        *(["classify", "--genus", "1", "--degrees=0,0,0", f"--class={10**1900},{k}"]
+          for k in (2**2379 - 1, 2**2379)),
     ])
     def test_rejected_quickly(self, capsys, argv):
         start = time.perf_counter()

@@ -201,13 +201,15 @@ class TestH0ClassInterval:
            st.integers(0, 30), st.integers(-60, 60))
     @settings(max_examples=200)
     def test_work_counts_calls(self, g, degrees, a, b):
-        # No curve call on the walk: a rank-2 leaf is three ramp sums, and
-        # the recursion makes C(a+r-2, r-3) calls down to rank 3.  Its calls
-        # and ramp sums together are at most lattice_work.
+        # No curve call on the walk: a rank-2 leaf is three ramp sums when
+        # one of its degrees lies in the band 0 <= d <= 2g-2 and one, lo's,
+        # when none does (hi = lo there), and the recursion makes
+        # C(a+r-2, r-3) calls down to rank 3.  Its calls and ramp sums
+        # together are at most lattice_work.
         s = surface(g, *degrees)
         cls = NumClass(a, b)
         assume((a, b) != (0, 0))
-        calls = {"slice": 0, "ramp": 0, "curve": 0}
+        calls = {"slice": 0, "node": 0, "ramp": 0, "curve": 0}
 
         def counting(name, fn):
             def wrapper(*args):
@@ -216,16 +218,22 @@ class TestH0ClassInterval:
             return wrapper
 
         with pytest.MonkeyPatch.context() as mp:
-            for name, attr in (("slice", "_slice_interval"), ("ramp", "_ramp_sum"),
-                               ("curve", "h0_interval_curve")):
+            for name, attr in (("slice", "_slice_interval"), ("node", "_node_ramp_sum"),
+                               ("ramp", "_ramp_sum"), ("curve", "h0_interval_curve")):
                 mp.setattr(sections, attr, counting(name, getattr(sections, attr)))
             h0_class_interval(s, cls)
         r = s.rank
         assert calls["curve"] == 0
         if r == 2:
-            assert calls == {"slice": 1, "ramp": 3, "curve": 0}
+            d1, d2 = s.bundle.degrees
+            meets = any(0 <= a * d2 + b + j * (d1 - d2) <= 2 * g - 2 for j in range(a + 1))
+            assert calls == {"slice": 1, "node": 0, "ramp": 3 if meets else 1, "curve": 0}
         else:
             assert calls["slice"] == comb(a + r - 2, r - 3)
+        if r == 3:
+            # One node, whose degrees lie in [a*d3 + b, a*d1 + b].
+            low, high = a * s.bundle.degrees[-1] + b, a * s.bundle.degrees[0] + b
+            assert calls["node"] == (1 if high < 0 or max(low, 0) > 2 * g - 2 else 3)
         assert calls["slice"] + calls["ramp"] <= lattice_work(s, cls)
 
     @given(st.integers(1, 3), st.integers(-3, 3), st.integers(-3, 3),
@@ -287,6 +295,119 @@ class TestVolume:
             errors.append(abs(vol - Fraction(2 * lo, m * m)))
         assert errors == sorted(errors, reverse=True)
         assert errors[-1] <= Fraction(1, 64)
+
+
+
+def table_volume(s, cls):
+    """Reference for volume: a^(r-1) times the divided-difference table."""
+    knots = [cls.a * d + cls.b for d in s.bundle.degrees]
+    return Fraction(cls.a) ** (s.rank - 1) * sections._truncated_power_divdiff(knots, s.rank)
+
+
+# Knot magnitudes: small ones repeat and hit 0, large ones are distinct.
+MAGNITUDES = st.one_of(st.integers(0, 3), st.integers(0, 10**6))
+
+
+@st.composite
+def knot_sets(draw):
+    """r = 2..6 knots, by sign pattern: none negative, none positive, one
+    positive, one negative, or any."""
+    r = draw(st.integers(2, 6))
+    pattern = draw(st.sampled_from(("no_neg", "no_pos", "one_pos", "one_neg", "any")))
+    mags = draw(st.lists(MAGNITUDES, min_size=r, max_size=r))
+    if pattern == "no_neg":
+        knots = mags
+    elif pattern == "no_pos":
+        knots = [-m for m in mags]
+    elif pattern == "one_pos":
+        knots = [1 + mags[0]] + [-m for m in mags[1:]]
+    elif pattern == "one_neg":
+        knots = [-1 - mags[0]] + mags[1:]
+    else:
+        knots = [draw(st.sampled_from((m, -m))) for m in mags]
+    return draw(st.permutations(knots))
+
+
+class TestVolumeClosedForm:
+    @given(knot_sets())
+    @settings(max_examples=600)
+    def test_one_sided_matches_table(self, knots):
+        # The table is the oracle; the closed form declines only when two
+        # or more knots lie on each side of 0.
+        got = sections._one_sided_divdiff(knots)
+        if min(sum(v > 0 for v in knots), sum(v < 0 for v in knots)) >= 2:
+            assert got is None
+        else:
+            num, den = got
+            assert den > 0
+            assert Fraction(num, den) == sections._truncated_power_divdiff(knots, len(knots))
+
+    @given(st.integers(0, 40), st.lists(st.integers(-6, 6), min_size=2, max_size=6),
+           st.integers(1, 5), st.integers(-30, 30))
+    @settings(max_examples=400)
+    def test_volume_matches_table(self, g, degrees, a, b):
+        s = surface(g, *degrees)
+        assert volume(s, NumClass(a, b)) == table_volume(s, NumClass(a, b))
+
+    @pytest.mark.parametrize("r, bits", [(2, 4760), (3, 2379), (4, 1427), (6, 679)])
+    def test_guard_edge(self, r, bits):
+        # The closed form is taken up to (bits(K) + 1) * C(r+1, 2) <=
+        # 14284 for knots |v| <= K, the table above; both give one volume.
+        calls = []
+        original = sections._truncated_power_divdiff
+
+        def counting(knots, power):
+            calls.append(power)
+            return original(knots, power)
+
+        for k in (bits, bits + 1):
+            K = 2**k - 1
+            s = surface(1, K, *[0] * (r - 2), -K)
+            cls = NumClass(1, 0)
+            want = table_volume(s, cls)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(sections, "_truncated_power_divdiff", counting)
+                assert volume(s, cls) == want
+        assert calls == [r]
+        assert (bits + 1) * comb(r + 1, 2) <= sections._LIMIT_BITS < (bits + 2) * comb(r + 1, 2)
+
+    @given(st.integers(2, 6), st.integers(1, 600), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_table_entries_under_guard_bound(self, r, bits, data):
+        # The bound the guard rests on: every entry of the table over
+        # knots |v| <= K has numerator and denominator at most
+        # (2K)^C(r+1, 2).
+        knots = data.draw(st.lists(st.one_of(st.integers(-3, 3),
+                                             st.integers(-2**bits, 2**bits)),
+                                   min_size=r, max_size=r))
+        bound = (2 * max(1, *map(abs, knots))) ** comb(r + 1, 2)
+        entries = []
+
+        def recording(x):
+            entries.append(x)
+            return x
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sections, "_check_digits", recording)
+            sections._truncated_power_divdiff(knots, r)
+        assert all(abs(x.numerator) <= bound and x.denominator <= bound for x in entries)
+
+    def test_zariski_rank2(self):
+        # In rank 2 the closed form is the Zariski decomposition: with
+        # e = d1 - d2 and C_0 the negative section, vol = D^2 when D.C_0
+        # >= 0, else D^2 + (D.C_0)^2/e, on the big cone.
+        for d1 in range(-3, 7):
+            for d2 in range(-3, d1 + 1):
+                s, e = surface(2, d1, d2), d1 - d2
+                for a in range(1, 5):
+                    for b in range(-20, 21):
+                        cls = NumClass(a, b)
+                        if not big_test(s, cls):
+                            assert volume(s, cls) == 0
+                            continue
+                        square, dc0 = a * a * (d1 + d2) + 2 * a * b, a * d2 + b
+                        want = square if dc0 >= 0 else square + Fraction(dc0 * dc0, e)
+                        assert volume(s, cls) == want, (d1, d2, a, b)
 
 
 class TestLeadingCoefficient:

@@ -39,7 +39,15 @@ def run(genus: int, d1: int, d2: int, a=None, b=None) -> None:
 
 
 if __name__ == "__main__":
-    args = [int(x) for x in sys.argv[1:]]
-    if not args:
-        args = [1, 1, 0]
-    run(*args)
+    try:
+        args = [int(x) for x in sys.argv[1:]]
+    except ValueError:
+        args = None
+    if args is None or len(args) not in (0, 3, 5):
+        print("usage: python3 scripts/volume_convergence.py [genus d1 d2 [a b]]", file=sys.stderr)
+        sys.exit(2)
+    try:
+        run(*(args or [1, 1, 0]))
+    except ValueError as err:
+        print(f"error: {err}", file=sys.stderr)
+        sys.exit(2)

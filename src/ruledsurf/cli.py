@@ -16,8 +16,7 @@ from typing import Optional, Sequence
 
 from .blowups import BlownUpSurface, BlowupScenario, certify_big_anticanonical, check_class
 from .bundles import Curve, SplitBundle, frobenius_pullback, hn_data, min_destabilizing_e
-from .sections import (Verdict, check_lattice_work, growth_classify, h0_class_interval,
-                       ladder, lattice_work, volume)
+from .sections import Verdict, growth_classify, h0_class_interval, ladder, scan_verdicts, volume
 from .surfaces import NumClass, RuledSurface, big_test, canonical_class, nef_test, pseff_test
 
 EXIT_OK = 0
@@ -96,9 +95,10 @@ def cmd_classify(args: argparse.Namespace) -> tuple[int, list[str]]:
 
 # -------------------------------------------------------------------- scan
 
-def _scan_points(args: argparse.Namespace) -> list[tuple[int, int, tuple[int, ...]]]:
+def _scan_surfaces(args: argparse.Namespace) -> list[RuledSurface]:
     """The scan grid in emission order: genus, sorted characteristic, then
-    the non-increasing degree tuples in lexicographic order."""
+    the non-increasing degree tuples in lexicographic order, sharing one
+    Curve per (genus, char) and one SplitBundle per degree tuple."""
     genera = _parse_range(args.genus_range, "--genus-range")
     chars = sorted(_parse_int_list(args.chars, "--chars"))
     ranges = [_parse_range(args.d1_range, "--d1-range"), _parse_range(args.d2_range, "--d2-range")]
@@ -110,41 +110,30 @@ def _scan_points(args: argparse.Namespace) -> list[tuple[int, int, tuple[int, ..
     if size > MAX_SCAN_POINTS:
         raise ValueError(f"scan grid has {size} points before filtering, "
                          f"above the limit of {MAX_SCAN_POINTS}")
-    degree_tuples = [degs for degs in itertools.product(*ranges)
-                     if all(x >= y for x, y in zip(degs, degs[1:]))]
-    points = [(g, p, degs) for g in genera for p in chars for degs in degree_tuples]
-    if not points:
+    bundles = [SplitBundle(degs) for degs in itertools.product(*ranges)
+               if all(x >= y for x, y in zip(degs, degs[1:]))]
+    if not bundles:
         raise ValueError("scan grid is empty (degree ranges never satisfy d1 >= d2 >= d3)")
-    return points
-
-
-def _scan_row(surface: RuledSurface, cls: NumClass, m_max: int) -> tuple[str, bool]:
-    big = big_test(surface, cls)
-    report = growth_classify(surface, cls, (m_max,))
-    vol, verdict = report.volume, report.verdict
-    agree = verdict is (Verdict.BIG_CERTIFIED if big else Verdict.NOT_BIG_CERTIFIED)
-    fields = [surface.curve.genus, surface.curve.characteristic, *surface.bundle.degrees,
-              cls.a, cls.b, _bool_str(big), verdict.value, vol, _bool_str(agree)]
-    return "\t".join(str(x) for x in fields), agree
+    curves = [Curve(g, p) for g in genera for p in chars]
+    return [RuledSurface(curve, bundle) for curve in curves for bundle in bundles]
 
 
 def cmd_scan(args: argparse.Namespace) -> tuple[int, list[str]]:
-    rows = []
-    for g, p, degs in _scan_points(args):
-        surface = RuledSurface(Curve(g, p), SplitBundle(degs))
-        cls = args.num_class if args.num_class is not None else -canonical_class(surface)
-        rows.append((surface, cls))
-    # A row sums only its top rung, m_max * cls, and each is bounded on its
-    # own; bound the whole scan before the first row too.
-    check_lattice_work(f"scan of {len(rows)} rows up to m = {args.m_max}",
-                       sum(lattice_work(surface, args.m_max * cls) for surface, cls in rows))
-    results = [_scan_row(surface, cls, args.m_max) for surface, cls in rows]
-
-    deg_cols = ["d1", "d2"] + (["d3"] if args.d3_range else [])
-    header = "\t".join(["genus", "char", *deg_cols, "a", "b", "big", "verdict",
-                        "volume", "agree"])
-    code = EXIT_OK if all(agree for _, agree in results) else EXIT_DISAGREE
-    return code, [header, *(row for row, _ in results)]
+    surfaces = _scan_surfaces(args)
+    rows = [(surface, args.num_class if args.num_class is not None else -canonical_class(surface))
+            for surface in surfaces]
+    lines = ["\t".join(["genus", "char", "d1", "d2", *(["d3"] if args.d3_range else []),
+                         "a", "b", "big", "verdict", "volume", "agree"])]
+    code = EXIT_OK
+    for (surface, cls), (verdict, vol) in zip(rows, scan_verdicts(rows, args.m_max)):
+        big = big_test(surface, cls)
+        agree = verdict is (Verdict.BIG_CERTIFIED if big else Verdict.NOT_BIG_CERTIFIED)
+        if not agree:
+            code = EXIT_DISAGREE
+        fields = [surface.curve.genus, surface.curve.characteristic, *surface.bundle.degrees,
+                  cls.a, cls.b, _bool_str(big), verdict.value, vol, _bool_str(agree)]
+        lines.append("\t".join(str(x) for x in fields))
+    return code, lines
 
 
 # ------------------------------------------------------------------ blowup

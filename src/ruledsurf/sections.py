@@ -262,6 +262,15 @@ def check_lattice_work(what: str, work: int) -> None:
                          f"above the limit of {MAX_LATTICE_WORK}")
 
 
+def _class_interval(surface: RuledSurface, cls: NumClass) -> tuple[int, int]:
+    """h0_class_interval's (lo, hi), unpriced: the caller has checked its lattice_work."""
+    if cls.a < 0:
+        return 0, 0
+    if cls.a == 0 and cls.b == 0:
+        return 1, 1
+    return _slice_interval(surface.curve, surface.bundle.degrees, 0, cls.b, cls.a)
+
+
 def h0_class_interval(surface: RuledSurface, cls: NumClass) -> H0Interval:
     """Sum the curve intervals over the lattice slice sum(k) = a.
 
@@ -275,12 +284,8 @@ def h0_class_interval(surface: RuledSurface, cls: NumClass) -> H0Interval:
     Raises ValueError, before walking, when the work exceeds
     MAX_LATTICE_WORK.
     """
-    if cls.a < 0:
-        return H0Interval(0, 0)
-    if cls.a == 0 and cls.b == 0:
-        return H0Interval(1, 1)
     check_lattice_work(f"class {cls}", lattice_work(surface, cls))
-    return H0Interval(*_slice_interval(surface.curve, surface.bundle.degrees, 0, cls.b, cls.a))
+    return H0Interval(*_class_interval(surface, cls))
 
 
 _DIGIT_LIMIT = 10**MAX_DIGITS
@@ -392,36 +397,57 @@ def ladder(m_max: int) -> tuple[int, ...]:
     return tuple(m_max >> k for k in reversed(range(m_max.bit_length() - 3)))
 
 
-def growth_classify(surface: RuledSurface, cls: NumClass, rungs: Sequence[int]) -> GrowthReport:
-    """Classify bigness from the exact volume, confirmed by section counts.
-
-    Samples h0_class_interval on m*cls at each m of the ascending rungs (a
-    scan passes (m_max,), `h0 --m-max` ladder(m_max)); rungs whose summed
-    lattice_work exceeds MAX_LATTICE_WORK raise ValueError before any sum.
-    Only the last rung decides, with fitted = r! * lo(m_max) / m_max^r
-    (returned as fitted_lo_coefficient; fitted > vol / 2 is decided in
-    integers, as 2 * r! * lo * den > num * m_max^r for vol = num/den):
+def _verdict(surface: RuledSurface, cls: NumClass, m_max: int,
+             lo: int) -> tuple[Verdict, Fraction]:
+    """The verdict on cls from lo = lo(m_max * cls), and the volume.
 
     - NOT_BIG_CERTIFIED iff vol == 0.  A class is big exactly when its
       volume is positive, and the upper bounds at finitely many m cannot
       show that the counts grow slower than m^r: any ceiling on them is a
       guess.  Only the exact volume can certify non-bigness.
-    - BIG_CERTIFIED iff fitted > vol / 2: the certified lower bounds
-      already reach half of the exact asymptote.
+    - BIG_CERTIFIED iff fitted = r! * lo / m_max^r > vol / 2: the
+      certified lower bounds already reach half of the exact asymptote.
+      Decided in integers, as 2 * r! * lo * den > num * m_max^r for
+      vol = num/den.
     - INCONCLUSIVE otherwise: vol > 0, but the count at m_max does not
       yet confirm it.
     """
-    m_max = rungs[-1]
+    r, vol = surface.rank, volume(surface, cls)
+    if vol == 0:
+        return Verdict.NOT_BIG_CERTIFIED, vol
+    if 2 * factorial(r) * lo * vol.denominator > vol.numerator * m_max**r:
+        return Verdict.BIG_CERTIFIED, vol
+    return Verdict.INCONCLUSIVE, vol
+
+
+def growth_classify(surface: RuledSurface, cls: NumClass, rungs: Sequence[int]) -> GrowthReport:
+    """Classify bigness from the exact volume, confirmed by section counts.
+
+    Samples the interval of h0_class_interval on m*cls at each m of the
+    ascending rungs (`h0 --m-max` passes ladder(m_max)); rungs whose
+    summed lattice_work exceeds MAX_LATTICE_WORK raise ValueError before
+    any sum.  Only the last rung decides, by the rule of _verdict; its
+    fitted = r! * lo(m_max) / m_max^r is returned as
+    fitted_lo_coefficient.
+    """
+    r, m_max = surface.rank, rungs[-1]
     check_lattice_work(f"class {cls} up to m = {m_max}",
                        sum(lattice_work(surface, m * cls) for m in rungs))
-    r = surface.rank
-    samples = tuple((m, h0_class_interval(surface, m * cls)) for m in rungs)
-    fitted_num, fitted_den = factorial(r) * samples[-1][1].lo, m_max**r
-    vol = volume(surface, cls)
-    if vol == 0:
-        verdict = Verdict.NOT_BIG_CERTIFIED
-    elif 2 * fitted_num * vol.denominator > vol.numerator * fitted_den:
-        verdict = Verdict.BIG_CERTIFIED
-    else:
-        verdict = Verdict.INCONCLUSIVE
-    return GrowthReport(samples, verdict, Fraction(fitted_num, fitted_den), vol)
+    samples = tuple((m, H0Interval(*_class_interval(surface, m * cls))) for m in rungs)
+    lo = samples[-1][1].lo
+    verdict, vol = _verdict(surface, cls, m_max, lo)
+    return GrowthReport(samples, verdict, Fraction(factorial(r) * lo, m_max**r), vol)
+
+
+def scan_verdicts(rows: Sequence[tuple[RuledSurface, NumClass]],
+                  m_max: int) -> list[tuple[Verdict, Fraction]]:
+    """The verdict and volume of growth_classify(surface, cls, (m_max,))
+    for each row, from one price: the lattice_work of all top rungs
+    m_max * cls together is checked against MAX_LATTICE_WORK before any
+    sum, and bounds each row's, since no row's work is negative.
+    """
+    tops = [(surface, cls, m_max * cls) for surface, cls in rows]
+    check_lattice_work(f"scan of {len(rows)} rows up to m = {m_max}",
+                       sum(lattice_work(surface, top) for surface, _, top in tops))
+    return [_verdict(surface, cls, m_max, _class_interval(surface, top)[0])
+            for surface, cls, top in tops]

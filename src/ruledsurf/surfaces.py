@@ -27,6 +27,11 @@ class NumClass:
     a: int
     b: int
 
+    def __post_init__(self) -> None:
+        for x in (self.a, self.b):
+            if not isinstance(x, int) or isinstance(x, bool):
+                raise ValueError("class coefficients a, b must be integers")
+
     def __sub__(self, other: "NumClass") -> "NumClass":
         return NumClass(self.a - other.a, self.b - other.b)
 

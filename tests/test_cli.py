@@ -8,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from ruledsurf import NumClass, cli, sections
+from ruledsurf import Curve, NumClass, RuledSurface, SplitBundle, sections
 from ruledsurf.cli import EXIT_DISAGREE, EXIT_IO, EXIT_OK, EXIT_VALIDATION, main
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -21,17 +21,17 @@ def run_cli(capsys, *argv):
 
 
 def count_h0_calls(monkeypatch):
-    """Record the class of every h0_class_interval call, from the CLI and
-    from the growth classifier."""
+    """Record the class of every lattice sum: h0_class_interval,
+    growth_classify and scan_verdicts all sum through the unpriced core
+    sections._class_interval."""
     calls = []
-    original = sections.h0_class_interval
+    original = sections._class_interval
 
     def counting(surface, cls):
         calls.append(cls)
         return original(surface, cls)
 
-    monkeypatch.setattr(sections, "h0_class_interval", counting)
-    monkeypatch.setattr(cli, "h0_class_interval", counting)
+    monkeypatch.setattr(sections, "_class_interval", counting)
     return calls
 
 
@@ -220,6 +220,70 @@ class TestScan:
         assert len(out.splitlines()) == 1 + 10
         # One sum per row, at m_max * (-K); the lower rungs are not summed.
         assert calls == [64 * NumClass(2, 2 - 2 * g - d1) for g in (1, 2) for d1 in range(5)]
+
+    def test_prices_each_row_once(self, capsys, monkeypatch):
+        # The scan-r2 grid: one lattice_work call per row, in the scan's
+        # total, and none in a row's own sum.
+        calls = []
+        original = sections.lattice_work
+        monkeypatch.setattr(sections, "lattice_work",
+                            lambda surface, cls: calls.append(cls) or original(surface, cls))
+        code, out, _ = run_cli(capsys, "scan", "--genus-range", "0:40", "--d1-range=-4:8",
+                               "--d2-range=-4:8", "--class=1,0", "--m-max", "64")
+        assert code == EXIT_DISAGREE
+        assert len(out.splitlines()) == 1 + 3731
+        assert len(calls) == 3731
+
+    def test_over_limit_scan_sums_nothing(self, capsys, monkeypatch):
+        # Every row's top rung is under the limit, the 18,376 rows together
+        # are not: refused before the first row is summed.
+        calls = []
+        monkeypatch.setattr(sections, "_slice_interval", lambda *args: calls.append(args))
+        code, out, err = run_cli(capsys, "scan", "--genus-range", "1:1", "--d1-range=0:45",
+                                 "--d2-range=-1:44", "--d3-range=-1:44", "--m-max", "128")
+        assert (code, out, calls) == (EXIT_VALIDATION, "", [])
+        assert err == ("error: scan of 18376 rows up to m = 128: the lattice sums need "
+                       "6322498 work units, above the limit of 6000000\n")
+
+    @staticmethod
+    def assert_rows_match_classifier(out, m_max, ranks):
+        # Every row's verdict and volume are growth_classify's at (m_max,).
+        rows = [line.split("\t") for line in out.splitlines()[1:]]
+        assert rows
+        for row in rows:
+            g, p, *degs = map(int, row[:2 + ranks])
+            a, b = map(int, row[2 + ranks:4 + ranks])
+            surface = RuledSurface(Curve(g, p), SplitBundle(tuple(degs)))
+            report = sections.growth_classify(surface, NumClass(a, b), (m_max,))
+            assert row[5 + ranks:7 + ranks] == [report.verdict.value, str(report.volume)]
+
+    @pytest.mark.parametrize("argv, m_max, ranks", [
+        (["--genus-range", "29:30", "--d1-range=-2:3", "--d2-range=-2:1", "--class", "1,0"], 16, 2),
+        (["--genus-range", "0:2", "--chars", "0,2", "--d1-range=0:3", "--d2-range=-2:2",
+          "--d3-range=-2:2"], 32, 3),
+    ])
+    def test_rows_follow_classifier(self, capsys, argv, m_max, ranks):
+        code, out, _ = run_cli(capsys, "scan", *argv, "--m-max", str(m_max))
+        assert code in (EXIT_OK, EXIT_DISAGREE)
+        # The genus 29:30 rows reach all three branches of the rule.
+        assert "INCONCLUSIVE" in out or ranks == 3
+        self.assert_rows_match_classifier(out, m_max, ranks)
+
+    @given(st.integers(0, 12), st.integers(0, 4), st.integers(-3, 3), st.integers(0, 3),
+           st.booleans(), st.one_of(st.none(), st.tuples(st.integers(-2, 3), st.integers(-6, 6))),
+           st.integers(8, 40))
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_rows_follow_classifier_property(self, capsys, g, dg, d, dd, rank3, cls, m_max):
+        argv = ["scan", f"--genus-range={g}:{g + dg}", f"--d1-range={d}:{d + dd}",
+                f"--d2-range={d - dd}:{d}", "--m-max", str(m_max)]
+        if rank3:
+            argv.append(f"--d3-range={d - 2 * dd}:{d - dd}")
+        if cls is not None:
+            argv.append("--class={},{}".format(*cls))
+        code, out, _ = run_cli(capsys, *argv)
+        assert code in (EXIT_OK, EXIT_DISAGREE)
+        self.assert_rows_match_classifier(out, m_max, 3 if rank3 else 2)
 
     @pytest.mark.parametrize("argv", [
         ["scan", "--genus-range", "0:40", "--d1-range=-4:8", "--d2-range=-4:8",

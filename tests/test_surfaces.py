@@ -1,4 +1,5 @@
 import itertools
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -21,6 +22,14 @@ small_classes = st.builds(NumClass, st.integers(-6, 6), st.integers(-6, 6))
 
 def rank2_surface(g=1, d1=1, d2=0, p=0):
     return RuledSurface(Curve(g, p), SplitBundle((d1, d2)))
+
+
+class TestNumClass:
+    @pytest.mark.parametrize("bad", [1.5, True, Fraction(1, 2)])
+    def test_rejects_non_integers(self, bad):
+        for args in ((bad, 0), (0, bad)):
+            with pytest.raises(ValueError, match="must be integers"):
+                NumClass(*args)
 
 
 class TestRuledSurface:

@@ -16,26 +16,23 @@ from ruledsurf import (
     RuledSurface,
     SplitBundle,
     canonical_class,
-    h0_class_interval,
-    volume,
+    growth_classify,
 )
+from ruledsurf.sections import ladder
 
 
 def run(genus: int, d1: int, d2: int, a=None, b=None) -> None:
     surface = RuledSurface(Curve(genus), SplitBundle((d1, d2)))
     cls = NumClass(a, b) if a is not None else -canonical_class(surface)
-    r = surface.rank
-    vol = volume(surface, cls)
+    r, rungs = surface.rank, ladder(128)
+    [(_, vol, intervals)] = growth_classify(f"class {cls} up to m = 128", [(surface, cls)], rungs)
     print(f"surface: genus {genus}, degrees {surface.bundle.degrees}")
     print(f"class: {cls}  volume: {vol}")
     print("m\tlo\tratio\terror\tm*error")
-    m = 8
-    while m <= 128:
-        lo = h0_class_interval(surface, m * cls).lo
-        ratio = Fraction(factorial(r) * lo, m**r)
+    for m, iv in zip(rungs, intervals):
+        ratio = Fraction(factorial(r) * iv.lo, m**r)
         err = abs(vol - ratio)
-        print(f"{m}\t{lo}\t{ratio}\t{err}\t{m * err}")
-        m *= 2
+        print(f"{m}\t{iv.lo}\t{ratio}\t{err}\t{m * err}")
 
 
 if __name__ == "__main__":

@@ -19,7 +19,6 @@ from .bundles import (
     symmetric_power_stats,
 )
 from .sections import (
-    GrowthReport,
     H0Interval,
     Verdict,
     growth_classify,
@@ -43,7 +42,6 @@ __all__ = [
     "BlowupScenario",
     "Curve",
     "ExtClass",
-    "GrowthReport",
     "H0Interval",
     "NumClass",
     "RuledSurface",

@@ -12,11 +12,12 @@ import itertools
 import json
 import math
 import sys
+from fractions import Fraction
 from typing import Optional, Sequence
 
 from .blowups import BlownUpSurface, BlowupScenario, certify_big_anticanonical, check_class
 from .bundles import Curve, SplitBundle, frobenius_pullback, hn_data, min_destabilizing_e
-from .sections import Verdict, growth_classify, h0_class_interval, ladder, scan_verdicts, volume
+from .sections import Verdict, growth_classify, ladder, volume
 from .surfaces import NumClass, RuledSurface, big_test, canonical_class, nef_test, pseff_test
 
 EXIT_OK = 0
@@ -106,7 +107,8 @@ def _scan_surfaces(args: argparse.Namespace) -> list[RuledSurface]:
         ranges.append(_parse_range(args.d3_range, "--d3-range"))
     if args.m_max < 8:
         raise ValueError("--m-max must be at least 8")
-    size = len(genera) * len(chars) * math.prod(len(r) for r in ranges)
+    # stop - start, not len(): len() of a range past sys.maxsize overflows.
+    size = len(chars) * math.prod(r.stop - r.start for r in (genera, *ranges))
     if size > MAX_SCAN_POINTS:
         raise ValueError(f"scan grid has {size} points before filtering, "
                          f"above the limit of {MAX_SCAN_POINTS}")
@@ -125,7 +127,9 @@ def cmd_scan(args: argparse.Namespace) -> tuple[int, list[str]]:
     lines = ["\t".join(["genus", "char", "d1", "d2", *(["d3"] if args.d3_range else []),
                          "a", "b", "big", "verdict", "volume", "agree"])]
     code = EXIT_OK
-    for (surface, cls), (verdict, vol) in zip(rows, scan_verdicts(rows, args.m_max)):
+    classified = growth_classify(f"scan of {len(rows)} rows up to m = {args.m_max}",
+                                 rows, (args.m_max,))
+    for (surface, cls), (verdict, vol, _) in zip(rows, classified):
         big = big_test(surface, cls)
         agree = verdict is (Verdict.BIG_CERTIFIED if big else Verdict.NOT_BIG_CERTIFIED)
         if not agree:
@@ -157,7 +161,7 @@ def load_scenario(path: str) -> BlowupScenario:
     with open(path) as fh:
         try:
             raw = json.load(fh)
-        except json.JSONDecodeError as err:
+        except (json.JSONDecodeError, RecursionError) as err:
             raise ValueError(f"{path}: not valid JSON ({err})")
     if not isinstance(raw, dict):
         raise ValueError("scenario: expected a JSON object")
@@ -205,18 +209,23 @@ def cmd_blowup(args: argparse.Namespace) -> tuple[int, list[str]]:
 def cmd_h0(args: argparse.Namespace) -> tuple[int, list[str]]:
     surface = _build_surface(args)
     cls = args.num_class if args.num_class is not None else -canonical_class(surface)
-    iv = h0_class_interval(surface, cls)
-    report = None if args.m_max is None else growth_classify(surface, cls, ladder(args.m_max))
+    if args.m_max is None:
+        what, rungs = f"class {cls}", (1,)
+    else:
+        what, rungs = f"class {cls} up to m = {args.m_max}", (1, *ladder(args.m_max))
+    [(verdict, vol, intervals)] = growth_classify(what, [(surface, cls)], rungs)
     lines = [
         f"class: {cls}",
-        f"h0_lo: {iv.lo}",
-        f"h0_hi: {iv.hi}",
-        f"volume: {volume(surface, cls) if report is None else report.volume}",
+        f"h0_lo: {intervals[0].lo}",
+        f"h0_hi: {intervals[0].hi}",
+        f"volume: {vol}",
     ]
-    if report is not None:
-        lines.append(f"verdict: {report.verdict.value}")
-        lines.append(f"fitted_lo_coefficient: {report.fitted_lo_coefficient}")
-        for m, sample in report.samples:
+    if args.m_max is not None:
+        r = surface.rank
+        lines.append(f"verdict: {verdict.value}")
+        lines.append("fitted_lo_coefficient: "
+                     f"{Fraction(math.factorial(r) * intervals[-1].lo, args.m_max**r)}")
+        for m, sample in zip(rungs[1:], intervals[1:]):
             lines.append(f"sample_m_{m}: [{sample.lo}, {sample.hi}]")
     return EXIT_OK, lines
 

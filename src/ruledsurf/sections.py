@@ -62,14 +62,6 @@ class Verdict(enum.Enum):
     INCONCLUSIVE = "INCONCLUSIVE"
 
 
-@dataclass(frozen=True)
-class GrowthReport:
-    samples: tuple[tuple[int, H0Interval], ...]
-    verdict: Verdict
-    fitted_lo_coefficient: Fraction
-    volume: Fraction
-
-
 def _ramps(genus: int) -> tuple[tuple[int, int, int], ...]:
     """The curve bound as ramps R(floor((d + c)/q) + e), R(x) = max(0, x),
     each given as (q, c, e): lo(d) = R(d - g + 1) is the first, and hi(d) =
@@ -209,14 +201,14 @@ def _slice_interval(curve: Curve, degrees: Sequence[int], i: int, base: int,
     return lo, hi
 
 
-# Most work units (see lattice_work) one h0_class_interval call, the rungs
-# of one growth_classify call, or the top rungs of all rows of one scan
-# together may take.  A unit is one call of the recursion or of _ramp_sum,
-# weighted by the length of its integers.  On 2 vCPUs with Python 3.11.7 a
-# unit cost 0.4-1.2 microseconds on 40 shapes of rank 2-128, genus 0-10^6
-# and degrees or a of 1-4,000 digits, and up to 1.6 with 100-digit degrees
-# (still of weight 1) on a rank-3 slice summed leaf by leaf, so an
-# accepted call takes about 10 s at most.
+# Most work units (see lattice_work) the lattice sums of one request may
+# take together: one h0_class_interval call, or all rungs of all rows of
+# one growth_classify call.  A unit is one call of the recursion or of
+# _ramp_sum, weighted by the length of its integers.  On 2 vCPUs with
+# Python 3.11.7 a unit cost 0.4-1.2 microseconds on 40 shapes of rank
+# 2-128, genus 0-10^6 and degrees or a of 1-4,000 digits, and up to 1.6
+# with 100-digit degrees (still of weight 1) on a rank-3 slice summed leaf
+# by leaf, so an accepted request takes about 10 s at most.
 MAX_LATTICE_WORK = 6 * 10**6
 
 
@@ -255,20 +247,28 @@ def lattice_work(surface: RuledSurface, cls: NumClass) -> int:
     return units * (1 + size * (a.bit_length() + 500) // 400000)
 
 
-def check_lattice_work(what: str, work: int) -> None:
-    """Raise ValueError when work exceeds MAX_LATTICE_WORK."""
+def _priced_intervals(what: str, queries: Sequence[tuple[RuledSurface, NumClass]]
+                      ) -> list[H0Interval]:
+    """h0_class_interval of each (surface, cls) query, from one price: the
+    lattice_work of all queries together is checked against
+    MAX_LATTICE_WORK before any sum, and bounds each query's, since no
+    query's work is negative.  Raises ValueError, naming `what`, when it
+    exceeds the limit.
+    """
+    work = sum(lattice_work(surface, cls) for surface, cls in queries)
     if work > MAX_LATTICE_WORK:
         raise ValueError(f"{what}: the lattice sums need {work} work units, "
                          f"above the limit of {MAX_LATTICE_WORK}")
-
-
-def _class_interval(surface: RuledSurface, cls: NumClass) -> tuple[int, int]:
-    """h0_class_interval's (lo, hi), unpriced: the caller has checked its lattice_work."""
-    if cls.a < 0:
-        return 0, 0
-    if cls.a == 0 and cls.b == 0:
-        return 1, 1
-    return _slice_interval(surface.curve, surface.bundle.degrees, 0, cls.b, cls.a)
+    intervals = []
+    for surface, cls in queries:
+        if cls.a < 0:
+            intervals.append(H0Interval(0, 0))
+        elif cls.a == 0 and cls.b == 0:
+            intervals.append(H0Interval(1, 1))
+        else:
+            intervals.append(H0Interval(*_slice_interval(
+                surface.curve, surface.bundle.degrees, 0, cls.b, cls.a)))
+    return intervals
 
 
 def h0_class_interval(surface: RuledSurface, cls: NumClass) -> H0Interval:
@@ -284,8 +284,7 @@ def h0_class_interval(surface: RuledSurface, cls: NumClass) -> H0Interval:
     Raises ValueError, before walking, when the work exceeds
     MAX_LATTICE_WORK.
     """
-    check_lattice_work(f"class {cls}", lattice_work(surface, cls))
-    return H0Interval(*_class_interval(surface, cls))
+    return _priced_intervals(f"class {cls}", [(surface, cls)])[0]
 
 
 _DIGIT_LIMIT = 10**MAX_DIGITS
@@ -420,34 +419,22 @@ def _verdict(surface: RuledSurface, cls: NumClass, m_max: int,
     return Verdict.INCONCLUSIVE, vol
 
 
-def growth_classify(surface: RuledSurface, cls: NumClass, rungs: Sequence[int]) -> GrowthReport:
-    """Classify bigness from the exact volume, confirmed by section counts.
+def growth_classify(what: str, rows: Sequence[tuple[RuledSurface, NumClass]],
+                    rungs: Sequence[int]) -> list[tuple[Verdict, Fraction, tuple[H0Interval, ...]]]:
+    """Classify the bigness of each (surface, cls) row from its exact
+    volume, confirmed by section counts.
 
     Samples the interval of h0_class_interval on m*cls at each m of the
-    ascending rungs (`h0 --m-max` passes ladder(m_max)); rungs whose
-    summed lattice_work exceeds MAX_LATTICE_WORK raise ValueError before
-    any sum.  Only the last rung decides, by the rule of _verdict; its
-    fitted = r! * lo(m_max) / m_max^r is returned as
-    fitted_lo_coefficient.
+    ascending rungs, for every row, priced together by one check: when
+    their summed lattice_work exceeds MAX_LATTICE_WORK, ValueError, naming
+    `what`, is raised before any sum (`scan` passes (m_max,), `h0 --m-max`
+    (1, *ladder(m_max))).  Only the last rung decides, by the rule of
+    _verdict.  Returns (verdict, volume, the interval at each rung) for
+    each row.
     """
-    r, m_max = surface.rank, rungs[-1]
-    check_lattice_work(f"class {cls} up to m = {m_max}",
-                       sum(lattice_work(surface, m * cls) for m in rungs))
-    samples = tuple((m, H0Interval(*_class_interval(surface, m * cls))) for m in rungs)
-    lo = samples[-1][1].lo
-    verdict, vol = _verdict(surface, cls, m_max, lo)
-    return GrowthReport(samples, verdict, Fraction(factorial(r) * lo, m_max**r), vol)
-
-
-def scan_verdicts(rows: Sequence[tuple[RuledSurface, NumClass]],
-                  m_max: int) -> list[tuple[Verdict, Fraction]]:
-    """The verdict and volume of growth_classify(surface, cls, (m_max,))
-    for each row, from one price: the lattice_work of all top rungs
-    m_max * cls together is checked against MAX_LATTICE_WORK before any
-    sum, and bounds each row's, since no row's work is negative.
-    """
-    tops = [(surface, cls, m_max * cls) for surface, cls in rows]
-    check_lattice_work(f"scan of {len(rows)} rows up to m = {m_max}",
-                       sum(lattice_work(surface, top) for surface, _, top in tops))
-    return [_verdict(surface, cls, m_max, _class_interval(surface, top)[0])
-            for surface, cls, top in tops]
+    n, m_max = len(rungs), rungs[-1]
+    intervals = _priced_intervals(what, [(surface, m * cls) for surface, cls in rows
+                                         for m in rungs])
+    return [(*_verdict(surface, cls, m_max, intervals[i * n + n - 1].lo),
+             tuple(intervals[i * n:(i + 1) * n]))
+            for i, (surface, cls) in enumerate(rows)]

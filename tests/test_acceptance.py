@@ -54,14 +54,14 @@ def test_criterion_1_rank2_grid():
         if big_test(s, mk) != expected:
             ok = False
             break
-        rep = growth_classify(s, mk, ladder(64))
+        [(verdict, _, _)] = growth_classify("-K", [(s, mk)], ladder(64))
         if d1 - d2 != 2 * g - 2:
             want = Verdict.BIG_CERTIFIED if expected else Verdict.NOT_BIG_CERTIFIED
-            if rep.verdict is not want:
+            if verdict is not want:
                 ok = False
                 break
         else:
-            if rep.verdict not in (Verdict.NOT_BIG_CERTIFIED, Verdict.INCONCLUSIVE):
+            if verdict not in (Verdict.NOT_BIG_CERTIFIED, Verdict.INCONCLUSIVE):
                 ok = False
                 break
             if volume(s, mk) != 0:
@@ -81,13 +81,13 @@ def test_criterion_2_rank3_grid():
                     expected = 2 * d1 - d2 - d3 > 2 * g - 2
                     if big_test(s, mk) != expected:
                         ok = False
-                    rep = growth_classify(s, mk, ladder(24))
+                    [(verdict, _, _)] = growth_classify("-K", [(s, mk)], ladder(24))
                     if 2 * d1 - d2 - d3 != 2 * g - 2:
                         want = (Verdict.BIG_CERTIFIED if expected
                                 else Verdict.NOT_BIG_CERTIFIED)
-                        ok = ok and rep.verdict is want
+                        ok = ok and verdict is want
                     else:
-                        ok = ok and rep.verdict in (
+                        ok = ok and verdict in (
                             Verdict.NOT_BIG_CERTIFIED, Verdict.INCONCLUSIVE
                         ) and volume(s, mk) == 0
     report(2, "rank-3 anticanonical spot-grid with oracle agreement at m_max=24", ok)

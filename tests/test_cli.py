@@ -21,17 +21,17 @@ def run_cli(capsys, *argv):
 
 
 def count_h0_calls(monkeypatch):
-    """Record the class of every lattice sum: h0_class_interval,
-    growth_classify and scan_verdicts all sum through the unpriced core
-    sections._class_interval."""
+    """Record the class a*xi + b*f of every lattice sum with a > 0: each
+    starts the walk sections._slice_interval at index 0, base b, left a."""
     calls = []
-    original = sections._class_interval
+    original = sections._slice_interval
 
-    def counting(surface, cls):
-        calls.append(cls)
-        return original(surface, cls)
+    def counting(curve, degrees, i, base, left):
+        if i == 0:
+            calls.append(NumClass(left, base))
+        return original(curve, degrees, i, base, left)
 
-    monkeypatch.setattr(sections, "_class_interval", counting)
+    monkeypatch.setattr(sections, "_slice_interval", counting)
     return calls
 
 
@@ -245,6 +245,15 @@ class TestScan:
         assert err == ("error: scan of 18376 rows up to m = 128: the lattice sums need "
                        "6322498 work units, above the limit of 6000000\n")
 
+    def test_inverted_interval_refused(self, capsys, monkeypatch):
+        # A walk that returned lo > hi is caught by H0Interval on every
+        # scan row, as on every h0 query.
+        monkeypatch.setattr(sections, "_slice_interval", lambda *args: (2, 1))
+        code, out, err = run_cli(capsys, "scan", "--genus-range", "1:1", "--d1-range", "1:1",
+                                 "--d2-range", "0:0", "--m-max", "16")
+        assert (code, out) == (EXIT_VALIDATION, "")
+        assert err == "error: interval needs 0 <= lo <= hi\n"
+
     @staticmethod
     def assert_rows_match_classifier(out, m_max, ranks):
         # Every row's verdict and volume are growth_classify's at (m_max,).
@@ -254,8 +263,9 @@ class TestScan:
             g, p, *degs = map(int, row[:2 + ranks])
             a, b = map(int, row[2 + ranks:4 + ranks])
             surface = RuledSurface(Curve(g, p), SplitBundle(tuple(degs)))
-            report = sections.growth_classify(surface, NumClass(a, b), (m_max,))
-            assert row[5 + ranks:7 + ranks] == [report.verdict.value, str(report.volume)]
+            [(verdict, vol, _)] = sections.growth_classify("row", [(surface, NumClass(a, b))],
+                                                           (m_max,))
+            assert row[5 + ranks:7 + ranks] == [verdict.value, str(vol)]
 
     @pytest.mark.parametrize("argv, m_max, ranks", [
         (["--genus-range", "29:30", "--d1-range=-2:3", "--d2-range=-2:1", "--class", "1,0"], 16, 2),
@@ -349,6 +359,14 @@ class TestBlowup:
         code, _, err = run_cli(capsys, "blowup", str(path))
         assert code == EXIT_VALIDATION
 
+    def test_deeply_nested_json(self, capsys, tmp_path):
+        # json.load gives up with RecursionError, not JSONDecodeError.
+        path = tmp_path / "nested.json"
+        path.write_text("[" * 1000 + "]" * 1000)
+        code, out, err = run_cli(capsys, "blowup", str(path))
+        assert (code, out) == (EXIT_VALIDATION, "")
+        assert err.startswith(f"error: {path}: not valid JSON (")
+
     def test_non_pseff_budget(self, capsys, tmp_path):
         path = write_scenario(tmp_path, budget_class={"a": -1, "b": 0})
         code, _, err = run_cli(capsys, "blowup", path)
@@ -405,6 +423,17 @@ class TestH0:
         assert calls == [m * NumClass(2, -7) for m in (1, 8, 16, 32, 64)]
         samples = [line.split(":")[0] for line in out.splitlines() if line.startswith("sample_m_")]
         assert samples == ["sample_m_8", "sample_m_16", "sample_m_32", "sample_m_64"]
+
+    def test_over_limit_ladder_sums_nothing(self, capsys, monkeypatch):
+        # The class and the ladder are priced together, before either is
+        # summed: the class alone would take over a second.
+        calls = []
+        monkeypatch.setattr(sections, "_slice_interval", lambda *args: calls.append(args))
+        code, out, err = run_cli(capsys, "h0", "--genus", "0", "--degrees", "1000000,500000,0",
+                                 "--class", "1300000,0", "--m-max", "8")
+        assert (code, out, calls) == (EXIT_VALIDATION, "", [])
+        assert err == ("error: class (1300000, 0) up to m = 8: the lattice sums need "
+                       "18900005 work units, above the limit of 6000000\n")
 
     def test_high_genus_big_class_inconclusive(self, capsys):
         # Big (volume 1) but not yet confirmed by the counts up to m = 64:
@@ -514,6 +543,8 @@ class TestWorkBounds:
           for k in (2**4760 - 1, 2**4760)),
         *(["classify", "--genus", "1", "--degrees=0,0,0", f"--class={10**1900},{k}"]
           for k in (2**2379 - 1, 2**2379)),
+        # more genera than len() of a range can count
+        ["scan", "--genus-range", f"0:{10**20}", "--d1-range=0:1", "--d2-range=0:1"],
     ])
     def test_rejected_quickly(self, capsys, argv):
         start = time.perf_counter()

@@ -431,22 +431,28 @@ class TestLeadingCoefficient:
             assert diffs[1] - diffs[0] == 0
 
 
+def classify(s, cls, rungs):
+    """growth_classify on the one row (s, cls): (verdict, volume, intervals)."""
+    [row] = growth_classify(f"class {cls}", [(s, cls)], rungs)
+    return row
+
+
 class TestGrowthClassify:
     def test_big_certified(self):
-        rep = growth_classify(surface(2, 5, 0), NumClass(2, -7), ladder(64))
-        assert rep.verdict is Verdict.BIG_CERTIFIED
+        verdict, _, _ = classify(surface(2, 5, 0), NumClass(2, -7), ladder(64))
+        assert verdict is Verdict.BIG_CERTIFIED
 
     def test_not_big_at_boundary(self):
-        rep = growth_classify(surface(2, 2, 0), NumClass(2, -4), ladder(64))
-        assert rep.verdict is Verdict.NOT_BIG_CERTIFIED
+        verdict, _, _ = classify(surface(2, 2, 0), NumClass(2, -4), ladder(64))
+        assert verdict is Verdict.NOT_BIG_CERTIFIED
 
     def test_fiber_class_not_big(self):
-        rep = growth_classify(surface(3, 1, 0), NumClass(0, 1), ladder(32))
-        assert rep.verdict is Verdict.NOT_BIG_CERTIFIED
+        verdict, _, _ = classify(surface(3, 1, 0), NumClass(0, 1), ladder(32))
+        assert verdict is Verdict.NOT_BIG_CERTIFIED
         # On P^1 the counts 4m+1 of 4m fibers pass any ceiling of the form
         # (1+g)(rm+1)^(r-1) = 2m+1; the zero volume still decides.
-        rep = growth_classify(surface(0, 1, 0), NumClass(0, 4), ladder(16))
-        assert rep.verdict is Verdict.NOT_BIG_CERTIFIED
+        verdict, _, _ = classify(surface(0, 1, 0), NumClass(0, 4), ladder(16))
+        assert verdict is Verdict.NOT_BIG_CERTIFIED
 
     def test_m_max_too_small(self):
         with pytest.raises(ValueError):
@@ -458,34 +464,36 @@ class TestGrowthClassify:
     def test_verdict_follows_volume(self, g, degrees, a, b, m_max):
         s = surface(g, *degrees)
         cls = NumClass(a, b)
-        rep = growth_classify(s, cls, ladder(m_max))
-        assert rep.volume == volume(s, cls)
-        assert (rep.verdict is Verdict.NOT_BIG_CERTIFIED) == (rep.volume == 0)
-        if rep.verdict in (Verdict.BIG_CERTIFIED, Verdict.INCONCLUSIVE):
-            assert rep.volume > 0
+        verdict, vol, _ = classify(s, cls, ladder(m_max))
+        assert vol == volume(s, cls)
+        assert (verdict is Verdict.NOT_BIG_CERTIFIED) == (vol == 0)
+        if verdict in (Verdict.BIG_CERTIFIED, Verdict.INCONCLUSIVE):
+            assert vol > 0
 
     @given(st.integers(0, 40), st.lists(st.integers(-4, 6), min_size=2, max_size=3),
            st.integers(0, 4), st.integers(-8, 8), st.sampled_from((8, 16, 32, 64)))
     @settings(max_examples=100)
     def test_top_rung_decides(self, g, degrees, a, b, m):
         # The lower rungs only feed the printed samples: sampling m alone
-        # gives the same report as its whole ladder, less those samples.
+        # gives the same verdict, volume and fitted coefficient as its
+        # whole ladder, less those samples.
         s = surface(g, *degrees)
         cls = NumClass(a, b)
-        top = growth_classify(s, cls, (m,))
-        full = growth_classify(s, cls, ladder(m))
-        assert top.verdict is full.verdict
-        assert top.fitted_lo_coefficient == full.fitted_lo_coefficient
-        assert top.volume == full.volume
-        assert top.samples == full.samples[-1:]
+        top = classify(s, cls, (m,))
+        full = classify(s, cls, ladder(m))
+        fitted = lambda intervals: Fraction(factorial(s.rank) * intervals[-1].lo, m**s.rank)
+        assert top[0] is full[0]
+        assert fitted(top[2]) == fitted(full[2])
+        assert top[1] == full[1]
+        assert top[2] == full[2][-1:]
 
     def test_high_genus_section_class_inconclusive(self):
         # Big (volume 1), but at g = 30 the Riemann-Roch lower bounds up to
         # m = 64 reach only 1260/4096 of the asymptote: not yet half.
-        rep = growth_classify(surface(30, 1, 0), NumClass(1, 0), ladder(64))
-        assert rep.volume == 1
-        assert rep.fitted_lo_coefficient == Fraction(1260, 4096)
-        assert rep.verdict is Verdict.INCONCLUSIVE
+        verdict, vol, intervals = classify(surface(30, 1, 0), NumClass(1, 0), ladder(64))
+        assert vol == 1
+        assert Fraction(2 * intervals[-1].lo, 64**2) == Fraction(1260, 4096)
+        assert verdict is Verdict.INCONCLUSIVE
 
     def test_explicit_lower_bound(self):
         # On a big instance with non-negative degrees the section count is

@@ -14,7 +14,6 @@ from .bundles import (
     SplitBundle,
     frobenius_pullback,
     hn_data,
-    instability_certificate,
     min_destabilizing_e,
     symmetric_power_stats,
 )
@@ -56,7 +55,6 @@ __all__ = [
     "h0_class_interval",
     "h0_interval_curve",
     "hn_data",
-    "instability_certificate",
     "intersect",
     "min_destabilizing_e",
     "nef_test",

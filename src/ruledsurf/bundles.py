@@ -18,6 +18,20 @@ from typing import Optional
 
 # Python's default limit on the decimal digits of an int it converts to str.
 MAX_DIGITS = 4300
+DIGIT_LIMIT = 10**MAX_DIGITS
+
+
+def check_digits(what: str, *numbers: int) -> None:
+    """Raise ValueError, starting with `what`, if a number passes MAX_DIGITS digits."""
+    for x in numbers:
+        if abs(x) >= DIGIT_LIMIT:
+            raise ValueError(f"{what} the limit of {MAX_DIGITS} decimal digits")
+
+
+def is_int(x: object) -> bool:
+    """Whether x is an int and not a bool: the test of every integer field."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
 
 # Miller-Rabin with the first 13 primes as bases decides primality exactly
 # for every n below this bound (Sorenson & Webster 2015).
@@ -59,6 +73,8 @@ class Curve:
     characteristic: int = 0
 
     def __post_init__(self) -> None:
+        if not (is_int(self.genus) and is_int(self.characteristic)):
+            raise ValueError("genus and characteristic must be integers")
         if self.genus < 0:
             raise ValueError("genus must be non-negative")
         if self.characteristic != 0 and not _is_prime(self.characteristic):
@@ -83,7 +99,7 @@ class SplitBundle:
         degs = tuple(self.degrees)
         if not degs:
             raise ValueError("a bundle needs at least one summand")
-        if not all(isinstance(d, int) and not isinstance(d, bool) for d in degs):
+        if not all(map(is_int, degs)):
             raise ValueError("summand degrees must be integers")
         object.__setattr__(self, "degrees", tuple(sorted(degs, reverse=True)))
 
@@ -128,22 +144,6 @@ def symmetric_power_stats(bundle: SplitBundle, n: int) -> tuple[int, int, Fracti
     return rank, degree, n * bundle.slope
 
 
-def instability_certificate(
-    curve: Curve, bundle: SplitBundle, m: int
-) -> tuple[Fraction, Fraction, bool]:
-    """Slope comparison destabilizing S^{rm}(E) whenever h^0(-mK) > 0.
-
-    A non-zero section of -mK_X yields a subsheaf of S^{rm}(E) of slope
-    m(2g-2+deg E), while S^{rm}(E) itself has slope m*deg E; on a curve of
-    genus >= 2 the former strictly exceeds the latter.
-    """
-    if m <= 0:
-        raise ValueError("m must be positive")
-    sub = Fraction(m * (curve.canonical_degree + bundle.det_degree))
-    ambient = Fraction(m * bundle.det_degree)
-    return sub, ambient, sub > ambient
-
-
 def frobenius_pullback(curve: Curve, bundle: SplitBundle, e: int) -> SplitBundle:
     """Pull back along e iterations of Frobenius: degrees scale by p^e.
 
@@ -157,13 +157,11 @@ def frobenius_pullback(curve: Curve, bundle: SplitBundle, e: int) -> SplitBundle
     p = curve.characteristic
     if p == 0:
         raise ValueError("Frobenius undefined in characteristic zero")
-    limit = 10**MAX_DIGITS
-    # p**e >= 2**(e * (bit_length - 1)), so this test needs no p**e at all.
-    if (e * (p.bit_length() - 1) >= limit.bit_length()
-            or p**e * max(1, *(abs(d) for d in bundle.degrees)) >= limit):
-        raise ValueError(f"frobenius: e = {e} makes the degrees p^e*d pass the "
-                         f"limit of {MAX_DIGITS} decimal digits")
+    what = f"frobenius: e = {e} makes the degrees p^e*d pass"
+    # 2**(e * (bits(p) - 1)) <= p**e: an e that is too large is refused unbuilt.
+    check_digits(what, 1 << min(e * (p.bit_length() - 1), DIGIT_LIMIT.bit_length()))
     scale = p**e
+    check_digits(what, scale * max(1, *(abs(d) for d in bundle.degrees)))
     return SplitBundle(tuple(scale * d for d in bundle.degrees))
 
 

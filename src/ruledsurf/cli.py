@@ -16,7 +16,8 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .blowups import BlownUpSurface, BlowupScenario, certify_big_anticanonical, check_class
-from .bundles import Curve, SplitBundle, frobenius_pullback, hn_data, min_destabilizing_e
+from .bundles import (Curve, SplitBundle, check_digits, frobenius_pullback, hn_data,
+                      is_int, min_destabilizing_e)
 from .sections import Verdict, growth_classify, ladder, volume
 from .surfaces import NumClass, RuledSurface, big_test, canonical_class, nef_test, pseff_test
 
@@ -169,7 +170,7 @@ def load_scenario(path: str) -> BlowupScenario:
     genus = _require(base, "genus", int, "scenario.base")
     characteristic = _require(base, "characteristic", int, "scenario.base")
     degrees = _require(base, "degrees", list, "scenario.base")
-    if not all(type(d) is int for d in degrees):
+    if not all(map(is_int, degrees)):
         raise ValueError("scenario.base.degrees: expected a list of integers")
     budget = _require(raw, "budget_class", dict, "scenario")
     a = _require(budget, "a", int, "scenario.budget_class")
@@ -214,6 +215,13 @@ def cmd_h0(args: argparse.Namespace) -> tuple[int, list[str]]:
     else:
         what, rungs = f"class {cls} up to m = {args.m_max}", (1, *ladder(args.m_max))
     [(verdict, vol, intervals)] = growth_classify(what, [(surface, cls)], rungs)
+    # The counts printed below; volume checks vol itself.
+    printed = [x for i in intervals for x in (i.lo, i.hi)]
+    if args.m_max is not None:
+        r = surface.rank
+        fitted = Fraction(math.factorial(r) * intervals[-1].lo, args.m_max**r)
+        printed += [fitted.numerator, fitted.denominator]
+    check_digits("h0: the printed counts need numbers above", *printed)
     lines = [
         f"class: {cls}",
         f"h0_lo: {intervals[0].lo}",
@@ -221,10 +229,7 @@ def cmd_h0(args: argparse.Namespace) -> tuple[int, list[str]]:
         f"volume: {vol}",
     ]
     if args.m_max is not None:
-        r = surface.rank
-        lines.append(f"verdict: {verdict.value}")
-        lines.append("fitted_lo_coefficient: "
-                     f"{Fraction(math.factorial(r) * intervals[-1].lo, args.m_max**r)}")
+        lines += [f"verdict: {verdict.value}", f"fitted_lo_coefficient: {fitted}"]
         for m, sample in zip(rungs[1:], intervals[1:]):
             lines.append(f"sample_m_{m}: [{sample.lo}, {sample.hi}]")
     return EXIT_OK, lines

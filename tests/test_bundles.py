@@ -12,7 +12,6 @@ from ruledsurf import (
     SplitBundle,
     frobenius_pullback,
     hn_data,
-    instability_certificate,
     min_destabilizing_e,
     symmetric_power_stats,
 )
@@ -56,6 +55,18 @@ class TestCurve:
     def test_rejects_composite_characteristic(self):
         with pytest.raises(ValueError):
             Curve(1, 4)
+
+    @pytest.mark.parametrize("p", [1, -3])
+    def test_rejects_characteristic_below_two(self, p):
+        with pytest.raises(ValueError, match="0 or a prime"):
+            Curve(1, p)
+
+    @pytest.mark.parametrize("genus, p", [(1.5, 0), (True, 0), ("2", 0), (1, 2.0), (1, True)])
+    def test_rejects_non_integer_fields(self, genus, p):
+        # A float genus would otherwise reach the lattice sums and fail
+        # there with TypeError; a bool would pass as 0 or 1.
+        with pytest.raises(ValueError, match="genus and characteristic must be integers"):
+            Curve(genus, p)
 
     def test_accepts_primes(self):
         Curve(1, 2)
@@ -183,21 +194,6 @@ class TestSymmetricPower:
                     assert symmetric_power_stats(bundle, n)[2] == n * bundle.slope
 
 
-class TestInstabilityCertificate:
-    def test_genus2(self):
-        assert instability_certificate(Curve(2), SplitBundle((5, 0)), 1) == (7, 5, True)
-
-    def test_genus1_never_destabilizes(self):
-        assert instability_certificate(Curve(1), SplitBundle((5, 0)), 1) == (5, 5, False)
-
-    def test_genus3_m2(self):
-        assert instability_certificate(Curve(3), SplitBundle((0, 0)), 2) == (8, 0, True)
-
-    def test_rejects_nonpositive_m(self):
-        with pytest.raises(ValueError):
-            instability_certificate(Curve(2), SplitBundle((1, 0)), 0)
-
-
 class TestFrobenius:
     def test_scaling(self):
         assert frobenius_pullback(Curve(1, 2), SplitBundle((1, 0)), 2).degrees == (4, 0)
@@ -210,6 +206,10 @@ class TestFrobenius:
     def test_char_zero_rejected(self):
         with pytest.raises(ValueError, match="characteristic zero"):
             frobenius_pullback(Curve(1, 0), SplitBundle((1, 0)), 1)
+
+    def test_negative_e_rejected(self):
+        with pytest.raises(ValueError, match="e must be non-negative"):
+            frobenius_pullback(Curve(1, 3), SplitBundle((1, 0)), -1)
 
     @given(st.lists(st.integers(-4, 4), min_size=1, max_size=4),
            st.sampled_from([2, 3, 5]), st.integers(0, 3), st.integers(0, 3))

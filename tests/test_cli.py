@@ -367,6 +367,21 @@ class TestBlowup:
         assert (code, out) == (EXIT_VALIDATION, "")
         assert err.startswith(f"error: {path}: not valid JSON (")
 
+    @pytest.mark.parametrize("doc, message", [
+        ([], "scenario: expected a JSON object"),
+        ({"base": {"genus": 1, "characteristic": 0, "degrees": [3, 0.5]}},
+         "scenario.base.degrees: expected a list of integers"),
+        ({"steps": [True]}, "scenario.steps[0]: expected an object"),
+    ])
+    def test_malformed_structure(self, capsys, tmp_path, doc, message):
+        if isinstance(doc, dict):
+            path = write_scenario(tmp_path, **doc)
+        else:
+            path = tmp_path / "scenario.json"
+            path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "blowup", str(path))
+        assert (code, out, err) == (EXIT_VALIDATION, "", f"error: {message}\n")
+
     def test_non_pseff_budget(self, capsys, tmp_path):
         path = write_scenario(tmp_path, budget_class={"a": -1, "b": 0})
         code, _, err = run_cli(capsys, "blowup", path)
@@ -434,6 +449,17 @@ class TestH0:
         assert (code, out, calls) == (EXIT_VALIDATION, "", [])
         assert err == ("error: class (1300000, 0) up to m = 8: the lattice sums need "
                        "18900005 work units, above the limit of 6000000\n")
+
+    @pytest.mark.parametrize("degrees, exponent", [("1,0,0", 1500), ("1,0", 2200)])
+    def test_counts_past_digit_limit_refused(self, capsys, degrees, exponent):
+        # The lattice sums are under the work limit, but the counts at the
+        # top rung m = 10^exponent have more than 4,300 digits, too many to
+        # print.
+        code, out, err = run_cli(capsys, "h0", "--genus", "1", "--degrees", degrees,
+                                 "--class", "1,0", "--m-max", str(10**exponent))
+        assert (code, out) == (EXIT_VALIDATION, "")
+        assert err == ("error: h0: the printed counts need numbers above the "
+                       "limit of 4300 decimal digits\n")
 
     def test_high_genus_big_class_inconclusive(self, capsys):
         # Big (volume 1) but not yet confirmed by the counts up to m = 64:

@@ -16,7 +16,10 @@ from math import comb
 from typing import Optional
 
 
-# Python's default limit on the decimal digits of an int it converts to str.
+# The most decimal digits of a number the CLI reads or prints: Python's
+# default int <-> str limit, which cli.main installs whatever
+# PYTHONINTMAXSTRDIGITS says.  check_digits refuses past it early, where
+# the work would otherwise grow first.
 MAX_DIGITS = 4300
 DIGIT_LIMIT = 10**MAX_DIGITS
 

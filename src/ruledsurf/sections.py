@@ -90,15 +90,7 @@ def _ramp_sum(ramp: tuple[int, int, int], start: int, step: int, n: int) -> int:
     """
     q, c, e = ramp
     y = start + c
-    u = y - q * (1 - e)  # the ramp is positive at j iff u + j*step >= 0
-    if u >= 0:
-        first = 0
-    elif step:
-        first = -(u // step)
-        if first >= n:
-            return 0
-    else:
-        return 0
+    first = _first_at_least_zero(y - q * (1 - e), step, n)
     count = n - first
     x = y + first * step
     total = count * x + step * count * (count - 1) // 2

@@ -1,5 +1,8 @@
 import json
+import os
 import random
+import subprocess
+import sys
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -458,8 +461,7 @@ class TestH0:
         code, out, err = run_cli(capsys, "h0", "--genus", "1", "--degrees", degrees,
                                  "--class", "1,0", "--m-max", str(10**exponent))
         assert (code, out) == (EXIT_VALIDATION, "")
-        assert err == ("error: h0: the printed counts need numbers above the "
-                       "limit of 4300 decimal digits\n")
+        assert err == "error: h0: a number passes the limit of 4300 decimal digits\n"
 
     def test_high_genus_big_class_inconclusive(self, capsys):
         # Big (volume 1) but not yet confirmed by the counts up to m = 64:
@@ -580,6 +582,50 @@ class TestWorkBounds:
         assert "limit of" in err
 
 
+# 4,300 digits, the most the CLI reads or prints; -K on degrees (D, D)
+# has b = -2D, one digit more.
+D = 9 * 10**4299
+
+
+class TestDigitLimit:
+    @staticmethod
+    def assert_refused(capsys, *argv):
+        # Python's own refusal, worded by main.
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (EXIT_VALIDATION, "")
+        assert err == f"error: {argv[0]}: a number passes the limit of 4300 decimal digits\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["classify", "--genus", "1", "--degrees", f"{D},{D}"],
+        ["h0", "--genus", "1", "--degrees", f"{D},{D}"],
+        ["scan", "--genus-range", "1:1", f"--d1-range={D}:{D}", f"--d2-range={D}:{D}"],
+    ], ids=["classify", "h0", "scan"])
+    def test_default_class_past_limit_refused(self, capsys, argv):
+        self.assert_refused(capsys, *argv)
+
+    @pytest.mark.parametrize("degree", [
+        "1" + "0" * 4300,  # a degree of 4,301 digits
+        "9" * 4300,  # big_part = -K - (0, 1) = (2, -10^4300)
+    ], ids=["degree", "big_part"])
+    def test_scenario_past_limit_refused(self, capsys, tmp_path, degree):
+        path = tmp_path / "scenario.json"
+        path.write_text('{"base": {"genus": 1, "characteristic": 0, "degrees": [%s, 0]}, '
+                        '"budget_class": {"a": 0, "b": 1}, "steps": []}' % degree)
+        self.assert_refused(capsys, "blowup", str(path))
+
+    def test_limit_is_not_taken_from_environment(self):
+        # A lower PYTHONINTMAXSTRDIGITS neither refuses a 701-digit degree
+        # nor its volume.
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=str(src), PYTHONINTMAXSTRDIGITS="640")
+        big = "1" + "0" * 700
+        proc = subprocess.run([sys.executable, "-m", "ruledsurf", "classify", "--genus", "1",
+                               "--degrees", f"{big},0"],
+                              env=env, capture_output=True, text=True, timeout=60)
+        assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
+        assert f"volume: {big}\n" in proc.stdout
+
+
 class TestFrobenius:
     def test_pullback(self, capsys):
         code, out, _ = run_cli(
@@ -620,6 +666,12 @@ def _token(good):
     return st.integers(0, 15).flatmap(lambda i: _JUNK if i == 8 else good)
 
 
+def _entry(lo, hi):
+    """Small integers, one time in sixteen +-D, at the digit limit."""
+    return st.integers(0, 15).flatmap(
+        lambda i: st.sampled_from([D, -D]) if i == 8 else st.integers(lo, hi))
+
+
 def _range(lo, hi):
     """lo:hi ranges, now and then an empty one."""
     return st.tuples(st.integers(lo, hi), st.integers(-1, 2)).map(
@@ -629,9 +681,9 @@ def _range(lo, hi):
 _TOKENS = {
     "--genus": _token(st.integers(-1, 45).map(str)),
     "--char": _token(st.sampled_from(["0", "2", "3", "5", "7919", "4", "561"])),
-    "--degrees": _token(st.lists(st.integers(-4, 8), min_size=2, max_size=4)
+    "--degrees": _token(st.lists(_entry(-4, 8), min_size=2, max_size=4)
                         .map(lambda ds: ",".join(map(str, ds)))),
-    "--class": _token(st.tuples(st.integers(-3, 6), st.integers(-12, 12))
+    "--class": _token(st.tuples(_entry(-3, 6), _entry(-12, 12))
                       .map(lambda c: f"{c[0]},{c[1]}")),
     "--m-max": _token(st.sampled_from(["8", "16", "7"])),
     "--e": _token(st.integers(-1, 5).map(str)),
@@ -683,4 +735,4 @@ def test_argv_fuzz_exits_cleanly(fuzz_dir, capsys, data):
     # and raise nothing (a traceback fails the test).
     argv = data.draw(_argv(fuzz_dir))
     assert main(argv) in (EXIT_OK, EXIT_DISAGREE, EXIT_VALIDATION, EXIT_IO)
-    capsys.readouterr()
+    assert "set_int_max_str_digits" not in capsys.readouterr().err

@@ -31,28 +31,42 @@ EXIT_IO = 3
 MAX_SCAN_POINTS = 10**5
 
 
-def _parse_int_list(text: str, what: str) -> tuple[int, ...]:
+# Python's own refusal to convert an int past MAX_DIGITS digits, worded
+# once for the command line and for main.
+TOO_LONG = f"a number passes the limit of {MAX_DIGITS} decimal digits"
+
+
+def _too_long(err: ValueError) -> bool:
+    return "set_int_max_str_digits" in str(err)
+
+
+def _ints(text: str, sep: str = ",", count: int = 0,
+          shape: str = "a comma-separated list of integers") -> tuple[int, ...]:
+    """The argparse type of every number on the command line: the integers
+    of `text` split at `sep`, exactly `count` of them if `count` is set.
+    argparse prints its ArgumentTypeError after the usage line, exit 2."""
     try:
-        return tuple(int(part) for part in text.split(","))
-    except ValueError:
-        raise ValueError(f"{what}: expected a comma-separated list of integers, got {text!r}")
+        values = tuple(int(part) for part in text.split(sep))
+    except ValueError as err:
+        raise argparse.ArgumentTypeError(TOO_LONG if _too_long(err)
+                                         else f"expected {shape}, got {text!r}") from None
+    if count and len(values) != count:
+        raise argparse.ArgumentTypeError(f"expected {shape}, got {text!r}")
+    return values
 
 
-def _parse_class(text: str) -> NumClass:
-    parts = _parse_int_list(text, "--class")
-    if len(parts) != 2:
-        raise ValueError(f"--class: expected two integers a,b, got {text!r}")
-    return NumClass(parts[0], parts[1])
+def _int(text: str) -> int:
+    return _ints(text, count=1, shape="an integer")[0]
 
 
-def _parse_range(text: str, what: str) -> range:
-    try:
-        lo_text, hi_text = text.split(":")
-        lo, hi = int(lo_text), int(hi_text)
-    except ValueError:
-        raise ValueError(f"{what}: expected an inclusive range lo:hi, got {text!r}")
+def _class(text: str) -> NumClass:
+    return NumClass(*_ints(text, count=2, shape="two integers a,b"))
+
+
+def _range(text: str) -> range:
+    lo, hi = _ints(text, ":", 2, "an inclusive range lo:hi")
     if lo > hi:
-        raise ValueError(f"{what}: empty range {text!r}")
+        raise argparse.ArgumentTypeError(f"empty range {text!r}")
     return range(lo, hi + 1)
 
 
@@ -61,8 +75,7 @@ def _bool_str(flag: bool) -> str:
 
 
 def _build_surface(args: argparse.Namespace) -> RuledSurface:
-    degrees = _parse_int_list(args.degrees, "--degrees")
-    return RuledSurface(Curve(args.genus, args.char), SplitBundle(degrees))
+    return RuledSurface(Curve(args.genus, args.char), SplitBundle(args.degrees))
 
 
 # ---------------------------------------------------------------- classify
@@ -98,14 +111,11 @@ def cmd_classify(args: argparse.Namespace) -> tuple[int, list[str]]:
 # -------------------------------------------------------------------- scan
 
 def _scan_surfaces(args: argparse.Namespace) -> list[RuledSurface]:
-    """The scan grid in emission order: genus, sorted characteristic, then
-    the non-increasing degree tuples in lexicographic order, sharing one
-    Curve per (genus, char) and one SplitBundle per degree tuple."""
-    genera = _parse_range(args.genus_range, "--genus-range")
-    chars = sorted(_parse_int_list(args.chars, "--chars"))
-    ranges = [_parse_range(args.d1_range, "--d1-range"), _parse_range(args.d2_range, "--d2-range")]
-    if args.d3_range:
-        ranges.append(_parse_range(args.d3_range, "--d3-range"))
+    """The scan grid in emission order: genus, characteristic (each once,
+    sorted), then the non-increasing degree tuples in lexicographic order,
+    sharing one Curve per (genus, char) and one SplitBundle per degree tuple."""
+    genera, chars = args.genus_range, sorted(set(args.chars))
+    ranges = [args.d1_range, args.d2_range, *([args.d3_range] if args.d3_range else [])]
     if args.m_max < 8:
         raise ValueError("--m-max must be at least 8")
     # stop - start, not len(): len() of a range past sys.maxsize overflows.
@@ -233,9 +243,8 @@ def cmd_h0(args: argparse.Namespace) -> tuple[int, list[str]]:
 # --------------------------------------------------------------- frobenius
 
 def cmd_frobenius(args: argparse.Namespace) -> tuple[int, list[str]]:
-    degrees = _parse_int_list(args.degrees, "--degrees")
     curve = Curve(args.genus, args.char)
-    bundle = SplitBundle(degrees)
+    bundle = SplitBundle(args.degrees)
     pulled = frobenius_pullback(curve, bundle, args.e)
     lines = [f"pullback_degrees: {','.join(str(d) for d in pulled.degrees)}"]
     if bundle.rank == 2:
@@ -247,9 +256,9 @@ def cmd_frobenius(args: argparse.Namespace) -> tuple[int, list[str]]:
 # -------------------------------------------------------------------- main
 
 def _add_surface_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--genus", type=int, required=True)
-    parser.add_argument("--char", type=int, default=0)
-    parser.add_argument("--degrees", required=True,
+    parser.add_argument("--genus", type=_int, required=True)
+    parser.add_argument("--char", type=_int, default=0)
+    parser.add_argument("--degrees", type=_ints, required=True,
                         help="comma-separated summand degrees, e.g. 1,0")
 
 
@@ -263,19 +272,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_classify = sub.add_parser("classify", help="classify one surface / class")
     _add_surface_args(p_classify)
-    p_classify.add_argument("--class", dest="num_class", type=_parse_class, default=None,
+    p_classify.add_argument("--class", dest="num_class", type=_class, default=None,
                             help="class a,b (default: -K)")
     p_classify.set_defaults(func=cmd_classify)
 
     p_scan = sub.add_parser("scan", help="grid scan with oracle agreement check")
-    p_scan.add_argument("--genus-range", required=True, help="inclusive lo:hi")
-    p_scan.add_argument("--chars", default="0", help="comma-separated characteristics")
-    p_scan.add_argument("--d1-range", required=True, help="inclusive lo:hi")
-    p_scan.add_argument("--d2-range", required=True, help="inclusive lo:hi")
-    p_scan.add_argument("--d3-range", default=None, help="inclusive lo:hi (rank 3)")
-    p_scan.add_argument("--class", dest="num_class", type=_parse_class, default=None,
+    p_scan.add_argument("--genus-range", type=_range, required=True, help="inclusive lo:hi")
+    p_scan.add_argument("--chars", type=_ints, default=(0,), help="comma-separated characteristics")
+    p_scan.add_argument("--d1-range", type=_range, required=True, help="inclusive lo:hi")
+    p_scan.add_argument("--d2-range", type=_range, required=True, help="inclusive lo:hi")
+    p_scan.add_argument("--d3-range", type=_range, default=None, help="inclusive lo:hi (rank 3)")
+    p_scan.add_argument("--class", dest="num_class", type=_class, default=None,
                         help="class a,b (default: -K per surface)")
-    p_scan.add_argument("--m-max", type=int, default=32)
+    p_scan.add_argument("--m-max", type=_int, default=32)
     p_scan.set_defaults(func=cmd_scan)
 
     p_blowup = sub.add_parser("blowup", help="certify a blow-up scenario file")
@@ -284,15 +293,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_h0 = sub.add_parser("h0", help="section-count interval for a class")
     _add_surface_args(p_h0)
-    p_h0.add_argument("--class", dest="num_class", type=_parse_class, default=None,
+    p_h0.add_argument("--class", dest="num_class", type=_class, default=None,
                       help="class a,b (default: -K)")
-    p_h0.add_argument("--m-max", type=int, default=None,
+    p_h0.add_argument("--m-max", type=_int, default=None,
                       help="also run the growth classifier up to this m")
     p_h0.set_defaults(func=cmd_h0)
 
     p_frob = sub.add_parser("frobenius", help="Frobenius pull-back of a bundle")
     _add_surface_args(p_frob)
-    p_frob.add_argument("--e", type=int, default=0, help="number of Frobenius iterations")
+    p_frob.add_argument("--e", type=_int, default=0, help="number of Frobenius iterations")
     p_frob.set_defaults(func=cmd_frobenius)
 
     # Added last so that --out keeps its place at the end of each usage line.
@@ -330,8 +339,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_IO
     except ValueError as err:
-        if "set_int_max_str_digits" in str(err):  # Python's own refusal, reworded
-            err = f"{args.command}: a number passes the limit of {MAX_DIGITS} decimal digits"
+        if _too_long(err):
+            err = f"{args.command}: {TOO_LONG}"
         print(f"error: {err}", file=sys.stderr)
         return EXIT_VALIDATION
 

@@ -1,6 +1,7 @@
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -106,6 +107,14 @@ class TestClassify:
         assert code == EXIT_VALIDATION
         assert "degrees" in err
 
+    @pytest.mark.parametrize("cls", ["1,x", "1,2,3"])
+    def test_malformed_class_named(self, capsys, cls):
+        code, out, err = run_cli(capsys, "classify", "--genus", "1", "--degrees", "1,0",
+                                 "--class", cls)
+        assert (code, out) == (EXIT_VALIDATION, "")
+        assert f"argument --class: expected two integers a,b, got '{cls}'" in err
+        assert "_parse_class" not in err
+
     def test_invalid_genus(self, capsys):
         code, _, _ = run_cli(capsys, "classify", "--genus", "-1", "--degrees", "1,0")
         assert code == EXIT_VALIDATION
@@ -172,6 +181,20 @@ class TestScan:
             "--d2-range", "0:0",
         )
         assert code == EXIT_VALIDATION
+
+    def test_repeated_characteristic_scanned_once(self, capsys):
+        code, out, _ = run_cli(capsys, "scan", "--genus-range", "1:1", "--chars", "2,2",
+                               "--d1-range=1:1", "--d2-range=0:0")
+        assert code == EXIT_OK
+        assert out.splitlines()[1:] == ["1\t2\t1\t0\t2\t-1\ttrue\tBIG_CERTIFIED\t1\ttrue"]
+
+    def test_grid_cap_counts_characteristic_once(self, capsys):
+        # 50,001 genera of one characteristic are under the cap; counted
+        # twice they would pass it.  The grid is then refused as empty.
+        code, _, err = run_cli(capsys, "scan", "--genus-range", "0:50000", "--chars", "0,0",
+                               "--d1-range=0:0", "--d2-range=1:1")
+        assert code == EXIT_VALIDATION
+        assert "empty" in err and "limit" not in err
 
     def test_unwritable_out(self, capsys):
         code, _, err = run_cli(
@@ -613,6 +636,27 @@ class TestDigitLimit:
                         '"budget_class": {"a": 0, "b": 1}, "steps": []}' % degree)
         self.assert_refused(capsys, "blowup", str(path))
 
+    @pytest.mark.parametrize("command, option", [
+        ("classify", "--genus"), ("classify", "--char"), ("classify", "--degrees"),
+        ("classify", "--class"), ("scan", "--chars"), ("scan", "--genus-range"),
+        ("scan", "--d1-range"), ("h0", "--m-max"), ("frobenius", "--e"),
+    ])
+    def test_command_line_token_past_limit_refused(self, capsys, command, option):
+        # A 4,301-digit token is refused by name, not echoed back.
+        long = "1" + "0" * 4300
+        options = {
+            "classify": {"--genus": "1", "--char": "0", "--degrees": "1,0", "--class": "1,0"},
+            "scan": {"--genus-range": "1:1", "--chars": "0", "--d1-range": "0:1",
+                     "--d2-range": "0:0"},
+            "h0": {"--genus": "1", "--degrees": "1,0", "--m-max": "8"},
+            "frobenius": {"--genus": "1", "--char": "3", "--degrees": "2,1", "--e": "1"},
+        }[command]
+        options[option] = f"0:{long}" if option.endswith("-range") else long
+        code, out, err = run_cli(capsys, command, *(f"{k}={v}" for k, v in options.items()))
+        assert (code, out) == (EXIT_VALIDATION, "")
+        assert f"argument {option}: a number passes the limit of 4300 decimal digits\n" in err
+        assert len(err) < 1000
+
     def test_limit_is_not_taken_from_environment(self):
         # A lower PYTHONINTMAXSTRDIGITS neither refuses a 701-digit degree
         # nor its volume.
@@ -735,4 +779,8 @@ def test_argv_fuzz_exits_cleanly(fuzz_dir, capsys, data):
     # and raise nothing (a traceback fails the test).
     argv = data.draw(_argv(fuzz_dir))
     assert main(argv) in (EXIT_OK, EXIT_DISAGREE, EXIT_VALIDATION, EXIT_IO)
-    assert "set_int_max_str_digits" not in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "set_int_max_str_digits" not in err
+    # argparse's fallback when a type= raises a plain ValueError, as
+    # type=int does: every number is read by one type of the CLI's own.
+    assert not re.search(r"invalid \w+ value", err)

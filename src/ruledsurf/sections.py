@@ -12,11 +12,11 @@ Sym^a(L + E') = sum over k = 0..a of L^k (x) Sym^(a-k) E': fixing k_1
 leaves the slice of E' one rank lower.  In rank 2 the points have degrees
 start + j*(d_1 - d_2) for j = 0..a, one arithmetic progression, over
 which a ramp sums in closed form: one floor division finds the j where it
-is positive, and there it is an arithmetic series.  In rank 3 the
-progression at k_1 moves linearly with k_1, so along each residue class
-of k_1 modulo q*max(d_2 - d_3, 1) its sum is a quadratic on at most three
-pieces, summed from three values each.  Rank 2 costs O(1) whatever a and
-g are, rank 3 O(min(a, d_2 - d_3 + 1)), and rank r the recursion down to
+is positive, and there it is an arithmetic series.  In rank 3 a ramp is
+summed over q^2 sublattices, on each a triangle: row by row a polynomial,
+less the negative terms of the rows only partly positive, which floor
+sums give in O(log).  Rank 2 costs O(1) whatever a and g are, rank 3
+O(log(min(a, d_2 - d_3) + 1)), and rank r the recursion down to
 C(a+r-3, r-3) rank-3 nodes.  Outside the band 0 <= d <= 2g-2 (so at
 g = 0 everywhere) hi = lo, and a rank-2 or rank-3 slice none of whose
 degrees reaches the band sums only lo.
@@ -120,60 +120,73 @@ def _first_at_least_zero(a: int, b: int, end: int) -> int:
     return end if b == 0 else min(end, -(a // b))
 
 
-def _quadratic_sum(f, first: int, stride: int, n: int) -> int:
-    """Sum of f(first + stride*t) over 0 <= t < n, a quadratic in t there,
-    from its first three values: n*p0 + C(n,2)*dp0 + C(n,3)*d2p0."""
-    if n <= 3:
-        return sum(f(first + stride * t) for t in range(n))
-    p0, p1, p2 = f(first), f(first + stride), f(first + 2 * stride)
-    return n * p0 + comb(n, 2) * (p1 - p0) + comb(n, 3) * (p2 - 2 * p1 + p0)
+def _floor_sums(n: int, a: int, b: int, c: int) -> tuple[int, int, int]:
+    """(sum F, sum i*F, sum F^2) over 0 <= i <= n of F(i) = floor((a*i + b)/c),
+    for c > 0; zeros when n < 0.
+
+    The reduction of Concrete Mathematics 3.5, as a loop (it runs deeper
+    than the recursion limit): a step takes a and b modulo c, moving F by
+    p*i + s, then swaps i and F, leaving the sums for (m - 1, c, c - b - 1,
+    a), m = F(n); the steps are then unwound.  At most 2*min(bits(n + 1),
+    bits(c)) - 1 steps: the moduli are Euclid's remainders, c_(k+2) <
+    c_k/2, and n_(k+1) < n_k*c_(k+1)/c_k, so n_(k+2) < n_k/2; a step on
+    n = 0 or c = 1 is the last.
+    """
+    steps = []
+    while n >= 0:
+        p, a = divmod(a, c)
+        s, b = divmod(b, c)
+        m = (a * n + b) // c
+        steps.append((n, m, p, s))
+        n, a, b, c = m - 1, c, c - b - 1, a
+    f = g2 = h = 0  # the sums for the last step's swap; g2 = 2 * sum i*F
+    for n, m, p, s in reversed(steps):
+        nm = n * m
+        f, g2, h = nm - f, nm * (n + 1) - f - h, nm * m - f - g2
+        s1 = n * (n + 1) // 2
+        t, u = p * s1 + s * (n + 1), p * (s1 * (2 * n + 1) // 3) + s * s1
+        f, g2, h = f + t, g2 + 2 * u, h + p * (u + g2) + s * (t + 2 * f)
+    return f, g2 // 2, h
+
+
+def _triangle_sum(x: int, slope: int, step: int, n: int) -> int:
+    """Sum of R(x + k*slope + j*step) over k, j >= 0, k + j <= n >= -1, for
+    slope >= step >= 0.
+
+    Row k, y = x + k*slope, is empty before ke, the first k with y + (n -
+    k)*step >= 0, and whole from kf, the first k with y >= 0.  The rows from
+    ke, summed whole, are C(n-ke+2, 2)(x + n*slope) + C(n-ke+2, 3)(step -
+    2*slope); those before kf lose their terms j < -F, F = floor(y/step),
+    -F*y + step*F(F+1)/2, added back by _floor_sums over i = k - ke.
+    """
+    kf = _first_at_least_zero(x, slope, n + 1)
+    ke = min(kf, _first_at_least_zero(x + n * step, slope - step, n + 1))
+    total = comb(n - ke + 2, 2) * (x + n * slope) + comb(n - ke + 2, 3) * (step - 2 * slope)
+    if ke < kf:
+        y = x + ke * slope
+        f, g, h = _floor_sums(kf - ke - 1, slope, y, step)
+        total += ((2 * y - step) * f + 2 * slope * g - step * h) // 2
+    return total
 
 
 def _node_ramp_sum(ramp: tuple[int, int, int], start: int, slope: int, step: int,
                    left: int) -> int:
     """Sum over k = 0..left of _ramp_sum(ramp, start + k*slope, step,
-    left - k + 1), with slope >= step >= 0.
-
-    Along each residue class k = rho + period*t, period = q*max(step, 1),
-    the progression's first positive j moves by q*slope per t and its
-    length by period, so the leaf sum is a quadratic in t on at most three
-    pieces: empty (first positive j past the end), partial, and full (first
-    positive j at 0), in that order; each boundary is one floor division,
-    and the empty piece is skipped.
-    """
+    left - k + 1), with slope >= step >= 0: on k = q*k' + u, j = q*j' + v
+    (u, v < q) the ramp is R(x + k'*slope + j'*step), x = floor((start +
+    u*slope + v*step + c)/q) + e, over k' + j' <= (left - u - v) // q."""
     q, c, e = ramp
-    period = q * max(step, 1)
-    if 6 * period > left:
-        # A residue class then holds at most six values of k, so its pieces
-        # save few ramp sums but each costs a fixed overhead: without this
-        # branch, h0 --genus 5 --degrees 2000000,1000000,0 --class
-        # 1900000,-1000 took 22.7 s, not 6.8 s (2 vCPUs, Python 3.11.7).
-        return sum(_ramp_sum(ramp, start + k * slope, step, left - k + 1) for k in range(left + 1))
-
-    def leaf(k: int) -> int:
-        return _ramp_sum(ramp, start + k * slope, step, left - k + 1)
-
-    total = 0
-    for rho in range(period):
-        terms = (left - rho) // period + 1
-        u = start + rho * slope + c - q * (1 - e)
-        if step:
-            j = -(u // step)
-            begin = _first_at_least_zero(left - rho - j, q * (slope - step), terms)
-            full = _first_at_least_zero(-j, q * slope, terms)
-        else:
-            begin = full = _first_at_least_zero(u, q * slope, terms)
-        total += (_quadratic_sum(leaf, rho + period * begin, period, full - begin)
-                  + _quadratic_sum(leaf, rho + period * full, period, terms - full))
-    return total
+    return sum(_triangle_sum((start + u * slope + v * step + c) // q + e, slope, step,
+                             (left - u - v) // q)
+               for u in range(q) for v in range(q))
 
 
 def _slice_interval(curve: Curve, degrees: Sequence[int], i: int, base: int,
                     left: int) -> tuple[int, int]:
     """Sum the curve intervals over k_i + ... + k_r = left, at degrees
     base + sum(k_j d_j) over j >= i: the sum over k_i = 0..left of the
-    slice one rank lower, down to rank 3, which is summed in closed form
-    per residue of k_i (rank 2 is one progression)."""
+    slice one rank lower, down to rank 3, one node of _node_ramp_sum per
+    ramp (rank 2 is one progression)."""
     if i == len(degrees) - 2:
         return _progression_interval(curve, base + left * degrees[-1],
                                      degrees[-2] - degrees[-1], left + 1)
@@ -197,32 +210,26 @@ def _slice_interval(curve: Curve, degrees: Sequence[int], i: int, base: int,
 
 # Most work units (see lattice_work) the lattice sums of one request may
 # take together: one h0_class_interval call, or all rungs of all rows of
-# one growth_classify call.  A unit is one call of the recursion or of
-# _ramp_sum, weighted by the length of its integers.  On 2 vCPUs with
-# Python 3.11.7 a unit cost 0.4-1.2 microseconds on 40 shapes of rank
-# 2-128, genus 0-10^6 and degrees or a of 1-4,000 digits, and up to 1.6
-# with 100-digit degrees (still of weight 1) on a rank-3 slice summed leaf
-# by leaf, so an accepted request takes about 10 s at most.
+# one growth_classify call.  On 2 vCPUs with Python 3.11.7 a unit cost
+# 0.1-1.2 microseconds on 50 shapes at the limit (rank 3-128, genus 1 and
+# 10^9, Fibonacci gaps, degrees of up to 2,000 digits and a of up to 8,000
+# bits), so an accepted request takes about 7 s at most.
 MAX_LATTICE_WORK = 6 * 10**6
 
 
 def lattice_work(surface: RuledSurface, cls: NumClass) -> int:
-    """Work units of h0_class_interval(surface, cls): a bound on its calls
-    of the recursion and of _ramp_sum, times a weight for long integers;
-    0 when a < 0.
+    """Work units of h0_class_interval(surface, cls), fitted to measured
+    times; 0 when a < 0.
 
     Rank 2 is one call and three ramp sums.  In rank r >= 3 the recursion
     makes C(a+r-2, r-3) calls, C(a+r-3, r-3) of them rank-3 nodes.  A node
-    with left = l sums each of its three ramps leaf by leaf when l+1 <=
-    6*period, else over its period residues with at most six ramp sums
-    each: at most min(l+1, 6*period) ramp sums, period = q*max(s, 1) and
-    s = d_{r-1} - d_r.  Summed over the nodes, min(l+1, M) is
-    C(a+r-2, r-2) - C(a+r-2-M, r-2) for M <= a+1.
-
-    A call's time grows with the bit length `size` of the largest degree
-    magnitude |b| + a*max|d_i| it touches, and once a is long too with the
-    products of the two: the weight 1 + size*(bits(a) + 500) // 400000 was
-    fitted to measured times, from 1-digit to 4,000-digit degrees and a.
+    with left = l sums each of its three ramps over q^2 <= 4 triangles, each
+    in at most 2*min(bits(l+1), bits(s)) - 1 floor-sum steps, s = d_{r-1} -
+    d_r, and is priced min(l+1, M) units a ramp, M = 4*(min(bits(a+1),
+    bits(s)) + 1), times 1 + bits(a)//2048 for a step's products of counts
+    of bits(a) bits; over the nodes, C(a+r-2, r-2) - C(a+r-2-M, r-2).
+    Every unit is weighted 1 + size*(bits(a) + 500) // 400000 for long
+    integers, size the bit length of |b| + a*max|d_i|, a bound on |degree|.
     """
     if cls.a < 0:
         return 0
@@ -230,13 +237,10 @@ def lattice_work(surface: RuledSurface, cls: NumClass) -> int:
     if r == 2:
         units = 4
     else:
-        step = max(degrees[-2] - degrees[-1], 1)
-
-        def ramp_sums(m: int) -> int:
-            m = min(m, a + 1)
-            return comb(a + r - 2, r - 2) - comb(a + r - 2 - m, r - 2)
-
-        units = comb(a + r - 2, r - 3) + ramp_sums(6 * step) + 2 * ramp_sums(12 * step)
+        bits = min((a + 1).bit_length(), (degrees[-2] - degrees[-1]).bit_length())
+        m = min(a + 1, 4 * (bits + 1))
+        ramps = comb(a + r - 2, r - 2) - comb(a + r - 2 - m, r - 2)
+        units = comb(a + r - 2, r - 3) + 3 * (1 + a.bit_length() // 2048) * ramps
     size = (abs(cls.b) + a * max(abs(d) for d in degrees)).bit_length()
     return units * (1 + size * (a.bit_length() + 500) // 400000)
 
@@ -266,12 +270,8 @@ def _priced_intervals(what: str, queries: Sequence[tuple[RuledSurface, NumClass]
 
 
 def h0_class_interval(surface: RuledSurface, cls: NumClass) -> H0Interval:
-    """Sum the curve intervals over the lattice slice sum(k) = a.
-
-    The direct-sum recursion fixes k_1, then k_2, ..., down to rank 3,
-    which is summed in closed form per residue of k_{r-2}; in rank 2 the
-    points have degrees start + j*(d_1 - d_2), j = 0..a, one arithmetic
-    progression.
+    """Sum the curve intervals over the lattice slice sum(k) = a, by the
+    direct-sum recursion down to rank 3 (see the module docstring).
     The class (0, 0) is the structure sheaf: its unique lattice point
     carries the identically trivial twist, so the count is exactly 1.
 

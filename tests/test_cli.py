@@ -6,6 +6,7 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -16,6 +17,13 @@ from ruledsurf import Curve, NumClass, RuledSurface, SplitBundle, sections
 from ruledsurf.cli import EXIT_DISAGREE, EXIT_IO, EXIT_OK, EXIT_VALIDATION, main
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+
+
+# A rank-3 scan of 24^3 rows whose gaps d_2 - d_3 have 40 bits, up to
+# m = 2^40: 493 work units a row.
+WIDE_GAP_SCAN = ("--genus-range", "1:1", "--d1-range=2000000000000:2000000000023",
+                 "--d2-range=1000000000000:1000000000023", "--d3-range=0:23",
+                 "--m-max", str(2**40))
 
 
 def run_cli(capsys, *argv):
@@ -261,15 +269,14 @@ class TestScan:
         assert len(calls) == 3731
 
     def test_over_limit_scan_sums_nothing(self, capsys, monkeypatch):
-        # Every row's top rung is under the limit, the 18,376 rows together
-        # are not: refused before the first row is summed.
+        # Every row's top rung is under the limit (493 units), the 13,824
+        # rows together are not: refused before the first row is summed.
         calls = []
         monkeypatch.setattr(sections, "_slice_interval", lambda *args: calls.append(args))
-        code, out, err = run_cli(capsys, "scan", "--genus-range", "1:1", "--d1-range=0:45",
-                                 "--d2-range=-1:44", "--d3-range=-1:44", "--m-max", "128")
+        code, out, err = run_cli(capsys, "scan", *WIDE_GAP_SCAN)
         assert (code, out, calls) == (EXIT_VALIDATION, "", [])
-        assert err == ("error: scan of 18376 rows up to m = 128: the lattice sums need "
-                       "6322498 work units, above the limit of 6000000\n")
+        assert err == ("error: scan of 13824 rows up to m = 1099511627776: the lattice sums "
+                       "need 6815232 work units, above the limit of 6000000\n")
 
     def test_inverted_interval_refused(self, capsys, monkeypatch):
         # A walk that returned lo > hi is caught by H0Interval on every
@@ -467,14 +474,15 @@ class TestH0:
 
     def test_over_limit_ladder_sums_nothing(self, capsys, monkeypatch):
         # The class and the ladder are priced together, before either is
-        # summed: the class alone would take over a second.
+        # summed: the class (739,840 units) and its one rung m = 8
+        # (5,919,840) are each under the limit, together they are not.
         calls = []
         monkeypatch.setattr(sections, "_slice_interval", lambda *args: calls.append(args))
-        code, out, err = run_cli(capsys, "h0", "--genus", "0", "--degrees", "1000000,500000,0",
-                                 "--class", "1300000,0", "--m-max", "8")
+        code, out, err = run_cli(capsys, "h0", "--genus", "2", "--degrees", "3,1,0,-2",
+                                 "--class", "20000,0", "--m-max", "8")
         assert (code, out, calls) == (EXIT_VALIDATION, "", [])
-        assert err == ("error: class (1300000, 0) up to m = 8: the lattice sums need "
-                       "18900005 work units, above the limit of 6000000\n")
+        assert err == ("error: class (20000, 0) up to m = 8: the lattice sums need "
+                       "6659680 work units, above the limit of 6000000\n")
 
     @pytest.mark.parametrize("degrees, exponent", [("1,0,0", 1500), ("1,0", 2200)])
     def test_counts_past_digit_limit_refused(self, capsys, degrees, exponent):
@@ -519,6 +527,55 @@ def _rank2_sums(g, m):
     return tri(m - g + 1), (m // 2) ** 2 + m + 1 + 2 * tri(m // 2 - g)
 
 
+# Inputs test_rejected_quickly refuses, each with a phrase of its refusal.
+REJECTED = [
+    # the class and each of its 15 rungs are under the limit, together
+    # they are not
+    (["h0", "--genus", "1", "--degrees", "3,1,0,-2", "--class", "1,0", "--m-max", "131072"],
+     "work units"),
+    # 4,000-digit degrees: 18 times the 3,854,146 units of the same
+    # slice with 10-digit ones
+    (["h0", "--genus", "1", "--degrees", f"{10**4000},1,0,-{10**4000}", "--class", "20000,0"],
+     "work units"),
+    # a rank-4 slice: 400,001 rank-3 nodes
+    (["h0", "--genus", "2", "--degrees", "3,1,0,-2", "--class", "400000,0"], "work units"),
+    # a rank-3 slice whose a has 6,001 bits: its floor sums multiply
+    # counts that long
+    (["h0", "--genus", "1", "--degrees", f"{3 * 2**2000},{2**2001 + 1},0",
+      "--class", f"{2**6000},0"], "work units"),
+    (["scan", "--genus-range", "0:1000000000", "--d1-range", "0:1", "--d2-range", "0:1"],
+     "points before filtering"),
+    # every row's top rung is under the limit; the 13,824 rows together are not
+    (["scan", *WIDE_GAP_SCAN], "work units"),
+    (["classify", "--genus", "2", "--degrees", ",".join(str(d) for d in range(600))],
+     "rank 600 is above the limit of 128"),
+    # the divided differences of 128 or 64 ten-digit degrees outgrow
+    # the printable digits
+    (["classify", "--genus", "2", "--degrees", TEN_DIGIT_DEGREES], "decimal digits"),
+    (["classify", "--genus", "2", "--degrees", ",".join(TEN_DIGIT_DEGREES.split(",")[:64])],
+     "decimal digits"),
+    # 83,291,670 recursion calls on a rank-100 slice with a = 4
+    (["h0", "--genus", "1", "--degrees", ",".join(str(d) for d in range(100, 0, -1)),
+      "--class", "4,-400"], "work units"),
+    # a walk 1,199 frames deep, past the interpreter's recursion limit
+    (["h0", "--genus", "1", "--degrees", ",".join(["0"] * 1200), "--class", "1,0"],
+     "rank 1200 is above the limit of 128"),
+    # the table's entry D^2 = 10^4400 has 4,401 digits, though the
+    # volume 10^2200 has fewer
+    (["classify", "--genus", "1", "--degrees", f"{10**2200},0", "--class", "1,0"],
+     "decimal digits"),
+    # the volume a^(r-1) * r * K has over 4,300 digits, with the knots
+    # K just under and just over the size up to which it skips the table
+    *((["classify", "--genus", "1", "--degrees=0,0", f"--class={10**2900},{k}"],
+       "decimal digits") for k in (2**4760 - 1, 2**4760)),
+    *((["classify", "--genus", "1", "--degrees=0,0,0", f"--class={10**1900},{k}"],
+       "decimal digits") for k in (2**2379 - 1, 2**2379)),
+    # more genera than len() of a range can count
+    (["scan", "--genus-range", f"0:{10**20}", "--d1-range=0:1", "--d2-range=0:1"],
+     "points before filtering"),
+]
+
+
 class TestWorkBounds:
     @pytest.mark.parametrize("argv, lines", [
         # m*(3, -3) has one point of degree >= 0, k = (3m, 0, 0) of degree
@@ -541,10 +598,26 @@ class TestWorkBounds:
         # volume skips the divided-difference table: one volume, 2K
         *((["classify", "--genus", "1", "--degrees=0,0", f"--class=1,{k}"],
            [f"volume: {2 * k}"]) for k in (2**4760 - 1, 2**4760)),
+        # genus 0, where lo = hi sums d + 1 over the 2,000,001 leaves
+        (["h0", "--genus", "0", "--degrees", "1000000,500000,0", "--class", "2000000,0"],
+         ["class: (2000000, 0)", "h0_lo: 2000003000003000003000001",
+          "h0_hi: 2000003000003000003000001", "volume: 12000000000000000000000000"]),
+        # gap 10^6 at a = 1.9*10^6, hi summed too: each node is O(log), not
+        # O(min(a, gap))
+        (["h0", "--genus", "5", "--degrees", "2000000,1000000,0", "--class", "1900000,-1000"],
+         ["class: (1900000, -1000)", "h0_lo: 3429505413189677138600000",
+          "h0_hi: 3429505413189677138600000", "volume: 41153999978340000000000000001/2000"]),
+        # 18 rungs up to m = 2^20; at genus 1 lo sums the degrees of the
+        # slice, 5*10^6 * m * C(m+2, 2), and hi = lo + 1 for the one d = 0
+        (["h0", "--genus", "1", "--degrees", "10000000,5000000,0", "--class", "1,0",
+          "--m-max", "1048576"],
+         ["h0_lo: 15000000", "h0_hi: 15000001", "volume: 15000000", "verdict: BIG_CERTIFIED",
+          *(f"sample_m_{m}: [{lo}, {lo + 1}]" for m in sections.ladder(2**20)
+            for lo in [5 * 10**6 * m * comb(m + 2, 2)])]),
     ])
     def test_accepted_quickly(self, capsys, argv, lines):
-        # The h0 queries were refused while the walk looped over k_1 and
-        # over the band degrees.
+        # Each h0 query is fast only because its walk is in closed form: no
+        # loop over k_1, over the band degrees or over a rank-3 node's rows.
         start = time.perf_counter()
         code, out, _ = run_cli(capsys, *argv)
         assert time.perf_counter() - start < 1.0
@@ -552,7 +625,7 @@ class TestWorkBounds:
         assert set(lines) <= set(out.splitlines())
 
     def test_rank3_huge_class_is_fast(self, capsys):
-        # Rank 3 costs O(min(a, gap)): 61 work units at a = 10^12.
+        # A rank-3 node is O(log) by floor sums: 37 work units at a = 10^12.
         start = time.perf_counter()
         code, out, _ = run_cli(capsys, "h0", "--genus", "2", "--degrees", "4,0,-2",
                                "--class", "1000000000000,-5")
@@ -560,49 +633,14 @@ class TestWorkBounds:
         assert code == EXIT_OK
         assert int(out.split("h0_lo: ")[1].split()[0]) > 0
 
-    @pytest.mark.parametrize("argv", [
-        # each rung is under the limit; the 18 rungs together are not
-        ["h0", "--genus", "1", "--degrees", "10000000,5000000,0", "--class", "1,0",
-         "--m-max", "1048576"],
-        # 4,000-digit degrees: 900,004 calls that each cost about 18 us
-        ["h0", "--genus", "1", "--degrees", f"{10**4000},1,-{10**4000}",
-         "--class", "300000,0"],
-        # a rank-4 slice: 400,001 rank-3 nodes
-        ["h0", "--genus", "2", "--degrees", "3,1,0,-2", "--class", "400000,0"],
-        # a rank-3 slice summed leaf by leaf: 2,000,001 leaves of three ramp sums
-        ["h0", "--genus", "0", "--degrees", "1000000,500000,0", "--class", "2000000,0"],
-        ["scan", "--genus-range", "0:1000000000", "--d1-range", "0:1", "--d2-range", "0:1"],
-        # every row's top rung is under the limit; the 18,376 rows together are not
-        ["scan", "--genus-range", "1:1", "--d1-range=0:45", "--d2-range=-1:44",
-         "--d3-range=-1:44", "--m-max", "128"],
-        ["classify", "--genus", "2", "--degrees", ",".join(str(d) for d in range(600))],
-        # the divided differences of 128 or 64 ten-digit degrees outgrow
-        # the printable digits
-        ["classify", "--genus", "2", "--degrees", TEN_DIGIT_DEGREES],
-        ["classify", "--genus", "2", "--degrees", ",".join(TEN_DIGIT_DEGREES.split(",")[:64])],
-        # 83,291,670 recursion calls on a rank-100 slice with a = 4
-        ["h0", "--genus", "1", "--degrees", ",".join(str(d) for d in range(100, 0, -1)),
-         "--class", "4,-400"],
-        # a walk 1,199 frames deep, past the interpreter's recursion limit
-        ["h0", "--genus", "1", "--degrees", ",".join(["0"] * 1200), "--class", "1,0"],
-        # the table's entry D^2 = 10^4400 has 4,401 digits, though the
-        # volume 10^2200 has fewer
-        ["classify", "--genus", "1", "--degrees", f"{10**2200},0", "--class", "1,0"],
-        # the volume a^(r-1) * r * K has over 4,300 digits, with the knots
-        # K just under and just over the size up to which it skips the table
-        *(["classify", "--genus", "1", "--degrees=0,0", f"--class={10**2900},{k}"]
-          for k in (2**4760 - 1, 2**4760)),
-        *(["classify", "--genus", "1", "--degrees=0,0,0", f"--class={10**1900},{k}"]
-          for k in (2**2379 - 1, 2**2379)),
-        # more genera than len() of a range can count
-        ["scan", "--genus-range", f"0:{10**20}", "--d1-range=0:1", "--d2-range=0:1"],
-    ])
-    def test_rejected_quickly(self, capsys, argv):
+    @pytest.mark.parametrize("argv, reason", REJECTED,
+                             ids=[f"argv{i}" for i in range(len(REJECTED))])
+    def test_rejected_quickly(self, capsys, argv, reason):
         start = time.perf_counter()
         code, _, err = run_cli(capsys, *argv)
         assert time.perf_counter() - start < 1.0
         assert code == EXIT_VALIDATION
-        assert "limit of" in err
+        assert "limit of" in err and reason in err
 
 
 # 4,300 digits, the most the CLI reads or prints; -K on degrees (D, D)

@@ -166,50 +166,58 @@ class TestH0ClassInterval:
            st.integers(0, 10**4), st.data())
     @settings(max_examples=100, deadline=None)
     def test_matches_walk_by_k(self, r, g, a, data):
-        # The closed form per residue of k_1 against the O(a) walk, on
+        # The floor sums of each rank-3 node against the O(a) walk, on
         # slices too large for the brute force.  a is halved until the
         # walk's leaves times its curve calls per leaf are cheap, so large
-        # a comes with low genus or rank 3.
+        # a comes with low genus or rank 3.  Gaps up to 10^9 give the
+        # Euclid-like loop of _floor_sums long runs of quotients.
         while comb(a + r - 2, r - 2) * min(a + 1, max(1, 2 * g - 1)) > 30_000:
             a //= 2
-        degrees = sorted(data.draw(st.lists(st.integers(-12, 12), min_size=r, max_size=r)),
+        span = data.draw(st.sampled_from((12, 10**9)))
+        degrees = sorted(data.draw(st.lists(st.integers(-span, span), min_size=r, max_size=r)),
                          reverse=True)
         # Centre the slice's degrees near the Clifford band [0, 2g-2].
-        b = -a * data.draw(st.integers(-12, 12)) + data.draw(st.integers(-3 * g - 20, 3 * g + 20))
+        b = -a * data.draw(st.integers(-span, span)) + data.draw(st.integers(-3 * g - 20, 3 * g + 20))
         assume((a, b) != (0, 0))
         got = h0_class_interval(surface(g, *degrees), NumClass(a, b))
         assert got == H0Interval(*walk_by_k(g, degrees, 0, b, a))
 
     def test_work_bound(self):
-        # a = 128 in rank 4 at g = 40 is 130 calls and at most 7,122 ramp
-        # sums, and runs; a = 400000 is 400,002 calls and 24.0 million ramp
-        # sums, and does not.
+        # a = 128 in rank 4 at g = 40 is 130 calls, 129 of them nodes,
+        # priced at 4,576 units, and runs; a = 400000 is 400,002 calls
+        # priced at 14,799,840 units, and does not.
         assert h0_class_interval(surface(40, 3, 1, 0, -2), NumClass(128, 0)).lo > 0
         with pytest.raises(ValueError, match="limit of 6000000"):
             h0_class_interval(surface(2, 3, 1, 0, -2), NumClass(400000, 0))
 
     def test_work_weighs_long_integers(self):
-        # The same rank-3 slice, 900,004 calls, costs about 1 us a call
-        # with 10-digit degrees and about 18 with 4,000-digit ones.
-        cls = NumClass(300000, 0)
-        short = lattice_work(surface(1, 10**10, 1, -10**10), cls)
-        long = lattice_work(surface(1, 10**4000, 1, -10**4000), cls)
-        assert short == 900004
+        # The same rank-4 slice, 20,002 calls and 20,001 nodes, sums in
+        # 0.8 s with 10-digit degrees, under the limit, and is priced 18
+        # times as high with 4,000-digit ones, over it.
+        cls = NumClass(20000, 0)
+        short = lattice_work(surface(1, 10**10, 1, 0, -10**10), cls)
+        long = lattice_work(surface(1, 10**4000, 1, 0, -10**4000), cls)
+        assert short == 3854146
         assert long == 18 * short > sections.MAX_LATTICE_WORK
 
-    @given(st.integers(0, 6), st.lists(st.integers(-5, 5), min_size=2, max_size=6),
+    @given(st.integers(0, 6), st.lists(st.one_of(st.integers(-5, 5), st.integers(-10**6, 10**6)),
+                                       min_size=2, max_size=6),
            st.integers(0, 30), st.integers(-60, 60))
     @settings(max_examples=200)
     def test_work_counts_calls(self, g, degrees, a, b):
         # No curve call on the walk: a rank-2 leaf is three ramp sums when
         # one of its degrees lies in the band 0 <= d <= 2g-2 and one, lo's,
         # when none does (hi = lo there), and the recursion makes
-        # C(a+r-2, r-3) calls down to rank 3.  Its calls and ramp sums
-        # together are at most lattice_work.
+        # C(a+r-2, r-3) calls down to rank 3.  A rank-3 node sums lo's
+        # ramp, or all three when its degrees meet the band, over q^2
+        # triangles each: 1 or 9 triangle sums, no ramp sum.  Every
+        # _floor_sums call takes at most 2*min(bits(n+1), bits(c)) - 1
+        # steps, one divmod of a and one of b each, and calls and ramp
+        # sums together are at most lattice_work.
         s = surface(g, *degrees)
         cls = NumClass(a, b)
         assume((a, b) != (0, 0))
-        calls = {"slice": 0, "node": 0, "ramp": 0, "curve": 0}
+        calls = {"slice": 0, "node": 0, "triangle": 0, "ramp": 0, "curve": 0, "divmod": 0}
 
         def counting(name, fn):
             def wrapper(*args):
@@ -217,19 +225,36 @@ class TestH0ClassInterval:
                 return fn(*args)
             return wrapper
 
+        original = sections._floor_sums
+
+        def floor_sums(n, a, b, c):
+            before = calls["divmod"]
+            got = original(n, a, b, c)
+            assert calls["divmod"] - before <= 2 * max(0, 2 * min((n + 1).bit_length(),
+                                                                c.bit_length()) - 1)
+            return got
+
         with pytest.MonkeyPatch.context() as mp:
             for name, attr in (("slice", "_slice_interval"), ("node", "_node_ramp_sum"),
-                               ("ramp", "_ramp_sum"), ("curve", "h0_interval_curve")):
+                               ("triangle", "_triangle_sum"), ("ramp", "_ramp_sum"),
+                               ("curve", "h0_interval_curve")):
                 mp.setattr(sections, attr, counting(name, getattr(sections, attr)))
+            mp.setattr(sections, "divmod", counting("divmod", divmod), raising=False)
+            mp.setattr(sections, "_floor_sums", floor_sums)
             h0_class_interval(s, cls)
         r = s.rank
         assert calls["curve"] == 0
         if r == 2:
             d1, d2 = s.bundle.degrees
             meets = any(0 <= a * d2 + b + j * (d1 - d2) <= 2 * g - 2 for j in range(a + 1))
-            assert calls == {"slice": 1, "node": 0, "ramp": 3 if meets else 1, "curve": 0}
+            assert calls == {"slice": 1, "node": 0, "triangle": 0, "ramp": 3 if meets else 1,
+                             "curve": 0, "divmod": 0}
         else:
             assert calls["slice"] == comb(a + r - 2, r - 3)
+            assert calls["ramp"] == 0
+            # Every node sums lo's ramp (q = 1), some also hi's two (q = 2).
+            hi_nodes, odd = divmod(calls["node"] - comb(a + r - 3, r - 3), 2)
+            assert odd == 0 and calls["triangle"] == calls["node"] + 6 * hi_nodes
         if r == 3:
             # One node, whose degrees lie in [a*d3 + b, a*d1 + b].
             low, high = a * s.bundle.degrees[-1] + b, a * s.bundle.degrees[0] + b
@@ -245,6 +270,45 @@ class TestH0ClassInterval:
         upper = h0_class_interval(s, NumClass(a, b + extra))
         if (a, b) != (0, 0) and (a, b + extra) != (0, 0):
             assert upper.lo >= lower.lo and upper.hi >= lower.hi
+
+
+class TestFloorSums:
+    @given(st.integers(-1, 40), st.integers(-60, 60), st.integers(-500, 500),
+           st.integers(1, 60))
+    @settings(max_examples=500)
+    def test_matches_brute_force(self, n, a, b, c):
+        floors = [(a * i + b) // c for i in range(n + 1)]
+        assert sections._floor_sums(n, a, b, c) == (
+            sum(floors), sum(i * f for i, f in enumerate(floors)), sum(f * f for f in floors))
+
+    @pytest.mark.parametrize("k", [2, 3, 10, 20, 40, 1438])
+    def test_steps_on_fibonacci_gaps(self, k):
+        # Consecutive Fibonacci numbers c = F_k, a = F_(k+1) make every
+        # quotient 1, the most steps for their size; at k = 1438 (300
+        # digits) the 1,435 steps pass the interpreter's recursion limit.
+        # A step makes two divmod calls.
+        c, a = 0, 1
+        for _ in range(k):
+            c, a = a, c + a
+        n, b = c - 1, -c // 3
+        calls = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sections, "divmod", lambda x, y: calls.append(y) or divmod(x, y),
+                       raising=False)
+            f, g, h = sections._floor_sums(n, a, b, c)
+        steps = len(calls) // 2
+        assert k - 3 <= steps <= 2 * min((n + 1).bit_length(), c.bit_length()) - 1
+        if n < 10**4:
+            floors = [(a * i + b) // c for i in range(n + 1)]
+            assert (f, g, h) == (sum(floors), sum(i * x for i, x in enumerate(floors)),
+                                 sum(x * x for x in floors))
+
+    @given(st.integers(-400, 100), st.integers(0, 20), st.integers(0, 20), st.integers(-1, 25))
+    @settings(max_examples=500)
+    def test_triangle_matches_brute_force(self, x, extra, step, n):
+        slope = step + extra
+        assert sections._triangle_sum(x, slope, step, n) == sum(
+            max(0, x + k * slope + j * step) for k in range(n + 1) for j in range(n + 1 - k))
 
 
 class TestVolume:

@@ -15,18 +15,15 @@ result means "not certified", never "not big".
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .surfaces import NumClass, RuledSurface, big_test, canonical_class, intersect, pseff_test
 
 
-@dataclass(frozen=True)
-class ExtClass:
+class ExtClass(namedtuple("ExtClass", "a b exc", defaults=((),))):
     """Class a*xi + b*f + sum(exc_i * e_i) on a blown-up surface."""
 
-    a: int
-    b: int
-    exc: tuple[int, ...] = ()
+    __slots__ = ()
 
     def __str__(self) -> str:
         parts = [f"{self.a}*xi", f"{self.b}*f"]
@@ -34,23 +31,21 @@ class ExtClass:
         return " + ".join(parts)
 
 
-@dataclass(frozen=True)
-class BlownUpSurface:
+class BlownUpSurface(namedtuple("BlownUpSurface", "base n")):
     """Rank-2 ruled surface after n successive point blow-ups."""
 
-    base: RuledSurface
-    n: int = 0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.base.rank != 2:
+    def __new__(cls, base: RuledSurface, n: int = 0) -> BlownUpSurface:
+        if base.rank != 2:
             raise ValueError("blow-ups supported over rank-2 bases only")
-        if self.n < 0:
+        if n < 0:
             raise ValueError("n must be non-negative")
+        return super().__new__(cls, base, n)
 
     def canonical_class(self) -> ExtClass:
         k = canonical_class(self.base)
         return ExtClass(k.a, k.b, (1,) * self.n)
-
 
 
 def check_class(surface: BlownUpSurface, cls: ExtClass, other: ExtClass) -> int:
@@ -61,30 +56,25 @@ def check_class(surface: BlownUpSurface, cls: ExtClass, other: ExtClass) -> int:
     return base_part - sum(x * y for x, y in zip(cls.exc, other.exc))
 
 
-@dataclass(frozen=True)
-class BlowupScenario:
+class BlowupScenario(namedtuple("BlowupScenario", "base budget_class steps")):
     """A base surface, an effective budget class D, and a chain of blow-up
     steps, each recorded by its incidence flag (True: the center lies on
     the strict transform of D).  Rejected at construction if the budget is
     not pseudoeffective on the base."""
 
-    base: RuledSurface
-    budget_class: NumClass
-    steps: tuple[bool, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "steps", tuple(self.steps))
-        if not pseff_test(self.base, self.budget_class):
+    def __new__(cls, base: RuledSurface, budget_class: NumClass,
+                steps: tuple[bool, ...] = ()) -> BlowupScenario:
+        steps = tuple(steps)
+        if not pseff_test(base, budget_class):
             raise ValueError("budget class is not pseudoeffective on the base")
+        return super().__new__(cls, base, budget_class, steps)
 
 
-@dataclass(frozen=True)
-class BigAnticanonicalCertificate:
-    certified: bool
-    big_part: NumClass
-    big_part_is_big: bool
-    effective_part: ExtClass
-    steps_on_strict_transform: bool
+BigAnticanonicalCertificate = namedtuple(
+    "BigAnticanonicalCertificate",
+    "certified big_part big_part_is_big effective_part steps_on_strict_transform")
 
 
 def certify_big_anticanonical(scenario: BlowupScenario) -> BigAnticanonicalCertificate:

@@ -9,11 +9,10 @@ largest and smallest degrees.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import groupby
 from math import comb
-from typing import Optional
 
 
 # The most decimal digits of a number the CLI reads or prints: Python's
@@ -67,44 +66,42 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class Curve:
+class Curve(namedtuple("Curve", "genus characteristic")):
     """Smooth projective curve of the given genus over a field of the given
     characteristic (0 or a prime)."""
 
-    genus: int
-    characteristic: int = 0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not (is_int(self.genus) and is_int(self.characteristic)):
+    def __new__(cls, genus: int, characteristic: int = 0) -> Curve:
+        if not (is_int(genus) and is_int(characteristic)):
             raise ValueError("genus and characteristic must be integers")
-        if self.genus < 0:
+        if genus < 0:
             raise ValueError("genus must be non-negative")
-        if self.characteristic != 0 and not _is_prime(self.characteristic):
+        if characteristic != 0 and not _is_prime(characteristic):
             raise ValueError("characteristic must be 0 or a prime")
+        return super().__new__(cls, genus, characteristic)
 
     @property
     def canonical_degree(self) -> int:
         return 2 * self.genus - 2
 
 
-@dataclass(frozen=True)
-class SplitBundle:
+class SplitBundle(namedtuple("SplitBundle", "degrees")):
     """Direct sum of line bundles, recorded by their degrees.
 
     The degree list is canonicalized to non-increasing order on
     construction, so two bundles with the same summands compare equal.
     """
 
-    degrees: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        degs = tuple(self.degrees)
+    def __new__(cls, degrees: tuple[int, ...]) -> SplitBundle:
+        degs = tuple(degrees)
         if not degs:
             raise ValueError("a bundle needs at least one summand")
         if not all(map(is_int, degs)):
             raise ValueError("summand degrees must be integers")
-        object.__setattr__(self, "degrees", tuple(sorted(degs, reverse=True)))
+        return super().__new__(cls, tuple(sorted(degs, reverse=True)))
 
     @property
     def rank(self) -> int:
@@ -168,7 +165,7 @@ def frobenius_pullback(curve: Curve, bundle: SplitBundle, e: int) -> SplitBundle
     return SplitBundle(tuple(scale * d for d in bundle.degrees))
 
 
-def min_destabilizing_e(curve: Curve, bundle: SplitBundle) -> Optional[int]:
+def min_destabilizing_e(curve: Curve, bundle: SplitBundle) -> int | None:
     """Least e >= 0 with p^e * (d_1 - d_2) > 2g - 2 for a rank-2 bundle.
 
     In characteristic 0 only e = 0 is tried.  Returns None when no such e

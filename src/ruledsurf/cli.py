@@ -9,11 +9,10 @@ from __future__ import annotations
 
 import argparse
 import itertools
-import json
 import math
 import sys
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Optional, Sequence
 
 from .blowups import BlownUpSurface, BlowupScenario, certify_big_anticanonical, check_class
 from .bundles import (MAX_DIGITS, Curve, SplitBundle, frobenius_pullback, hn_data, is_int,
@@ -145,8 +144,8 @@ def cmd_scan(args: argparse.Namespace) -> tuple[int, list[str]]:
         agree = verdict is (Verdict.BIG_CERTIFIED if big else Verdict.NOT_BIG_CERTIFIED)
         if not agree:
             code = EXIT_DISAGREE
-        fields = [surface.curve.genus, surface.curve.characteristic, *surface.bundle.degrees,
-                  cls.a, cls.b, _bool_str(big), verdict.value, vol, _bool_str(agree)]
+        fields = [*surface.curve, *surface.bundle.degrees, *cls,
+                  _bool_str(big), verdict.value, vol, _bool_str(agree)]
         lines.append("\t".join(str(x) for x in fields))
     return code, lines
 
@@ -169,6 +168,8 @@ def _require(obj: dict, key: str, kind, where: str):
 
 def load_scenario(path: str) -> BlowupScenario:
     """Parse and validate a scenario JSON file against the fixed schema."""
+    import json  # only this command reads JSON; the others start without it
+
     with open(path) as fh:
         try:
             raw = json.load(fh)
@@ -310,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
+def main(argv: Sequence[str] | None = None) -> int:
     # Every number the CLI reads or prints is held to MAX_DIGITS digits by
     # Python's own int <-> str limit, whatever PYTHONINTMAXSTRDIGITS says.
     sys.set_int_max_str_digits(MAX_DIGITS)

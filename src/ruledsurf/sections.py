@@ -35,25 +35,24 @@ handled as confluent knots (derivative entries), never by perturbation.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Sequence
 from fractions import Fraction
 from math import comb, factorial, prod
-from typing import Sequence
 
 from .bundles import DIGIT_LIMIT, Curve, check_digits
 from .surfaces import NumClass, RuledSurface
 
 
-@dataclass(frozen=True)
-class H0Interval:
+class H0Interval(namedtuple("H0Interval", "lo hi")):
     """Certified bounds lo <= h^0 <= hi."""
 
-    lo: int
-    hi: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.lo <= self.hi:
+    def __new__(cls, lo: int, hi: int) -> H0Interval:
+        if not 0 <= lo <= hi:
             raise ValueError("interval needs 0 <= lo <= hi")
+        return super().__new__(cls, lo, hi)
 
 
 class Verdict(enum.Enum):
@@ -245,28 +244,25 @@ def lattice_work(surface: RuledSurface, cls: NumClass) -> int:
     return units * (1 + size * (a.bit_length() + 500) // 400000)
 
 
-def _priced_intervals(what: str, queries: Sequence[tuple[RuledSurface, NumClass]]
-                      ) -> list[H0Interval]:
-    """h0_class_interval of each (surface, cls) query, from one price: the
-    lattice_work of all queries together is checked against
-    MAX_LATTICE_WORK before any sum, and bounds each query's, since no
-    query's work is negative.  Raises ValueError, naming `what`, when it
-    exceeds the limit.
+def _check_work(what: str, queries: Sequence[tuple[RuledSurface, NumClass]]) -> None:
+    """One price for the lattice sums of all (surface, cls) queries: their
+    lattice_work together, checked against MAX_LATTICE_WORK before any sum,
+    bounds each query's, since no query's work is negative.  Raises
+    ValueError, naming `what`, when it exceeds the limit.
     """
     work = sum(lattice_work(surface, cls) for surface, cls in queries)
     if work > MAX_LATTICE_WORK:
         raise ValueError(f"{what}: the lattice sums need {work} work units, "
                          f"above the limit of {MAX_LATTICE_WORK}")
-    intervals = []
-    for surface, cls in queries:
-        if cls.a < 0:
-            intervals.append(H0Interval(0, 0))
-        elif cls.a == 0 and cls.b == 0:
-            intervals.append(H0Interval(1, 1))
-        else:
-            intervals.append(H0Interval(*_slice_interval(
-                surface.curve, surface.bundle.degrees, 0, cls.b, cls.a)))
-    return intervals
+
+
+def _interval(surface: RuledSurface, cls: NumClass) -> H0Interval:
+    """h0_class_interval of a query already priced by _check_work."""
+    if cls.a < 0:
+        return H0Interval(0, 0)
+    if cls.a == 0 and cls.b == 0:
+        return H0Interval(1, 1)
+    return H0Interval(*_slice_interval(surface.curve, surface.bundle.degrees, 0, cls.b, cls.a))
 
 
 def h0_class_interval(surface: RuledSurface, cls: NumClass) -> H0Interval:
@@ -278,7 +274,8 @@ def h0_class_interval(surface: RuledSurface, cls: NumClass) -> H0Interval:
     Raises ValueError, before walking, when the work exceeds
     MAX_LATTICE_WORK.
     """
-    return _priced_intervals(f"class {cls}", [(surface, cls)])[0]
+    _check_work(f"class {cls}", [(surface, cls)])
+    return _interval(surface, cls)
 
 
 # 2**_LIMIT_BITS < DIGIT_LIMIT, as DIGIT_LIMIT is no power of two.
@@ -387,9 +384,9 @@ def ladder(m_max: int) -> tuple[int, ...]:
     return tuple(m_max >> k for k in reversed(range(m_max.bit_length() - 3)))
 
 
-def _verdict(surface: RuledSurface, cls: NumClass, m_max: int,
-             lo: int) -> tuple[Verdict, Fraction]:
-    """The verdict on cls from lo = lo(m_max * cls), and the volume.
+def _verdict(r: int, vol: Fraction, m_max: int, lo: int) -> Verdict:
+    """The verdict on a class cls of volume vol in rank r, from lo =
+    lo(m_max * cls).
 
     - NOT_BIG_CERTIFIED iff vol == 0.  A class is big exactly when its
       volume is positive, and the upper bounds at finitely many m cannot
@@ -402,12 +399,11 @@ def _verdict(surface: RuledSurface, cls: NumClass, m_max: int,
     - INCONCLUSIVE otherwise: vol > 0, but the count at m_max does not
       yet confirm it.
     """
-    r, vol = surface.rank, volume(surface, cls)
     if vol == 0:
-        return Verdict.NOT_BIG_CERTIFIED, vol
+        return Verdict.NOT_BIG_CERTIFIED
     if 2 * factorial(r) * lo * vol.denominator > vol.numerator * m_max**r:
-        return Verdict.BIG_CERTIFIED, vol
-    return Verdict.INCONCLUSIVE, vol
+        return Verdict.BIG_CERTIFIED
+    return Verdict.INCONCLUSIVE
 
 
 def growth_classify(what: str, rows: Sequence[tuple[RuledSurface, NumClass]],
@@ -419,13 +415,16 @@ def growth_classify(what: str, rows: Sequence[tuple[RuledSurface, NumClass]],
     ascending rungs, for every row, priced together by one check: when
     their summed lattice_work exceeds MAX_LATTICE_WORK, ValueError, naming
     `what`, is raised before any sum (`scan` passes (m_max,), `h0 --m-max`
-    (1, *ladder(m_max))).  Only the last rung decides, by the rule of
-    _verdict.  Returns (verdict, volume, the interval at each rung) for
-    each row.
+    (1, *ladder(m_max))).  Every volume is taken after the price and before
+    the sums, so one past MAX_DIGITS digits is refused at once.  Only the
+    last rung decides, by the rule of _verdict.  Returns (verdict, volume,
+    the interval at each rung) for each row.
     """
+    queries = [(surface, m * cls) for surface, cls in rows for m in rungs]
+    _check_work(what, queries)
+    volumes = [volume(surface, cls) for surface, cls in rows]
     n, m_max = len(rungs), rungs[-1]
-    intervals = _priced_intervals(what, [(surface, m * cls) for surface, cls in rows
-                                         for m in rungs])
-    return [(*_verdict(surface, cls, m_max, intervals[i * n + n - 1].lo),
+    intervals = [_interval(surface, cls) for surface, cls in queries]
+    return [(_verdict(surface.rank, vol, m_max, intervals[i * n + n - 1].lo), vol,
              tuple(intervals[i * n:(i + 1) * n]))
-            for i, (surface, cls) in enumerate(rows)]
+            for i, ((surface, _), vol) in enumerate(zip(rows, volumes))]

@@ -14,22 +14,28 @@ with mu_min and is only supported in rank 2.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import prod
 
 from .bundles import Curve, SplitBundle, is_int
 
 
-@dataclass(frozen=True)
-class NumClass:
+class NumClass(namedtuple("NumClass", "a b")):
     """Numerical class a*xi + b*f."""
 
-    a: int
-    b: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not (is_int(self.a) and is_int(self.b)):
+    def __new__(cls, a: int, b: int) -> NumClass:
+        if not (is_int(a) and is_int(b)):
             raise ValueError("class coefficients a, b must be integers")
+        return super().__new__(cls, a, b)
+
+    # Not the tuple's concatenation and repetition: c + d and c * t raise
+    # TypeError, as they would on a class that is no tuple.
+    def __add__(self, other: object) -> NumClass:
+        return NotImplemented
+
+    __mul__ = __add__
 
     def __sub__(self, other: "NumClass") -> "NumClass":
         return NumClass(self.a - other.a, self.b - other.b)
@@ -52,20 +58,19 @@ class NumClass:
 MAX_RANK = 128
 
 
-@dataclass(frozen=True)
-class RuledSurface:
+class RuledSurface(namedtuple("RuledSurface", "curve bundle")):
     """P_C(E) for a split bundle E of rank 2..MAX_RANK (a surface when
     r = 2, a higher projective bundle otherwise)."""
 
-    curve: Curve
-    bundle: SplitBundle
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        r = self.bundle.rank
+    def __new__(cls, curve: Curve, bundle: SplitBundle) -> RuledSurface:
+        r = bundle.rank
         if r < 2:
             raise ValueError("projective bundle needs rank >= 2")
         if r > MAX_RANK:
             raise ValueError(f"projective bundle: rank {r} is above the limit of {MAX_RANK}")
+        return super().__new__(cls, curve, bundle)
 
     @property
     def rank(self) -> int:

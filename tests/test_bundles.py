@@ -121,6 +121,50 @@ class TestSplitBundle:
         assert SplitBundle((3, 1, 1, 0)).slope == Fraction(5, 4)
 
 
+class TestRecords:
+    """Curve and SplitBundle are immutable named tuples."""
+
+    def test_keywords_and_defaults(self):
+        assert Curve(genus=2) == Curve(2) == Curve(2, characteristic=0)
+        assert Curve(genus=2).characteristic == 0
+        assert SplitBundle(degrees=[0, 5, 2]).degrees == (5, 2, 0)
+
+    @pytest.mark.parametrize("make, kwargs, message", [
+        (Curve, {"genus": -1}, "genus must be non-negative"),
+        (Curve, {"genus": 1.5}, "genus and characteristic must be integers"),
+        (Curve, {"genus": 1, "characteristic": 4}, "characteristic must be 0 or a prime"),
+        (SplitBundle, {"degrees": ()}, "a bundle needs at least one summand"),
+        (SplitBundle, {"degrees": (1, "x")}, "summand degrees must be integers"),
+    ])
+    def test_validation_messages(self, make, kwargs, message):
+        with pytest.raises(ValueError) as err:
+            make(**kwargs)
+        assert str(err.value) == message
+
+    def test_repr(self):
+        assert repr(Curve(2, 3)) == str(Curve(2, 3)) == "Curve(genus=2, characteristic=3)"
+        assert repr(SplitBundle((0, 5))) == "SplitBundle(degrees=(5, 0))"
+
+    def test_equality_and_hash_by_value(self):
+        assert Curve(2, 3) == Curve(2, 3) != Curve(2, 0)
+        assert hash(Curve(2, 3)) == hash(Curve(2, 3))
+        assert len({SplitBundle((0, 5)), SplitBundle((5, 0)), SplitBundle((5, 1))}) == 2
+
+    def test_equal_to_tuple_of_fields(self):
+        # Records are tuples: iterable, and equal to the tuple of their fields.
+        assert Curve(2, 3) == (2, 3) and list(Curve(2, 3)) == [2, 3]
+        assert SplitBundle((0, 5)) == ((5, 0),)
+
+    @pytest.mark.parametrize("record, field", [
+        (Curve(2), "genus"), (Curve(2), "characteristic"), (SplitBundle((1, 0)), "degrees"),
+    ])
+    def test_fields_read_only(self, record, field):
+        with pytest.raises(AttributeError):
+            setattr(record, field, 0)
+        with pytest.raises(AttributeError):
+            record.extra = 0
+
+
 class TestHNData:
     def test_two_distinct_degrees(self):
         b = SplitBundle((5, 0))

@@ -527,6 +527,14 @@ def _rank2_sums(g, m):
     return tri(m - g + 1), (m // 2) ** 2 + m + 1 + 2 * tri(m // 2 - g)
 
 
+def _fibonacci_pair(bits):
+    """Consecutive Fibonacci numbers F' < F, F the first of `bits` bits."""
+    f, g = 1, 1
+    while g.bit_length() < bits:
+        f, g = g, f + g
+    return f, g
+
+
 # Inputs test_rejected_quickly refuses, each with a phrase of its refusal.
 REJECTED = [
     # the class and each of its 15 rungs are under the limit, together
@@ -573,6 +581,12 @@ REJECTED = [
     # more genera than len() of a range can count
     (["scan", "--genus-range", f"0:{10**20}", "--d1-range=0:1", "--d2-range=0:1"],
      "points before filtering"),
+    # a volume past 4,300 digits, refused before the lattice sums (about
+    # 5 s of them on 2 vCPUs, under the work limit): degrees (F + F', F',
+    # 0), F' < F consecutive Fibonacci numbers, F of 1,383 bits
+    *((["h0", "--genus", "1000000000", "--degrees", f"{f + g},{f},0",
+        "--class", f"{a},{-(a * (f + g) // 2)}"], "decimal digits")
+      for f, g in [_fibonacci_pair(1383)] for a in [2**6000 - 12345]),
 ]
 
 
@@ -706,6 +720,19 @@ class TestDigitLimit:
                               env=env, capture_output=True, text=True, timeout=60)
         assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
         assert f"volume: {big}\n" in proc.stdout
+
+
+def test_startup_loads_no_heavy_module():
+    # A one-shot command is mostly start-up: importing the CLI loads
+    # neither dataclasses (with inspect) nor typing, and json only once
+    # blowup reads a scenario.  -S keeps site from loading typing itself.
+    src = Path(__file__).resolve().parent.parent / "src"
+    probe = ("import sys, ruledsurf.cli; "
+             "print(sorted({'dataclasses', 'inspect', 'typing', 'json'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-S", "-c", probe],
+                          env=dict(os.environ, PYTHONPATH=str(src)),
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
 
 
 class TestFrobenius:

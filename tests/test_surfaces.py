@@ -43,6 +43,68 @@ class TestRuledSurface:
             RuledSurface(Curve(1), SplitBundle((0,) * 129))
 
 
+class TestRecords:
+    """NumClass and RuledSurface are immutable named tuples."""
+
+    def test_keywords(self):
+        assert NumClass(a=1, b=-2) == NumClass(1, -2)
+        assert RuledSurface(curve=Curve(1), bundle=SplitBundle((0, 1))) == rank2_surface()
+
+    @pytest.mark.parametrize("make, kwargs, message", [
+        (NumClass, {"a": 1.5, "b": 0}, "class coefficients a, b must be integers"),
+        (RuledSurface, {"curve": Curve(1), "bundle": SplitBundle((1,))},
+         "projective bundle needs rank >= 2"),
+        (RuledSurface, {"curve": Curve(1), "bundle": SplitBundle((0,) * 129)},
+         "projective bundle: rank 129 is above the limit of 128"),
+    ])
+    def test_validation_messages(self, make, kwargs, message):
+        with pytest.raises(ValueError) as err:
+            make(**kwargs)
+        assert str(err.value) == message
+
+    def test_repr_and_str(self):
+        assert repr(NumClass(1, -2)) == "NumClass(a=1, b=-2)"
+        assert str(NumClass(1, -2)) == "(1, -2)"
+        assert repr(rank2_surface()) == ("RuledSurface(curve=Curve(genus=1, characteristic=0), "
+                                         "bundle=SplitBundle(degrees=(1, 0)))")
+
+    def test_equality_and_hash_by_value(self):
+        assert NumClass(1, -2) == NumClass(1, -2) != NumClass(-2, 1)
+        assert hash(NumClass(1, -2)) == hash(NumClass(1, -2))
+        assert len({rank2_surface(), rank2_surface(), rank2_surface(g=2)}) == 2
+
+    def test_equal_to_tuple_of_fields(self):
+        # Records are tuples: iterable, and equal to the tuple of their fields.
+        assert NumClass(1, -2) == (1, -2) and list(NumClass(1, -2)) == [1, -2]
+        assert rank2_surface() == (Curve(1), SplitBundle((1, 0)))
+
+    @pytest.mark.parametrize("record, field", [
+        (NumClass(1, 0), "a"), (NumClass(1, 0), "b"),
+        (rank2_surface(), "curve"), (rank2_surface(), "bundle"),
+    ])
+    def test_fields_read_only(self, record, field):
+        with pytest.raises(AttributeError):
+            setattr(record, field, 0)
+        with pytest.raises(AttributeError):
+            record.extra = 0
+
+    def test_arithmetic(self):
+        c, d = NumClass(3, -1), NumClass(1, 2)
+        assert -c == NumClass(-3, 1) and type(-c) is NumClass
+        assert c - d == NumClass(2, -3) and type(c - d) is NumClass
+        assert 2 * c == NumClass(6, -2) and type(2 * c) is NumClass
+        with pytest.raises(ValueError, match="must be integers"):
+            0.5 * c
+
+    @pytest.mark.parametrize("op", [
+        lambda c: c + c, lambda c: c * 2, lambda c: c * c, lambda c: c + (1,),
+    ], ids=["sum", "times_int", "times_class", "plus_tuple"])
+    def test_no_tuple_arithmetic(self, op):
+        # Neither concatenation nor repetition: c + d and c * t are undefined.
+        with pytest.raises(TypeError):
+            op(NumClass(1, 0))
+
+
 class TestCanonicalClass:
     def test_elliptic(self):
         assert canonical_class(rank2_surface(1, 1, 0)) == NumClass(-2, 1)

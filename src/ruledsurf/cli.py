@@ -39,6 +39,14 @@ def _too_long(err: ValueError) -> bool:
     return "set_int_max_str_digits" in str(err)
 
 
+def _shorten(message: str) -> str:
+    """message with each run of more than 100 digits named by its length,
+    so that a refusal never echoes a long number back."""
+    runs = ("".join(run) for _, run in itertools.groupby(message, str.isdigit))
+    return "".join(f"<{len(run)} digits>" if len(run) > 100 and run.isdigit() else run
+                   for run in runs)
+
+
 def _ints(text: str, sep: str = ",", count: int = 0,
           shape: str = "a comma-separated list of integers") -> tuple[int, ...]:
     """The argparse type of every number on the command line: the integers
@@ -56,6 +64,14 @@ def _ints(text: str, sep: str = ",", count: int = 0,
 
 def _int(text: str) -> int:
     return _ints(text, count=1, shape="an integer")[0]
+
+
+def _m_max(text: str) -> int:
+    """--m-max of scan and h0: the top rung of the halving ladder m >= 8."""
+    m_max = _int(text)
+    if m_max < 8:
+        raise argparse.ArgumentTypeError("must be at least 8")
+    return m_max
 
 
 def _class(text: str) -> NumClass:
@@ -115,8 +131,6 @@ def _scan_surfaces(args: argparse.Namespace) -> list[RuledSurface]:
     sharing one Curve per (genus, char) and one SplitBundle per degree tuple."""
     genera, chars = args.genus_range, sorted(set(args.chars))
     ranges = [args.d1_range, args.d2_range, *([args.d3_range] if args.d3_range else [])]
-    if args.m_max < 8:
-        raise ValueError("--m-max must be at least 8")
     # stop - start, not len(): len() of a range past sys.maxsize overflows.
     size = len(chars) * math.prod(r.stop - r.start for r in (genera, *ranges))
     if size > MAX_SCAN_POINTS:
@@ -285,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--d3-range", type=_range, default=None, help="inclusive lo:hi (rank 3)")
     p_scan.add_argument("--class", dest="num_class", type=_class, default=None,
                         help="class a,b (default: -K per surface)")
-    p_scan.add_argument("--m-max", type=_int, default=32)
+    p_scan.add_argument("--m-max", type=_m_max, default=32)
     p_scan.set_defaults(func=cmd_scan)
 
     p_blowup = sub.add_parser("blowup", help="certify a blow-up scenario file")
@@ -296,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_surface_args(p_h0)
     p_h0.add_argument("--class", dest="num_class", type=_class, default=None,
                       help="class a,b (default: -K)")
-    p_h0.add_argument("--m-max", type=_int, default=None,
+    p_h0.add_argument("--m-max", type=_m_max, default=None,
                       help="also run the growth classifier up to this m")
     p_h0.set_defaults(func=cmd_h0)
 
@@ -340,9 +354,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_IO
     except ValueError as err:
-        if _too_long(err):
-            err = f"{args.command}: {TOO_LONG}"
-        print(f"error: {err}", file=sys.stderr)
+        message = f"{args.command}: {TOO_LONG}" if _too_long(err) else _shorten(str(err))
+        print(f"error: {message}", file=sys.stderr)
         return EXIT_VALIDATION
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import math
+import re
 import sys
 from collections.abc import Sequence
 from fractions import Fraction
@@ -40,11 +41,20 @@ def _too_long(err: ValueError) -> bool:
 
 
 def _shorten(message: str) -> str:
-    """message with each run of more than 100 digits named by its length,
-    so that a refusal never echoes a long number back."""
-    runs = ("".join(run) for _, run in itertools.groupby(message, str.isdigit))
-    return "".join(f"<{len(run)} digits>" if len(run) > 100 and run.isdigit() else run
-                   for run in runs)
+    """message with each run of more than 100 digits, and then each other
+    word of more than 100 characters, named by its length: the one rule
+    by which a refusal shows user text, so that it never echoes a long
+    token back."""
+    message = re.sub(r"\d{101,}", lambda run: f"<{len(run[0])} digits>", message)
+    return re.sub(r"\S{101,}", lambda word: f"<{len(word[0])} characters>", message)
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser, and the parser of each subcommand, whose
+    refusals (exit 2, after the usage line) pass through _shorten."""
+
+    def error(self, message: str):
+        super().error(_shorten(message))
 
 
 def _ints(text: str, sep: str = ",", count: int = 0,
@@ -278,7 +288,7 @@ def _add_surface_args(parser: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ruledsurf",
         description="Exact bigness/nefness tests on projective bundles over curves, "
                     "with section-count oracles and blow-up certificates.",
@@ -342,22 +352,13 @@ def main(argv: Sequence[str] | None = None) -> int:
         if not args.out:
             print("\n".join(lines))
             return code
-        try:
-            out = open(args.out, "w")
-        except OSError as err:
-            print(f"error: cannot open output path: {err}", file=sys.stderr)
-            return EXIT_IO
-        with out:
+        with open(args.out, "w") as out:
             print("\n".join(lines), file=out)
         return code
     except OSError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_IO
+        code, message = EXIT_IO, str(err)
     except ValueError as err:
-        message = f"{args.command}: {TOO_LONG}" if _too_long(err) else _shorten(str(err))
-        print(f"error: {message}", file=sys.stderr)
-        return EXIT_VALIDATION
-
-
-def run() -> None:
-    raise SystemExit(main())
+        code = EXIT_VALIDATION
+        message = f"{args.command}: {TOO_LONG}" if _too_long(err) else str(err)
+    print(f"error: {_shorten(message)}", file=sys.stderr)
+    return code

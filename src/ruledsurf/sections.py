@@ -9,17 +9,17 @@ above in the special range), so the result type is an interval.
 Both bounds are sums of ramps R(floor((d + c)/q) + e), R(x) = max(0, x),
 q in {1, 2}.  The slice is summed by the direct-sum recursion
 Sym^a(L + E') = sum over k = 0..a of L^k (x) Sym^(a-k) E': fixing k_1
-leaves the slice of E' one rank lower.  In rank 2 the points have degrees
-start + j*(d_1 - d_2) for j = 0..a, one arithmetic progression, over
-which a ramp sums in closed form: one floor division finds the j where it
-is positive, and there it is an arithmetic series.  In rank 3 a ramp is
-summed over q^2 sublattices, on each a triangle: row by row a polynomial,
+leaves the slice of E' one rank lower, down to one leaf of rank 2 or 3.
+A leaf sums each ramp over its q^(r-1) sublattices, on which the floor is
+gone: in rank 2 the points have degrees start + j*(d_1 - d_2), j = 0..a,
+and each sublattice is an arithmetic series from the first j where the
+ramp is positive; in rank 3 each is a triangle, row by row a polynomial,
 less the negative terms of the rows only partly positive, which floor
 sums give in O(log).  Rank 2 costs O(1) whatever a and g are, rank 3
 O(log(min(a, d_2 - d_3) + 1)), and rank r the recursion down to
 C(a+r-3, r-3) rank-3 nodes.  Outside the band 0 <= d <= 2g-2 (so at
-g = 0 everywhere) hi = lo, and a rank-2 or rank-3 slice none of whose
-degrees reaches the band sums only lo.
+g = 0 everywhere) hi = lo, and a leaf whose degree range misses the band
+sums only lo.
 
 The exact limit lim r! h^0(mD)/m^r is the integral of the positive part
 of the linear form over the dilated simplex; by Hermite-Genocchi it
@@ -38,6 +38,7 @@ import enum
 from collections import namedtuple
 from collections.abc import Sequence
 from fractions import Fraction
+from functools import partial
 from math import comb, factorial, prod
 
 from .bundles import DIGIT_LIMIT, Curve, check_digits
@@ -80,36 +81,20 @@ def h0_interval_curve(curve: Curve, degree: int) -> H0Interval:
     return H0Interval(max(0, lo), max(0, hi1) + max(0, hi2))
 
 
-def _ramp_sum(ramp: tuple[int, int, int], start: int, step: int, n: int) -> int:
-    """Sum of the ramp over the degrees start + j*step, 0 <= j < n, step >= 0.
-
-    The ramp is positive from the first j with start + c + j*step >=
-    q*(1 - e) on; over that range it is an arithmetic series, less half
-    the number of odd numerators when q = 2.
-    """
+def _ramp_sum(ramp: tuple[int, int, int], start: int, step: int, left: int) -> int:
+    """Sum of the ramp over the degrees start + j*step, j = 0..left, step >=
+    0: on j = q*j' + v (v < q) it is R(x + j'*step), x = floor((start +
+    v*step + c)/q) + e, over j' <= (left - v) // q, an arithmetic series
+    from its first term >= 0 on."""
     q, c, e = ramp
-    y = start + c
-    first = _first_at_least_zero(y - q * (1 - e), step, n)
-    count = n - first
-    x = y + first * step
-    total = count * x + step * count * (count - 1) // 2
-    if q == 2:
-        odd = (count + (x & 1)) // 2 if step & 1 else count * (x & 1)
-        total = (total - odd) // 2
-    return total + e * count
-
-
-def _progression_interval(curve: Curve, start: int, step: int, n: int) -> tuple[int, int]:
-    """Sum the curve intervals over the degrees start + j*step, 0 <= j < n,
-    step >= 0: one ramp sum for lo, and two for hi unless no degree lies
-    in the band 0 <= d <= 2g-2, outside which hi = lo."""
-    g = curve.genus
-    lo, hi1, hi2 = _ramps(g)
-    total = _ramp_sum(lo, start, step, n)
-    j = _first_at_least_zero(start, step, n)
-    if j == n or start + j * step > 2 * g - 2:
-        return total, total
-    return total, _ramp_sum(hi1, start, step, n) + _ramp_sum(hi2, start, step, n)
+    total = 0
+    for v in range(q):
+        x = (start + v * step + c) // q + e
+        n = (left - v) // q + 1
+        first = _first_at_least_zero(x, step, n)
+        count = n - first
+        total += count * (x + first * step) + step * count * (count - 1) // 2
+    return total
 
 
 def _first_at_least_zero(a: int, b: int, end: int) -> int:
@@ -168,10 +153,10 @@ def _triangle_sum(x: int, slope: int, step: int, n: int) -> int:
     return total
 
 
-def _node_ramp_sum(ramp: tuple[int, int, int], start: int, slope: int, step: int,
+def _node_ramp_sum(slope: int, ramp: tuple[int, int, int], start: int, step: int,
                    left: int) -> int:
     """Sum over k = 0..left of _ramp_sum(ramp, start + k*slope, step,
-    left - k + 1), with slope >= step >= 0: on k = q*k' + u, j = q*j' + v
+    left - k), with slope >= step >= 0: on k = q*k' + u, j = q*j' + v
     (u, v < q) the ramp is R(x + k'*slope + j'*step), x = floor((start +
     u*slope + v*step + c)/q) + e, over k' + j' <= (left - u - v) // q."""
     q, c, e = ramp
@@ -184,21 +169,20 @@ def _slice_interval(curve: Curve, degrees: Sequence[int], i: int, base: int,
                     left: int) -> tuple[int, int]:
     """Sum the curve intervals over k_i + ... + k_r = left, at degrees
     base + sum(k_j d_j) over j >= i: the sum over k_i = 0..left of the
-    slice one rank lower, down to rank 3, one node of _node_ramp_sum per
-    ramp (rank 2 is one progression)."""
-    if i == len(degrees) - 2:
-        return _progression_interval(curve, base + left * degrees[-1],
-                                     degrees[-2] - degrees[-1], left + 1)
-    if i == len(degrees) - 3:
-        start = base + left * degrees[-1]
-        slope, step = degrees[i] - degrees[-1], degrees[-2] - degrees[-1]
-        ramps = _ramps(curve.genus)
-        lo = _node_ramp_sum(ramps[0], start, slope, step, left)
-        # The node's degrees lie in [start, start + left*slope]; when that
+    slice one rank lower, down to a leaf of rank 2 or 3, which sums each
+    ramp at once: by _ramp_sum in rank 2, by _node_ramp_sum of slope
+    d_i - d_r in rank 3."""
+    if i >= len(degrees) - 3:
+        ramp_sum = (_ramp_sum if i == len(degrees) - 2
+                    else partial(_node_ramp_sum, degrees[i] - degrees[-1]))
+        start, step = base + left * degrees[-1], degrees[-2] - degrees[-1]
+        lo_ramp, hi1, hi2 = _ramps(curve.genus)
+        lo = ramp_sum(lo_ramp, start, step, left)
+        # The leaf's degrees lie in [start, base + left*d_i]; when that
         # range misses the band 0 <= d <= 2g-2 (always at g = 0), hi = lo.
-        if start + left * slope < 0 or max(start, 0) > 2 * curve.genus - 2:
+        if base + left * degrees[i] < 0 or max(start, 0) > 2 * curve.genus - 2:
             return lo, lo
-        return lo, sum(_node_ramp_sum(ramp, start, slope, step, left) for ramp in ramps[1:])
+        return lo, ramp_sum(hi1, start, step, left) + ramp_sum(hi2, start, step, left)
     lo = hi = 0
     for k in range(left + 1):
         plo, phi = _slice_interval(curve, degrees, i + 1, base + k * degrees[i], left - k)
@@ -220,13 +204,15 @@ def lattice_work(surface: RuledSurface, cls: NumClass) -> int:
     """Work units of h0_class_interval(surface, cls), fitted to measured
     times; 0 when a < 0.
 
-    Rank 2 is one call and three ramp sums.  In rank r >= 3 the recursion
-    makes C(a+r-2, r-3) calls, C(a+r-3, r-3) of them rank-3 nodes.  A node
-    with left = l sums each of its three ramps over q^2 <= 4 triangles, each
-    in at most 2*min(bits(l+1), bits(s)) - 1 floor-sum steps, s = d_{r-1} -
-    d_r, and is priced min(l+1, M) units a ramp, M = 4*(min(bits(a+1),
-    bits(s)) + 1), times 1 + bits(a)//2048 for a step's products of counts
-    of bits(a) bits; over the nodes, C(a+r-2, r-2) - C(a+r-2-M, r-2).
+    Rank 2 is one call and three ramp sums when its degree range meets the
+    band 0 <= d <= 2g-2, one when it misses it.  In rank r >= 3 the
+    recursion makes C(a+r-2, r-3) calls, C(a+r-3, r-3) of them rank-3
+    nodes.  A node with left = l sums each of its three ramps (lo's alone
+    off the band) over q^2 <= 4 triangles, each in at most 2*min(bits(l+1),
+    bits(s)) - 1 floor-sum steps, s = d_{r-1} - d_r, and is priced
+    min(l+1, M) units a ramp, M = 4*(min(bits(a+1), bits(s)) + 1), times
+    1 + bits(a)//2048 for a step's products of counts of bits(a) bits;
+    over the nodes, C(a+r-2, r-2) - C(a+r-2-M, r-2).
     Every unit is weighted 1 + size*(bits(a) + 500) // 400000 for long
     integers, size the bit length of |b| + a*max|d_i|, a bound on |degree|.
     """

@@ -218,10 +218,10 @@ class TestH0ClassInterval:
     @settings(max_examples=200)
     def test_work_counts_calls(self, g, degrees, a, b):
         # No curve call on the walk: a rank-2 leaf is three ramp sums when
-        # one of its degrees lies in the band 0 <= d <= 2g-2 and one, lo's,
-        # when none does (hi = lo there), and the recursion makes
+        # its degree range meets the band 0 <= d <= 2g-2 and one, lo's,
+        # when it misses it (hi = lo there), and the recursion makes
         # C(a+r-2, r-3) calls down to rank 3.  A rank-3 node sums lo's
-        # ramp, or all three when its degrees meet the band, over q^2
+        # ramp, or all three when its degree range meets the band, over q^2
         # triangles each: 1 or 9 triangle sums, no ramp sum.  Every
         # _floor_sums call takes at most 2*min(bits(n+1), bits(c)) - 1
         # steps, one divmod of a and one of b each, and calls and ramp
@@ -256,9 +256,11 @@ class TestH0ClassInterval:
             h0_class_interval(s, cls)
         r = s.rank
         assert calls["curve"] == 0
+        # The leaf of rank 2 or 3 at the root: its degrees lie in
+        # [a*d_r + b, a*d_1 + b].
+        low, high = a * s.bundle.degrees[-1] + b, a * s.bundle.degrees[0] + b
+        meets = not (high < 0 or max(low, 0) > 2 * g - 2)
         if r == 2:
-            d1, d2 = s.bundle.degrees
-            meets = any(0 <= a * d2 + b + j * (d1 - d2) <= 2 * g - 2 for j in range(a + 1))
             assert calls == {"slice": 1, "node": 0, "triangle": 0, "ramp": 3 if meets else 1,
                              "curve": 0, "divmod": 0}
         else:
@@ -268,9 +270,7 @@ class TestH0ClassInterval:
             hi_nodes, odd = divmod(calls["node"] - comb(a + r - 3, r - 3), 2)
             assert odd == 0 and calls["triangle"] == calls["node"] + 6 * hi_nodes
         if r == 3:
-            # One node, whose degrees lie in [a*d3 + b, a*d1 + b].
-            low, high = a * s.bundle.degrees[-1] + b, a * s.bundle.degrees[0] + b
-            assert calls["node"] == (1 if high < 0 or max(low, 0) > 2 * g - 2 else 3)
+            assert calls["node"] == (3 if meets else 1)
         assert calls["slice"] + calls["ramp"] <= lattice_work(s, cls)
 
     @given(st.integers(1, 3), st.integers(-3, 3), st.integers(-3, 3),

@@ -170,7 +170,7 @@ def cmd_scan(args: argparse.Namespace) -> tuple[int, list[str]]:
             code = EXIT_DISAGREE
         fields = [*surface.curve, *surface.bundle.degrees, *cls,
                   _bool_str(big), verdict.value, vol, _bool_str(agree)]
-        lines.append("\t".join(str(x) for x in fields))
+        lines.append("\t".join(map(str, fields)))
     return code, lines
 
 

@@ -193,10 +193,11 @@ def _slice_interval(curve: Curve, degrees: Sequence[int], i: int, base: int,
 
 # Most work units (see lattice_work) the lattice sums of one request may
 # take together: one h0_class_interval call, or all rungs of all rows of
-# one growth_classify call.  On 2 vCPUs with Python 3.11.7 a unit cost
-# 0.1-1.2 microseconds on 50 shapes at the limit (rank 3-128, genus 1 and
-# 10^9, Fibonacci gaps, degrees of up to 2,000 digits and a of up to 8,000
-# bits), so an accepted request takes about 7 s at most.
+# one growth_classify call.  The slowest accepted requests known take
+# about 10 s, measured in-process on a 2-vCPU Intel Xeon with Python
+# 3.11.7: h0 --genus 1000000000 --degrees 11,10,9,8,7,6,5,4,3,2,1,0
+# --class 13,-71 (4,240,379 units, 2.4 microseconds a unit) 10.2-10.4 s,
+# and --degrees 4,2,1,0 --class 240002,-480004 (5,999,992 units) 6.8-7.8 s.
 MAX_LATTICE_WORK = 6 * 10**6
 
 
@@ -274,27 +275,24 @@ def _check_digits(x: Fraction) -> Fraction:
     return x
 
 
-def _truncated_power_divdiff(knots: Sequence[int], power: int) -> Fraction:
-    """Divided difference of t -> max(t, 0)**power over the given knots,
+def _truncated_power_divdiff(knots: Sequence[int]) -> Fraction:
+    """Divided difference of t -> max(t, 0)**n over the n given knots,
     with repeated knots treated as confluent (derivative) entries; one row
-    of the table is kept, row[i] spanning v[i..i+span]."""
+    of the table is kept, row[i] spanning v[i..i+span], and span 0 is the
+    confluent entry of order 0, the function itself."""
     v = sorted(Fraction(x) for x in knots)
     n = len(v)
-
-    def confluent(t: Fraction, k: int) -> Fraction:
-        # k-th derivative of max(t,0)**power divided by k!; only orders
-        # k < power occur, where the truncated power is still continuous.
-        if t <= 0:
-            return Fraction(0)
-        return comb(power, k) * t ** (power - k)
-
-    row = [_check_digits(confluent(t, 0)) for t in v]
-    for span in range(1, n):
+    row = [0] * n
+    for span in range(n):
         for i in range(n - span):
             if v[i] == v[i + span]:
-                row[i] = _check_digits(confluent(v[i], span))
+                # The span-th derivative of max(t, 0)**n over span!; only
+                # orders span < n occur, where the truncated power is
+                # still continuous.
+                entry = comb(n, span) * max(v[i], 0) ** (n - span)
             else:
-                row[i] = _check_digits((row[i + 1] - row[i]) / (v[i + span] - v[i]))
+                entry = (row[i + 1] - row[i]) / (v[i + span] - v[i])
+            row[i] = _check_digits(entry)
     return row[0]
 
 
@@ -303,39 +301,36 @@ def _one_sided_divdiff(knots: Sequence[int]) -> tuple[int, int] | None:
     v, as (num, den) with den > 0, when at most one knot is positive or at
     most one is negative; None otherwise.
 
-    t**r = f(t) + (-1)**r f(-t); over r knots the divided difference of
-    t**r is sum(v) and that of f(-t) is (-1)**(r-1) f[-v], so f[v] =
-    sum(v) + f[-v].  f vanishes with its first r - 1 derivatives on t <= 0,
-    so f[v] = 0 with no knot above 0, and f[v] = sum(v) with none below.
-    With one positive knot p, f[v] is the term of p in the partial-fraction
-    sum, p**r / prod(p - v_j) over the other knots, repeated or not (f[v]
-    is continuous in the knots); with one negative knot, f[-v] is that
-    term for -v.
+    f vanishes with its first r - 1 derivatives on t <= 0, so f[v] = 0
+    with no knot above 0.  With one positive knot p, f[v] is the term of p
+    in the partial-fraction sum, p**r / prod(p - v_j) over the other
+    knots, repeated or not (f[v] is continuous in the knots).  Every other
+    case reflects: t**r = f(t) + (-1)**r f(-t), and over r knots the
+    divided difference of t**r is sum(v) and that of f(-t) is (-1)**(r-1)
+    f[-v], so f[v] = sum(v) + f[-v], where -v has no positive knot or one.
     """
     pos = [v for v in knots if v > 0]
-    neg = [v for v in knots if v < 0]
-    if not neg:
-        return sum(knots), 1
     if not pos:
         return 0, 1
     if len(pos) == 1:
         p = pos[0]
         return p ** len(knots), prod(p - v for v in knots if v != p)
-    if len(neg) == 1:
-        n = neg[0]
-        den = prod(v - n for v in knots if v != n)
-        return sum(knots) * den + (-n) ** len(knots), den
-    return None
+    if sum(v < 0 for v in knots) > 1:
+        return None
+    num, den = _one_sided_divdiff([-v for v in knots])
+    return sum(knots) * den + num, den
 
 
 def volume(surface: RuledSurface, cls: NumClass) -> Fraction:
     """Exact lim r! h^0(m*cls)/m^r; positive exactly on big classes.
 
     It is a^(r-1) times the divided difference of max(t, 0)**r over the
-    knots v_i = a*d_i + b: in closed form (_one_sided_divdiff) when at
-    most one knot lies on one side of 0, which covers every class of rank
-    2 and 3, and by the table of _truncated_power_divdiff otherwise.  In
-    rank 2 the closed form is Zariski's vol = D^2 + (D.C_0)^2/e.
+    knots v_i = a*d_i + b: in closed form (_one_sided_divdiff: 0 with no
+    positive knot, the residue at a lone one, and either of these for -v
+    through f[v] = sum(v) + f[-v]) when at most one knot lies on one side
+    of 0, which covers every class of rank 2 and 3, and by the table of
+    _truncated_power_divdiff otherwise.  In rank 2 the closed form is
+    Zariski's vol = D^2 + (D.C_0)^2/e.
 
     Raises ValueError when an entry of the divided-difference table or
     the volume itself has more than MAX_DIGITS decimal digits.  The closed
@@ -354,13 +349,11 @@ def volume(surface: RuledSurface, cls: NumClass) -> Fraction:
     if cls.a <= 0:
         return Fraction(0)
     knots = [cls.a * d + cls.b for d in surface.bundle.degrees]
-    closed = None
-    if (max(map(abs, knots)).bit_length() + 1) * comb(r + 1, 2) <= _LIMIT_BITS:
-        closed = _one_sided_divdiff(knots)
-    if closed is None:
-        return _check_digits(Fraction(cls.a) ** (r - 1) * _truncated_power_divdiff(knots, r))
-    num, den = closed
-    return _check_digits(Fraction(cls.a ** (r - 1) * num, den))
+    if ((max(map(abs, knots)).bit_length() + 1) * comb(r + 1, 2) <= _LIMIT_BITS
+            and (closed := _one_sided_divdiff(knots))):
+        num, den = closed
+        return _check_digits(Fraction(cls.a ** (r - 1) * num, den))
+    return _check_digits(Fraction(cls.a) ** (r - 1) * _truncated_power_divdiff(knots))
 
 
 def ladder(m_max: int) -> tuple[int, ...]:

@@ -24,13 +24,12 @@ sums only lo.
 The exact limit lim r! h^0(mD)/m^r is the integral of the positive part
 of the linear form over the dilated simplex; by Hermite-Genocchi it
 equals a^(r-1) times the divided difference of t -> max(t, 0)^r over the
-vertex values v_i = a*d_i + b.  When at most one of them lies on one side
-of 0, as in every class of rank 2 and 3, that divided difference has a
-closed form in integers, one quotient; in rank 2 it is the Zariski
-decomposition's vol = D^2 + (D.C_0)^2/e.  Otherwise, or for values too
-long for the closed form to know that the table stays under MAX_DIGITS,
-the divided-difference table is built, with repeated vertex values
-handled as confluent knots (derivative entries), never by perturbation.
+vertex values v_i = a*d_i + b (in rank 2, the Zariski decomposition's
+vol = D^2 + (D.C_0)^2/e).  It is read off one divided-difference table,
+with repeated vertex values handled as confluent knots (derivative
+entries), never by perturbation, and each entry checked against
+MAX_DIGITS; the table is built once per (a, knots), since a scan's rows
+share few knot sets.
 """
 from __future__ import annotations
 
@@ -38,10 +37,10 @@ import enum
 from collections import namedtuple
 from collections.abc import Sequence
 from fractions import Fraction
-from functools import partial
-from math import comb, factorial, prod
+from functools import lru_cache, partial
+from math import comb, factorial
 
-from .bundles import DIGIT_LIMIT, Curve, check_digits
+from .bundles import Curve, check_digits
 from .surfaces import NumClass, RuledSurface
 
 
@@ -265,22 +264,19 @@ def h0_class_interval(surface: RuledSurface, cls: NumClass) -> H0Interval:
     return _interval(surface, cls)
 
 
-# 2**_LIMIT_BITS < DIGIT_LIMIT, as DIGIT_LIMIT is no power of two.
-_LIMIT_BITS = DIGIT_LIMIT.bit_length() - 1
-
-
-def _check_digits(x: Fraction) -> Fraction:
+def _check_digits(x: Fraction | int) -> Fraction | int:
     """x, unless its numerator or denominator passes MAX_DIGITS digits."""
     check_digits("volume: the exact arithmetic needs numbers above", x.numerator, x.denominator)
     return x
 
 
-def _truncated_power_divdiff(knots: Sequence[int]) -> Fraction:
+def _truncated_power_divdiff(knots: Sequence[int]) -> Fraction | int:
     """Divided difference of t -> max(t, 0)**n over the n given knots,
     with repeated knots treated as confluent (derivative) entries; one row
     of the table is kept, row[i] spanning v[i..i+span], and span 0 is the
-    confluent entry of order 0, the function itself."""
-    v = sorted(Fraction(x) for x in knots)
+    confluent entry of order 0, the function itself.  Raises ValueError
+    when an entry passes MAX_DIGITS digits."""
+    v = sorted(knots)
     n = len(v)
     row = [0] * n
     for span in range(n):
@@ -291,69 +287,32 @@ def _truncated_power_divdiff(knots: Sequence[int]) -> Fraction:
                 # still continuous.
                 entry = comb(n, span) * max(v[i], 0) ** (n - span)
             else:
-                entry = (row[i + 1] - row[i]) / (v[i + span] - v[i])
+                entry = Fraction(row[i + 1] - row[i]) / (v[i + span] - v[i])
             row[i] = _check_digits(entry)
     return row[0]
 
 
-def _one_sided_divdiff(knots: Sequence[int]) -> tuple[int, int] | None:
-    """The divided difference f[v] of f(t) = max(t, 0)**r over the r knots
-    v, as (num, den) with den > 0, when at most one knot is positive or at
-    most one is negative; None otherwise.
-
-    f vanishes with its first r - 1 derivatives on t <= 0, so f[v] = 0
-    with no knot above 0.  With one positive knot p, f[v] is the term of p
-    in the partial-fraction sum, p**r / prod(p - v_j) over the other
-    knots, repeated or not (f[v] is continuous in the knots).  Every other
-    case reflects: t**r = f(t) + (-1)**r f(-t), and over r knots the
-    divided difference of t**r is sum(v) and that of f(-t) is (-1)**(r-1)
-    f[-v], so f[v] = sum(v) + f[-v], where -v has no positive knot or one.
-    """
-    pos = [v for v in knots if v > 0]
-    if not pos:
-        return 0, 1
-    if len(pos) == 1:
-        p = pos[0]
-        return p ** len(knots), prod(p - v for v in knots if v != p)
-    if sum(v < 0 for v in knots) > 1:
-        return None
-    num, den = _one_sided_divdiff([-v for v in knots])
-    return sum(knots) * den + num, den
+@lru_cache(maxsize=1024)
+def _volume(a: int, knots: tuple[int, ...]) -> Fraction:
+    """The volume of a class with a > 0 and knots v_i = a*d_i + b, cached
+    per (a, knots): the 3,731 rows of the shipped rank-2 scan grid share
+    91 knot sets, and the 160 of the rank-3 grid 56."""
+    return _check_digits(Fraction(a) ** (len(knots) - 1) * _truncated_power_divdiff(knots))
 
 
 def volume(surface: RuledSurface, cls: NumClass) -> Fraction:
     """Exact lim r! h^0(m*cls)/m^r; positive exactly on big classes.
 
     It is a^(r-1) times the divided difference of max(t, 0)**r over the
-    knots v_i = a*d_i + b: in closed form (_one_sided_divdiff: 0 with no
-    positive knot, the residue at a lone one, and either of these for -v
-    through f[v] = sum(v) + f[-v]) when at most one knot lies on one side
-    of 0, which covers every class of rank 2 and 3, and by the table of
-    _truncated_power_divdiff otherwise.  In rank 2 the closed form is
-    Zariski's vol = D^2 + (D.C_0)^2/e.
+    knots v_i = a*d_i + b, from the table of _truncated_power_divdiff.  In
+    rank 2 it is Zariski's vol = D^2 + (D.C_0)^2/e.
 
     Raises ValueError when an entry of the divided-difference table or
-    the volume itself has more than MAX_DIGITS decimal digits.  The closed
-    form builds no table, so it is taken only for knots |v_i| <= K with
-    (bits(K) + 1) * C(r+1, 2) <= _LIMIT_BITS, under which no entry can
-    reach the limit: an entry over s + 1 <= r of the knots is, by Cramer's
-    rule on the confluent Vandermonde system of its Hermite interpolant,
-    an integer over prod (y_j - y_i)^(m_i m_j) across its distinct knots
-    y of multiplicities m, at most (2K)^C(s+1, 2); and it is f^(s)/s! at
-    a point of [-K, K], at most C(r, s) K^(r-s) <= (2K)^r.  So both its
-    reduced numerator and denominator are at most (2K)^C(r+1, 2) <
-    2**((bits(K) + 1) * C(r+1, 2)) <= 2**_LIMIT_BITS.  Larger knots go to
-    the table and its checks.
+    the volume itself has more than MAX_DIGITS decimal digits.
     """
-    r = surface.rank
     if cls.a <= 0:
         return Fraction(0)
-    knots = [cls.a * d + cls.b for d in surface.bundle.degrees]
-    if ((max(map(abs, knots)).bit_length() + 1) * comb(r + 1, 2) <= _LIMIT_BITS
-            and (closed := _one_sided_divdiff(knots))):
-        num, den = closed
-        return _check_digits(Fraction(cls.a ** (r - 1) * num, den))
-    return _check_digits(Fraction(cls.a) ** (r - 1) * _truncated_power_divdiff(knots))
+    return _volume(cls.a, tuple(cls.a * d + cls.b for d in surface.bundle.degrees))
 
 
 def ladder(m_max: int) -> tuple[int, ...]:

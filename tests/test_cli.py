@@ -342,23 +342,25 @@ class TestScan:
         assert code in (EXIT_OK, EXIT_DISAGREE)
         self.assert_rows_match_classifier(out, m_max, 3 if rank3 else 2)
 
-    @pytest.mark.parametrize("argv", [
-        ["scan", "--genus-range", "0:40", "--d1-range=-4:8", "--d2-range=-4:8",
-         "--class=1,0", "--m-max", "64"],
-        ["scan", "--genus-range", "1:2", "--d1-range=0:4", "--d2-range=-2:4",
-         "--d3-range=-2:4", "--m-max", "64"],
+    @pytest.mark.parametrize("argv, tables", [
+        (["scan", "--genus-range", "0:40", "--d1-range=-4:8", "--d2-range=-4:8",
+          "--class=1,0", "--m-max", "64"], 91),
+        (["scan", "--genus-range", "1:2", "--d1-range=0:4", "--d2-range=-2:4",
+          "--d3-range=-2:4", "--m-max", "64"], 56),
     ])
-    def test_grid_volumes_skip_table(self, capsys, monkeypatch, argv):
-        # Rank 2 and 3 have at most one knot on one side of 0, so no row
-        # of the two benchmark scan grids builds the divided-difference
-        # table.
+    def test_grid_builds_one_table_per_knot_set(self, capsys, monkeypatch, argv, tables):
+        # The rows of the two benchmark scan grids share few knot sets
+        # (a*d_i + b), and the volume builds the divided-difference table
+        # once for each.
         calls = []
+        table = sections._truncated_power_divdiff
         monkeypatch.setattr(sections, "_truncated_power_divdiff",
-                            lambda *args: calls.append(args))
+                            lambda knots: calls.append(knots) or table(knots))
+        sections._volume.cache_clear()
         code, out, _ = run_cli(capsys, *argv)
         assert code in (EXIT_OK, EXIT_DISAGREE)
         assert len(out.splitlines()) in (1 + 3731, 1 + 160)
-        assert calls == []
+        assert len(calls) == tables
 
     def test_rank3_grid(self, capsys):
         code, out, _ = run_cli(
@@ -588,8 +590,8 @@ REJECTED = [
     # volume 10^2200 has fewer
     (["classify", "--genus", "1", "--degrees", f"{10**2200},0", "--class", "1,0"],
      OVER_DIGITS),
-    # the volume a^(r-1) * r * K has over 4,300 digits, with the knots
-    # K just under and just over the size up to which it skips the table
+    # the volume a^(r-1) * r * K has over 4,300 digits, though no entry
+    # of the table over the knots (K, ..., K), K^r at most, has
     *((["classify", "--genus", "1", "--degrees=0,0", f"--class={10**2900},{k}"],
        OVER_DIGITS) for k in (2**4760 - 1, 2**4760)),
     *((["classify", "--genus", "1", "--degrees=0,0,0", f"--class={10**1900},{k}"],
@@ -665,8 +667,8 @@ class TestWorkBounds:
           "--m-max", str(2**39)],
          ["h0_lo: 0", "h0_hi: 2", "verdict: BIG_CERTIFIED",
           "sample_m_{}: [{}, {}]".format(2**39, *_rank2_sums(10**6, 2**39))]),
-        # knots (K, K) just under and just over the size up to which the
-        # volume skips the divided-difference table: one volume, 2K
+        # knots (K, K), K = 2^4760 - 1 and 2^4760, whose table entries,
+        # K^2 at most, have 2,866 digits: one volume, 2K
         *((["classify", "--genus", "1", "--degrees=0,0", f"--class=1,{k}"],
            [f"volume: {2 * k}"]) for k in (2**4760 - 1, 2**4760)),
         # genus 0, where lo = hi sums d + 1 over the 2,000,001 leaves

@@ -17,6 +17,7 @@ from ruledsurf import (
     growth_classify,
     h0_class_interval,
     h0_interval_curve,
+    intersect,
     volume,
 )
 from ruledsurf import sections
@@ -374,10 +375,28 @@ class TestVolume:
 
 
 
-def table_volume(s, cls):
-    """Reference for volume: a^(r-1) times the divided-difference table."""
+def residue_divdiff(knots):
+    """Reference for the table: the divided difference of max(t, 0)**r over
+    the r knots v, the sum over the distinct positive knots p of the
+    residue at p of t**r / prod(t - v_j).  At p of multiplicity m it is the
+    coefficient of (t - p)**(m-1): the Taylor coefficients C(r, k) p**(r-k)
+    of t**r at p, divided by t - v = (p - v) + (t - p) for each other knot
+    v, by c_k <- (c_k - c_(k-1))/(p - v)."""
+    total = Fraction(0)
+    for p in {v for v in knots if v > 0}:
+        c = [Fraction(comb(len(knots), k) * p ** (len(knots) - k)) for k in range(knots.count(p))]
+        for v in knots:
+            if v != p:
+                for k in range(len(c)):
+                    c[k] = (c[k] - (c[k - 1] if k else 0)) / (p - v)
+        total += c[-1]
+    return total
+
+
+def residue_volume(s, cls):
+    """Reference for volume: a^(r-1) times the residue sum."""
     knots = [cls.a * d + cls.b for d in s.bundle.degrees]
-    return Fraction(cls.a) ** (s.rank - 1) * sections._truncated_power_divdiff(knots)
+    return Fraction(cls.a) ** (s.rank - 1) * residue_divdiff(knots)
 
 
 # Knot magnitudes: small ones repeat and hit 0, large ones are distinct.
@@ -386,10 +405,11 @@ MAGNITUDES = st.one_of(st.integers(0, 3), st.integers(0, 10**6))
 
 @st.composite
 def knot_sets(draw):
-    """r = 2..6 knots, by sign pattern: none negative, none positive, one
-    positive, one negative, or any."""
-    r = draw(st.integers(2, 6))
-    pattern = draw(st.sampled_from(("no_neg", "no_pos", "one_pos", "one_neg", "any")))
+    """r = 2..7 knots, by sign pattern: none negative, none positive, one
+    positive, one negative, two or more on each side of 0 (r >= 4), or
+    any."""
+    pattern = draw(st.sampled_from(("no_neg", "no_pos", "one_pos", "one_neg", "two_each", "any")))
+    r = draw(st.integers(4 if pattern == "two_each" else 2, 7))
     mags = draw(st.lists(MAGNITUDES, min_size=r, max_size=r))
     if pattern == "no_neg":
         knots = mags
@@ -399,74 +419,39 @@ def knot_sets(draw):
         knots = [1 + mags[0]] + [-m for m in mags[1:]]
     elif pattern == "one_neg":
         knots = [-1 - mags[0]] + mags[1:]
+    elif pattern == "two_each":
+        knots = ([1 + m for m in mags[:2]] + [-1 - m for m in mags[2:4]]
+                 + [draw(st.sampled_from((m, -m))) for m in mags[4:]])
     else:
         knots = [draw(st.sampled_from((m, -m))) for m in mags]
     return draw(st.permutations(knots))
 
 
 class TestVolumeClosedForm:
+    # volume against closed forms: the residue sum, D^r on nef classes
+    # and, in rank 2, the Zariski decomposition.
     @given(knot_sets())
     @settings(max_examples=600)
-    def test_one_sided_matches_table(self, knots):
-        # The table is the oracle; the closed form declines only when two
-        # or more knots lie on each side of 0.
-        got = sections._one_sided_divdiff(knots)
-        if min(sum(v > 0 for v in knots), sum(v < 0 for v in knots)) >= 2:
-            assert got is None
-        else:
-            num, den = got
-            assert den > 0
-            assert Fraction(num, den) == sections._truncated_power_divdiff(knots)
+    def test_table_matches_residue_sum(self, knots):
+        assert sections._truncated_power_divdiff(knots) == residue_divdiff(knots)
 
     @given(st.integers(0, 40), st.lists(st.integers(-6, 6), min_size=2, max_size=6),
            st.integers(1, 5), st.integers(-30, 30))
     @settings(max_examples=400)
     def test_volume_matches_table(self, g, degrees, a, b):
         s = surface(g, *degrees)
-        assert volume(s, NumClass(a, b)) == table_volume(s, NumClass(a, b))
+        assert volume(s, NumClass(a, b)) == residue_volume(s, NumClass(a, b))
 
-    @pytest.mark.parametrize("r, bits", [(2, 4760), (3, 2379), (4, 1427), (6, 679)])
-    def test_guard_edge(self, r, bits):
-        # The closed form is taken up to (bits(K) + 1) * C(r+1, 2) <=
-        # 14284 for knots |v| <= K, the table above; both give one volume.
-        calls = []
-        original = sections._truncated_power_divdiff
-
-        def counting(knots):
-            calls.append(len(knots))
-            return original(knots)
-
-        for k in (bits, bits + 1):
-            K = 2**k - 1
-            s = surface(1, K, *[0] * (r - 2), -K)
-            cls = NumClass(1, 0)
-            want = table_volume(s, cls)
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(sections, "_truncated_power_divdiff", counting)
-                assert volume(s, cls) == want
-        assert calls == [r]
-        assert (bits + 1) * comb(r + 1, 2) <= sections._LIMIT_BITS < (bits + 2) * comb(r + 1, 2)
-
-    @given(st.integers(2, 6), st.integers(1, 600), st.data())
-    @settings(max_examples=200, deadline=None)
-    def test_table_entries_under_guard_bound(self, r, bits, data):
-        # The bound the guard rests on: every entry of the table over
-        # knots |v| <= K has numerator and denominator at most
-        # (2K)^C(r+1, 2).
-        knots = data.draw(st.lists(st.one_of(st.integers(-3, 3),
-                                             st.integers(-2**bits, 2**bits)),
-                                   min_size=r, max_size=r))
-        bound = (2 * max(1, *map(abs, knots))) ** comb(r + 1, 2)
-        entries = []
-
-        def recording(x):
-            entries.append(x)
-            return x
-
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(sections, "_check_digits", recording)
-            sections._truncated_power_divdiff(knots)
-        assert all(abs(x.numerator) <= bound and x.denominator <= bound for x in entries)
+    @given(st.integers(2, 6), st.one_of(st.integers(0, 5), st.integers(0, 10**9)),
+           st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_nef_volume_is_top_intersection(self, r, g, data):
+        # On a nef class, a >= 0 and b >= -a*d_r, vol(D) = D^r.
+        degrees = data.draw(st.lists(st.integers(-8, 8), min_size=r, max_size=r))
+        s = surface(g, *degrees)
+        a = data.draw(st.integers(0, 8))
+        cls = NumClass(a, data.draw(st.integers(-a * min(degrees), -a * min(degrees) + 40)))
+        assert volume(s, cls) == intersect(s, [cls] * r)
 
     def test_zariski_rank2(self):
         # In rank 2 the closed form is the Zariski decomposition: with

@@ -157,11 +157,13 @@ def frobenius_pullback(curve: Curve, bundle: SplitBundle, e: int) -> SplitBundle
     p = curve.characteristic
     if p == 0:
         raise ValueError("Frobenius undefined in characteristic zero")
+    if not any(bundle.degrees):
+        return bundle
     what = f"frobenius: e = {e} makes the degrees p^e*d pass"
     # 2**(e * (bits(p) - 1)) <= p**e: an e that is too large is refused unbuilt.
     check_digits(what, 1 << min(e * (p.bit_length() - 1), DIGIT_LIMIT.bit_length()))
     scale = p**e
-    check_digits(what, scale * max(1, *(abs(d) for d in bundle.degrees)))
+    check_digits(what, scale * max(abs(d) for d in bundle.degrees))
     return SplitBundle(tuple(scale * d for d in bundle.degrees))
 
 

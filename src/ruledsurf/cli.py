@@ -123,10 +123,9 @@ def cmd_classify(args: argparse.Namespace) -> tuple[int, list[str]]:
         f"class: {cls}",
         f"big: {_bool_str(big_test(surface, cls))}",
         f"pseff: {_bool_str(pseff_test(surface, cls))}",
+        f"nef: {_bool_str(nef_test(surface, cls))}",
+        f"volume: {volume(surface, cls)}",
     ]
-    if surface.rank == 2:
-        lines.append(f"nef: {_bool_str(nef_test(surface, cls))}")
-    lines.append(f"volume: {volume(surface, cls)}")
     if surface.curve.characteristic > 0 and bundle.rank == 2:
         e = min_destabilizing_e(surface.curve, bundle)
         lines.append(f"min_destabilizing_e: {'none' if e is None else e}")

@@ -10,7 +10,7 @@ a > 0 and b + a*mu_max(E) > 0, mu_max(E) being the largest summand
 degree.  For the anticanonical class of a rank-2 surface this reads
 deg L - deg M > 2g - 2, and for O(n) twisted by a degree-c pullback it
 reads n*deg L + c > 0 on P(L + O).  The nef test is the dual statement
-with mu_min and is only supported in rank 2.
+with mu_min, in every rank: a >= 0 and b + a*mu_min(E) >= 0.
 """
 from __future__ import annotations
 
@@ -115,13 +115,12 @@ def pseff_test(surface: RuledSurface, cls: NumClass) -> bool:
 
 
 def nef_test(surface: RuledSurface, cls: NumClass) -> bool:
-    """Rank 2 only: nef iff a >= 0 and b + a*mu_min(E) >= 0.
-
-    Equivalently the class pairs non-negatively with the fiber and with
-    the negative section xi - d_1*f.
+    """Nef iff a >= 0 and b + a*d_r >= 0, d_r = mu_min(E), in every rank:
+    a*xi + b*f = a*(xi - d_r*f) + (b + a*d_r)*f, and xi - d_r*f is the O(1)
+    of E (x) L_r^-1, a sum of line bundles of degree >= 0, so it is nef.
+    Sharp: the class is a*d_r + b on the section sigma_r of the quotient
+    E -> L_r, and a on a line in a fiber (Lazarsfeld, Positivity II, 6.1-6.2).
     """
-    if surface.rank != 2:
-        raise ValueError("nef test unsupported for rank >= 3")
     if cls.a < 0:
         return False
     return cls.b + cls.a * surface.bundle.mu_min >= 0

@@ -110,6 +110,13 @@ class TestClassify:
         assert "volume: 1" in out
         assert "nef: false" in out  # -K pairs negatively with the section
 
+    def test_rank3_prints_nef_after_pseff(self, capsys):
+        # -K = 3*xi + 0*f on P(O(2) + O + O) over P^1 is nef, with
+        # vol = (3*xi)^3 = 27*deg E = 54.
+        code, out, _ = run_cli(capsys, "classify", "--genus", "0", "--degrees", "2,0,0")
+        assert code == EXIT_OK
+        assert "big: true\npseff: true\nnef: true\nvolume: 54\n" in out
+
     def test_genus2_not_big(self, capsys):
         code, out, _ = run_cli(capsys, "classify", "--genus", "2", "--degrees", "2,0")
         assert code == EXIT_OK
@@ -829,6 +836,13 @@ class TestFrobenius:
         assert len(out.split()[1].split(",")[0]) == 4300
         err = run_refused(capsys, *argv, "--e", "9012")
         assert "e = 9012 makes the degrees p^e*d pass the limit of 4300 decimal digits" in err
+
+    def test_zero_degrees_any_e(self, capsys):
+        # p^e alone passes 4,300 digits, but every pulled-back degree is 0.
+        code, out, _ = run_cli(capsys, "frobenius", "--genus", "1", "--char", "2",
+                               "--degrees", "0,0", "--e", "20000")
+        assert code == EXIT_OK
+        assert "pullback_degrees: 0,0" in out
 
 
 # ------------------------------------------------------------------ argv fuzz

@@ -18,6 +18,7 @@ from ruledsurf import (
     h0_class_interval,
     h0_interval_curve,
     intersect,
+    nef_test,
     volume,
 )
 from ruledsurf import sections
@@ -451,6 +452,7 @@ class TestVolumeClosedForm:
         s = surface(g, *degrees)
         a = data.draw(st.integers(0, 8))
         cls = NumClass(a, data.draw(st.integers(-a * min(degrees), -a * min(degrees) + 40)))
+        assert nef_test(s, cls)
         assert volume(s, cls) == intersect(s, [cls] * r)
 
     def test_zariski_rank2(self):

@@ -2,7 +2,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ruledsurf import (
@@ -228,13 +228,44 @@ class TestNefTest:
         assert intersect(s, [sigma, sigma]) == -1
         assert not nef_test(s, sigma)
 
-    def test_rank3_unsupported(self):
-        s = RuledSurface(Curve(1), SplitBundle((1, 0, 0)))
-        with pytest.raises(ValueError, match="rank"):
-            nef_test(s, NumClass(1, 0))
+    def test_rank3_rule(self):
+        # Nef iff a >= 0 and b >= -a*d_r: on (2, 1, -1), xi + f is nef and
+        # xi is not, as it pairs to -1 with the section of E -> O(-1).
+        s = RuledSurface(Curve(1), SplitBundle((2, 1, -1)))
+        assert nef_test(s, NumClass(1, 1)) and nef_test(s, NumClass(0, 1))
+        assert not nef_test(s, NumClass(1, 0))
+        assert not nef_test(s, NumClass(-1, 10))
+
+    @given(st.integers(2, 6), st.one_of(st.integers(0, 5), st.just(10**9)), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_rule_is_curve_pairings(self, r, g, data):
+        # Nef iff D pairs non-negatively with a line l in a fiber and with
+        # the section sigma_r of E -> L_r, both computed by intersect
+        # alone: xi^(r-2).f is a line, and the product of xi - d_i*f over
+        # i < r is sigma_r.
+        degrees = sorted(data.draw(st.lists(st.integers(-8, 8), min_size=r, max_size=r)),
+                         reverse=True)
+        s = RuledSurface(Curve(g), SplitBundle(degrees))
+        cls = NumClass(data.draw(st.integers(-3, 8)), data.draw(st.integers(-60, 60)))
+        on_section = intersect(s, [cls, *(NumClass(1, -d) for d in degrees[:-1])])
+        on_line = intersect(s, [cls, *[NumClass(1, 0)] * (r - 2), NumClass(0, 1)])
+        assert (on_section, on_line) == (cls.a * degrees[-1] + cls.b, cls.a)
+        assert nef_test(s, cls) == (on_line >= 0 and on_section >= 0)
 
     @given(st.integers(1, 3), st.integers(-4, 4), st.integers(-4, 4), small_classes)
     def test_nef_and_positive_implies_big(self, g, d1, d2, cls):
         s = RuledSurface(Curve(g), SplitBundle((d1, d2)))
         if nef_test(s, cls) and cls.a > 0 and intersect(s, [cls, cls]) > 0:
             assert big_test(s, cls)
+
+
+def test_anticanonical_nef_and_big():
+    # -K = r*xi - (2g - 2 + deg E)*f is nef and big iff g = 0 and
+    # sum_i (d_i - d_r) <= 2; in rank 2 that is e <= 2 on F_e.
+    for r in range(2, 6):
+        for degrees in itertools.combinations_with_replacement(range(3, -4, -1), r):
+            for g in range(4):
+                s = RuledSurface(Curve(g), SplitBundle(degrees))
+                mk = -canonical_class(s)
+                want = g == 0 and sum(d - degrees[-1] for d in degrees) <= 2
+                assert (nef_test(s, mk) and big_test(s, mk)) == want, (g, degrees)

@@ -18,7 +18,7 @@ from fractions import Fraction
 from .blowups import BlownUpSurface, BlowupScenario, certify_big_anticanonical, check_class
 from .bundles import (MAX_DIGITS, Curve, SplitBundle, frobenius_pullback, hn_data, is_int,
                       min_destabilizing_e)
-from .sections import Verdict, growth_classify, ladder, volume
+from .sections import TOO_LONG, Verdict, growth_classify, ladder, volume
 from .surfaces import NumClass, RuledSurface, big_test, canonical_class, nef_test, pseff_test
 
 EXIT_OK = 0
@@ -31,13 +31,10 @@ EXIT_IO = 3
 MAX_SCAN_POINTS = 10**5
 
 
-# Python's own refusal to convert an int past MAX_DIGITS digits, worded
-# once for the command line and for main.
-TOO_LONG = f"a number passes the limit of {MAX_DIGITS} decimal digits"
-
-
 def _too_long(err: ValueError) -> bool:
-    return "set_int_max_str_digits" in str(err)
+    """Whether err is Python's own refusal to convert an int past
+    MAX_DIGITS digits, or growth_classify's to sum counts too long to print."""
+    return "set_int_max_str_digits" in str(err) or str(err) == TOO_LONG
 
 
 def _shorten(message: str) -> str:
@@ -134,10 +131,14 @@ def cmd_classify(args: argparse.Namespace) -> tuple[int, list[str]]:
 
 # -------------------------------------------------------------------- scan
 
-def _scan_surfaces(args: argparse.Namespace) -> list[RuledSurface]:
-    """The scan grid in emission order: genus, characteristic (each once,
-    sorted), then the non-increasing degree tuples in lexicographic order,
-    sharing one Curve per (genus, char) and one SplitBundle per degree tuple."""
+def _scan_grid(args: argparse.Namespace) -> tuple[list[list[Curve]], list[SplitBundle]]:
+    """The scan grid as blocks of curves and the bundles: its rows, in
+    emission order, are each block's curves in turn, each with every
+    bundle.  Genera and characteristics (each once, sorted) run in that
+    order, the non-increasing degree tuples in lexicographic order.  All
+    curves of a block share each bundle's class: a fixed --class puts
+    every curve in one block, -K (which reads the genus) makes one block a
+    genus."""
     genera, chars = args.genus_range, sorted(set(args.chars))
     ranges = [args.d1_range, args.d2_range, *([args.d3_range] if args.d3_range else [])]
     # stop - start, not len(): len() of a range past sys.maxsize overflows.
@@ -149,27 +150,47 @@ def _scan_surfaces(args: argparse.Namespace) -> list[RuledSurface]:
                if all(x >= y for x, y in zip(degs, degs[1:]))]
     if not bundles:
         raise ValueError("scan grid is empty (degree ranges never satisfy d1 >= d2 >= d3)")
-    curves = [Curve(g, p) for g in genera for p in chars]
-    return [RuledSurface(curve, bundle) for curve in curves for bundle in bundles]
+    blocks = [[Curve(g, p) for p in chars] for g in genera]
+    if args.num_class is not None:
+        blocks = [[curve for block in blocks for curve in block]]
+    return blocks, bundles
 
 
 def cmd_scan(args: argparse.Namespace) -> tuple[int, list[str]]:
-    surfaces = _scan_surfaces(args)
-    rows = [(surface, args.num_class if args.num_class is not None else -canonical_class(surface))
-            for surface in surfaces]
+    blocks, bundles = _scan_grid(args)
+    # A group for each bundle in each block: the class on the bundle over
+    # each of the block's curves.  The surface over the first curve stands
+    # for them all in -K, which reads only the genus, and in the slope test.
+    groups = []
+    for block in blocks:
+        for bundle in bundles:
+            surface = RuledSurface(block[0], bundle)
+            cls = args.num_class if args.num_class is not None else -canonical_class(surface)
+            groups.append((surface, cls, block))
+    rows = len(bundles) * sum(map(len, blocks))
+    classified = growth_classify(f"scan of {rows} rows up to m = {args.m_max}",
+                                 groups, (args.m_max,))
     lines = ["\t".join(["genus", "char", "d1", "d2", *(["d3"] if args.d3_range else []),
                          "a", "b", "big", "verdict", "volume", "agree"])]
     code = EXIT_OK
-    classified = growth_classify(f"scan of {len(rows)} rows up to m = {args.m_max}",
-                                 rows, (args.m_max,))
-    for (surface, cls), (verdict, vol, _) in zip(rows, classified):
-        big = big_test(surface, cls)
-        agree = verdict is (Verdict.BIG_CERTIFIED if big else Verdict.NOT_BIG_CERTIFIED)
-        if not agree:
-            code = EXIT_DISAGREE
-        fields = [*surface.curve, *surface.bundle.degrees, *cls,
-                  _bool_str(big), verdict.value, vol, _bool_str(agree)]
-        lines.append("\t".join(map(str, fields)))
+    results = zip(groups, classified)
+    for block in blocks:
+        # The columns after the curve's two: a list for each group of the
+        # block, an entry for each of its rows.
+        columns = []
+        for (surface, cls, _), (vol, verdicts, _) in itertools.islice(results, len(bundles)):
+            big = big_test(surface, cls)
+            expected = Verdict.BIG_CERTIFIED if big else Verdict.NOT_BIG_CERTIFIED
+            if verdicts.count(expected) < len(verdicts):
+                code = EXIT_DISAGREE
+            head = "\t".join(map(str, [*surface.bundle.degrees, *cls, _bool_str(big), ""]))
+            tails = dict.fromkeys(verdicts)
+            for verdict in tails:
+                tails[verdict] = f"{head}{verdict.value}\t{vol}\t{_bool_str(verdict is expected)}"
+            columns.append(list(map(tails.__getitem__, verdicts)))
+        for j, curve in enumerate(block):
+            fields = f"{curve.genus}\t{curve.characteristic}\t"
+            lines += [fields + column[j] for column in columns]
     return code, lines
 
 
@@ -248,7 +269,8 @@ def cmd_h0(args: argparse.Namespace) -> tuple[int, list[str]]:
         what, rungs = f"class {cls}", (1,)
     else:
         what, rungs = f"class {cls} up to m = {args.m_max}", (1, *ladder(args.m_max))
-    [(verdict, vol, intervals)] = growth_classify(what, [(surface, cls)], rungs)
+    [(vol, [verdict], samples)] = growth_classify(what, [(surface, cls, [surface.curve])], rungs)
+    intervals = [interval for [interval] in samples]
     lines = [
         f"class: {cls}",
         f"h0_lo: {intervals[0].lo}",

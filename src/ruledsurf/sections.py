@@ -28,8 +28,12 @@ vertex values v_i = a*d_i + b (in rank 2, the Zariski decomposition's
 vol = D^2 + (D.C_0)^2/e).  It is read off one divided-difference table,
 with repeated vertex values handled as confluent knots (derivative
 entries), never by perturbation, and each entry checked against
-MAX_DIGITS; the table is built once per (a, knots), since a scan's rows
-share few knot sets.
+MAX_DIGITS; the table is built once per (a, knots).
+
+growth_classify classifies groups of rows that share a bundle and a class
+on different curves.  The price of the sums, the volume and the verdict
+threshold read only the bundle and the class, so they are taken once per
+group; each row is still summed once at each rung and checked lo <= hi.
 """
 from __future__ import annotations
 
@@ -40,8 +44,13 @@ from fractions import Fraction
 from functools import lru_cache, partial
 from math import comb, factorial
 
-from .bundles import Curve, check_digits
+from .bundles import DIGIT_LIMIT, MAX_DIGITS, Curve, check_digits
 from .surfaces import NumClass, RuledSurface
+
+# Python's own refusal to convert an int past MAX_DIGITS digits, worded
+# once: for the command line, and for the counts growth_classify refuses
+# to sum because they could not be printed.
+TOO_LONG = f"a number passes the limit of {MAX_DIGITS} decimal digits"
 
 
 class H0Interval(namedtuple("H0Interval", "lo hi")):
@@ -59,6 +68,10 @@ class Verdict(enum.Enum):
     BIG_CERTIFIED = "BIG_CERTIFIED"
     NOT_BIG_CERTIFIED = "NOT_BIG_CERTIFIED"
     INCONCLUSIVE = "INCONCLUSIVE"
+
+    # Members are singletons: hashed by identity, in C, rather than by
+    # Enum's name hash, in Python, since a scan looks one up per row.
+    __hash__ = object.__hash__
 
 
 def _ramps(genus: int) -> tuple[tuple[int, int, int], ...]:
@@ -215,6 +228,10 @@ def lattice_work(surface: RuledSurface, cls: NumClass) -> int:
     over the nodes, C(a+r-2, r-2) - C(a+r-2-M, r-2).
     Every unit is weighted 1 + size*(bits(a) + 500) // 400000 for long
     integers, size the bit length of |b| + a*max|d_i|, a bound on |degree|.
+
+    The price reads the bundle and the class, not the curve: it is the
+    same on every genus and characteristic, and growth_classify takes it
+    once for all the curves of a (bundle, class) group.
     """
     if cls.a < 0:
         return 0
@@ -230,25 +247,26 @@ def lattice_work(surface: RuledSurface, cls: NumClass) -> int:
     return units * (1 + size * (a.bit_length() + 500) // 400000)
 
 
-def _check_work(what: str, queries: Sequence[tuple[RuledSurface, NumClass]]) -> None:
-    """One price for the lattice sums of all (surface, cls) queries: their
-    lattice_work together, checked against MAX_LATTICE_WORK before any sum,
-    bounds each query's, since no query's work is negative.  Raises
-    ValueError, naming `what`, when it exceeds the limit.
+def _check_work(what: str, work: int) -> None:
+    """Refuse, naming `what`, a request whose lattice sums together need
+    `work` units (see lattice_work) above MAX_LATTICE_WORK: checked before
+    any sum, the total bounds each sum's, since no sum's work is negative.
     """
-    work = sum(lattice_work(surface, cls) for surface, cls in queries)
     if work > MAX_LATTICE_WORK:
         raise ValueError(f"{what}: the lattice sums need {work} work units, "
                          f"above the limit of {MAX_LATTICE_WORK}")
 
 
-def _interval(surface: RuledSurface, cls: NumClass) -> H0Interval:
-    """h0_class_interval of a query already priced by _check_work."""
+def _intervals(degrees: Sequence[int], cls: NumClass, curves: Sequence[Curve]) -> list[H0Interval]:
+    """h0_class_interval of cls on the bundle of the given degrees over each
+    of the curves, a query already priced by _check_work: one lattice sum
+    for each curve, unless a < 0 or cls = (0, 0)."""
     if cls.a < 0:
-        return H0Interval(0, 0)
+        return [H0Interval(0, 0)] * len(curves)
     if cls.a == 0 and cls.b == 0:
-        return H0Interval(1, 1)
-    return H0Interval(*_slice_interval(surface.curve, surface.bundle.degrees, 0, cls.b, cls.a))
+        return [H0Interval(1, 1)] * len(curves)
+    a, b = cls
+    return [H0Interval(*_slice_interval(curve, degrees, 0, b, a)) for curve in curves]
 
 
 def h0_class_interval(surface: RuledSurface, cls: NumClass) -> H0Interval:
@@ -260,8 +278,9 @@ def h0_class_interval(surface: RuledSurface, cls: NumClass) -> H0Interval:
     Raises ValueError, before walking, when the work exceeds
     MAX_LATTICE_WORK.
     """
-    _check_work(f"class {cls}", [(surface, cls)])
-    return _interval(surface, cls)
+    _check_work(f"class {cls}", lattice_work(surface, cls))
+    [interval] = _intervals(surface.bundle.degrees, cls, [surface.curve])
+    return interval
 
 
 def _check_digits(x: Fraction | int) -> Fraction | int:
@@ -295,8 +314,10 @@ def _truncated_power_divdiff(knots: Sequence[int]) -> Fraction | int:
 @lru_cache(maxsize=1024)
 def _volume(a: int, knots: tuple[int, ...]) -> Fraction:
     """The volume of a class with a > 0 and knots v_i = a*d_i + b, cached
-    per (a, knots): the 3,731 rows of the shipped rank-2 scan grid share
-    91 knot sets, and the 160 of the rank-3 grid 56."""
+    per (a, knots).  growth_classify takes it once per (bundle, class),
+    which reads no curve: once for each of the 91 groups of the shipped
+    rank-2 scan grid's 3,731 rows; the 160 groups of the rank-3 grid, one
+    a row under -K, share 56 knot sets."""
     return _check_digits(Fraction(a) ** (len(knots) - 1) * _truncated_power_divdiff(knots))
 
 
@@ -322,9 +343,9 @@ def ladder(m_max: int) -> tuple[int, ...]:
     return tuple(m_max >> k for k in reversed(range(m_max.bit_length() - 3)))
 
 
-def _verdict(r: int, vol: Fraction, m_max: int, lo: int) -> Verdict:
-    """The verdict on a class cls of volume vol in rank r, from lo =
-    lo(m_max * cls).
+def _verdicts(r: int, vol: Fraction, m_max: int, tops: Sequence[H0Interval]) -> list[Verdict]:
+    """The verdict on a class cls of volume vol in rank r on each curve,
+    from that curve's interval at m_max * cls in `tops`.
 
     - NOT_BIG_CERTIFIED iff vol == 0.  A class is big exactly when its
       volume is positive, and the upper bounds at finitely many m cannot
@@ -332,37 +353,52 @@ def _verdict(r: int, vol: Fraction, m_max: int, lo: int) -> Verdict:
       guess.  Only the exact volume can certify non-bigness.
     - BIG_CERTIFIED iff fitted = r! * lo / m_max^r > vol / 2: the
       certified lower bounds already reach half of the exact asymptote.
-      Decided in integers, as 2 * r! * lo * den > num * m_max^r for
-      vol = num/den.
+      Decided in integers, for vol = num/den, as lo > t = floor(num *
+      m_max^r / (2 * r! * den)), the same test as 2 * r! * lo * den >
+      num * m_max^r since lo is an integer; t is taken once for all curves.
     - INCONCLUSIVE otherwise: vol > 0, but the count at m_max does not
       yet confirm it.
     """
     if vol == 0:
-        return Verdict.NOT_BIG_CERTIFIED
-    if 2 * factorial(r) * lo * vol.denominator > vol.numerator * m_max**r:
-        return Verdict.BIG_CERTIFIED
-    return Verdict.INCONCLUSIVE
+        return [Verdict.NOT_BIG_CERTIFIED] * len(tops)
+    t = vol.numerator * m_max**r // (2 * factorial(r) * vol.denominator)
+    big, inconclusive = Verdict.BIG_CERTIFIED, Verdict.INCONCLUSIVE
+    return [big if top.lo > t else inconclusive for top in tops]
 
 
-def growth_classify(what: str, rows: Sequence[tuple[RuledSurface, NumClass]],
-                    rungs: Sequence[int]) -> list[tuple[Verdict, Fraction, tuple[H0Interval, ...]]]:
-    """Classify the bigness of each (surface, cls) row from its exact
-    volume, confirmed by section counts.
+def growth_classify(what: str, groups: Sequence[tuple[RuledSurface, NumClass, Sequence[Curve]]],
+                    rungs: Sequence[int]
+                    ) -> list[tuple[Fraction, list[Verdict], list[list[H0Interval]]]]:
+    """Classify the bigness of classes on projective bundles from their
+    exact volume, confirmed by section counts.  A group (surface, cls,
+    curves) asks for cls on P_C(E), E the bundle of the surface, for each
+    curve C of curves: one row each.
 
     Samples the interval of h0_class_interval on m*cls at each m of the
-    ascending rungs, for every row, priced together by one check: when
-    their summed lattice_work exceeds MAX_LATTICE_WORK, ValueError, naming
-    `what`, is raised before any sum (`scan` passes (m_max,), `h0 --m-max`
-    (1, *ladder(m_max))).  Every volume is taken after the price and before
-    the sums, so one past MAX_DIGITS digits is refused at once.  Only the
-    last rung decides, by the rule of _verdict.  Returns (verdict, volume,
-    the interval at each rung) for each row.
+    ascending rungs, for every row (`scan` passes (m_max,), `h0 --m-max`
+    (1, *ladder(m_max))).  The price, the volume and the verdict threshold
+    read E and cls but no curve, so they are taken once per group, on its
+    surface; each row is summed on its own at each rung, and checked
+    lo <= hi.  The price of all sums together, each group's lattice_work
+    at each rung times its row count, is checked first: above
+    MAX_LATTICE_WORK, ValueError, naming `what`, is raised before any sum.
+    Every volume is then taken before the sums, so one past MAX_DIGITS
+    digits is refused at once.  The top rung is summed first, and only it
+    decides, by the rule of _verdicts.  Lower rungs are there only to be
+    printed, and the top one with them: when there are any, a top-rung
+    count past MAX_DIGITS digits is refused, ValueError(TOO_LONG), before
+    they are summed.  Returns, for each group, (volume, the verdict on
+    each curve, for each rung the interval on each curve).
     """
-    queries = [(surface, m * cls) for surface, cls in rows for m in rungs]
-    _check_work(what, queries)
-    volumes = [volume(surface, cls) for surface, cls in rows]
-    n, m_max = len(rungs), rungs[-1]
-    intervals = [_interval(surface, cls) for surface, cls in queries]
-    return [(_verdict(surface.rank, vol, m_max, intervals[i * n + n - 1].lo), vol,
-             tuple(intervals[i * n:(i + 1) * n]))
-            for i, ((surface, _), vol) in enumerate(zip(rows, volumes))]
+    queries = [[m * cls for m in rungs] for _, cls, _ in groups]
+    _check_work(what, sum(len(curves) * lattice_work(surface, query)
+                          for (surface, _, curves), scaled in zip(groups, queries)
+                          for query in scaled))
+    volumes = [volume(surface, cls) for surface, cls, _ in groups]
+    tops = [_intervals(surface.bundle.degrees, scaled[-1], curves)
+            for (surface, _, curves), scaled in zip(groups, queries)]
+    if len(rungs) > 1 and any(top.hi >= DIGIT_LIMIT for group in tops for top in group):
+        raise ValueError(TOO_LONG)
+    return [(vol, _verdicts(surface.rank, vol, rungs[-1], top),
+             [_intervals(surface.bundle.degrees, query, curves) for query in scaled[:-1]] + [top])
+            for (surface, _, curves), scaled, vol, top in zip(groups, queries, volumes, tops)]

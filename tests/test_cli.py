@@ -14,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from ruledsurf import Curve, NumClass, RuledSurface, SplitBundle, sections
+from ruledsurf import Curve, NumClass, RuledSurface, SplitBundle, Verdict, big_test, sections
 from ruledsurf.cli import EXIT_DISAGREE, EXIT_IO, EXIT_OK, EXIT_VALIDATION, main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -277,17 +277,35 @@ class TestScan:
         assert calls == [64 * NumClass(2, 2 - 2 * g - d1) for g in (1, 2) for d1 in range(5)]
 
     def test_prices_each_row_once(self, capsys, monkeypatch):
-        # The scan-r2 grid: one lattice_work call per row, in the scan's
-        # total, and none in a row's own sum.
-        calls = []
-        original = sections.lattice_work
-        monkeypatch.setattr(sections, "lattice_work",
-                            lambda surface, cls: calls.append(cls) or original(surface, cls))
+        # The scan-r2 grid: its 3,731 rows share 91 (bundle, class) pairs,
+        # and lattice_work, which reads no curve, is called once for each,
+        # at m_max * cls, in the scan's total (pinned by
+        # test_over_limit_scan_sums_nothing) and never inside a row's sum.
+        calls, summing = [], []
+        work, walk = sections.lattice_work, sections._slice_interval
+
+        def lattice_work(surface, cls):
+            assert not summing
+            calls.append((surface.bundle, cls))
+            return work(surface, cls)
+
+        def slice_interval(*args):
+            summing.append(True)
+            try:
+                return walk(*args)
+            finally:
+                summing.pop()
+
+        monkeypatch.setattr(sections, "lattice_work", lattice_work)
+        monkeypatch.setattr(sections, "_slice_interval", slice_interval)
         code, out, _ = run_cli(capsys, "scan", "--genus-range", "0:40", "--d1-range=-4:8",
                                "--d2-range=-4:8", "--class=1,0", "--m-max", "64")
         assert code == EXIT_DISAGREE
-        assert len(out.splitlines()) == 1 + 3731
-        assert len(calls) == 3731
+        rows = [line.split("\t") for line in out.splitlines()[1:]]
+        assert len(rows) == 3731
+        pairs = {(SplitBundle((int(d1), int(d2))), NumClass(64, 0)) for _, _, d1, d2, *_ in rows}
+        assert len(calls) == len(set(calls)) == 91
+        assert set(calls) == pairs
 
     def test_over_limit_scan_sums_nothing(self, capsys, monkeypatch):
         # Every row's top rung is under the limit (493 units), the 13,824
@@ -310,27 +328,41 @@ class TestScan:
 
     @staticmethod
     def assert_rows_match_classifier(out, m_max, ranks):
-        # Every row's verdict and volume are growth_classify's at (m_max,).
+        # Every row's verdict and volume are growth_classify's at (m_max,)
+        # on that row alone, its big flag the slope test's, and its agree
+        # flag whether the verdict certifies that flag.
         rows = [line.split("\t") for line in out.splitlines()[1:]]
         assert rows
         for row in rows:
             g, p, *degs = map(int, row[:2 + ranks])
             a, b = map(int, row[2 + ranks:4 + ranks])
             surface = RuledSurface(Curve(g, p), SplitBundle(tuple(degs)))
-            [(verdict, vol, _)] = sections.growth_classify("row", [(surface, NumClass(a, b))],
-                                                           (m_max,))
-            assert row[5 + ranks:7 + ranks] == [verdict.value, str(vol)]
+            cls = NumClass(a, b)
+            [(vol, [verdict], _)] = sections.growth_classify(
+                "row", [(surface, cls, [surface.curve])], (m_max,))
+            big = big_test(surface, cls)
+            agree = verdict is (Verdict.BIG_CERTIFIED if big else Verdict.NOT_BIG_CERTIFIED)
+            assert row[4 + ranks:] == [str(big).lower(), verdict.value, str(vol),
+                                       str(agree).lower()]
 
     @pytest.mark.parametrize("argv, m_max, ranks", [
         (["--genus-range", "29:30", "--d1-range=-2:3", "--d2-range=-2:1", "--class", "1,0"], 16, 2),
         (["--genus-range", "0:2", "--chars", "0,2", "--d1-range=0:3", "--d2-range=-2:2",
           "--d3-range=-2:2"], 32, 3),
+        # A fixed class: one group a bundle, each over 2 x 10 curves, the
+        # genus 7 to 9 rows INCONCLUSIVE and the lower ones not.
+        (["--genus-range", "0:9", "--chars", "0,2", "--d1-range=-2:3", "--d2-range=-2:1",
+          "--class", "1,0"], 16, 2),
+        # The same in rank 3, over 2 x 7 curves, INCONCLUSIVE at genus 6.
+        (["--genus-range", "0:6", "--chars", "0,2", "--d1-range=0:3", "--d2-range=-2:2",
+          "--d3-range=-2:2", "--class", "1,0"], 16, 3),
     ])
     def test_rows_follow_classifier(self, capsys, argv, m_max, ranks):
         code, out, _ = run_cli(capsys, "scan", *argv, "--m-max", str(m_max))
         assert code in (EXIT_OK, EXIT_DISAGREE)
-        # The genus 29:30 rows reach all three branches of the rule.
-        assert "INCONCLUSIVE" in out or ranks == 3
+        # With a fixed class the rows reach INCONCLUSIVE, the third branch
+        # of the rule.
+        assert "INCONCLUSIVE" in out or "--class" not in argv
         self.assert_rows_match_classifier(out, m_max, ranks)
 
     @given(st.integers(0, 12), st.integers(0, 4), st.integers(-3, 3), st.integers(0, 3),
@@ -489,8 +521,9 @@ class TestH0:
         code, out, _ = run_cli(capsys, "h0", "--genus", "2", "--degrees", "5,0",
                                "--m-max", "64")
         assert code == EXIT_OK
-        # The class itself, then each rung of the ladder 8, 16, 32, 64.
-        assert calls == [m * NumClass(2, -7) for m in (1, 8, 16, 32, 64)]
+        # The top rung 64 first, then the class itself and each rung of
+        # the ladder below it, 8, 16, 32.
+        assert calls == [m * NumClass(2, -7) for m in (64, 1, 8, 16, 32)]
         samples = [line.split(":")[0] for line in out.splitlines() if line.startswith("sample_m_")]
         assert samples == ["sample_m_8", "sample_m_16", "sample_m_32", "sample_m_64"]
 
@@ -510,9 +543,13 @@ class TestH0:
     def test_counts_past_digit_limit_refused(self, capsys, degrees, exponent):
         # The lattice sums are under the work limit, but the counts at the
         # top rung m = 10^exponent have more than 4,300 digits, too many to
-        # print.
+        # print: refused once the top rung is summed, before the thousands
+        # of rungs below it.  The 1 s bound checks that loosely; summing
+        # every rung first takes seconds.
+        start = time.perf_counter()
         code, out, err = run_cli(capsys, "h0", "--genus", "1", "--degrees", degrees,
                                  "--class", "1,0", "--m-max", str(10**exponent))
+        assert time.perf_counter() - start < 1.0
         assert (code, out) == (EXIT_VALIDATION, "")
         assert err == "error: h0: a number passes the limit of 4300 decimal digits\n"
 

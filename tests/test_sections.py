@@ -496,11 +496,29 @@ class TestLeadingCoefficient:
 
 def classify(s, cls, rungs):
     """growth_classify on the one row (s, cls): (verdict, volume, intervals)."""
-    [row] = growth_classify(f"class {cls}", [(s, cls)], rungs)
-    return row
+    [(vol, [verdict], samples)] = growth_classify(f"class {cls}", [(s, cls, [s.curve])], rungs)
+    return verdict, vol, tuple(interval for [interval] in samples)
 
 
 class TestGrowthClassify:
+    @given(st.lists(st.integers(-6, 6), min_size=2, max_size=4), st.integers(-3, 64),
+           st.integers(-40, 40),
+           st.lists(st.one_of(st.integers(0, 40), st.just(10**9)), min_size=1, max_size=4),
+           st.lists(st.sampled_from((0, 2, 3)), min_size=1, max_size=3))
+    @settings(max_examples=100)
+    def test_group_values_read_no_curve(self, degrees, a, b, genera, chars):
+        # A scan takes the price, the volume and the slope test once per
+        # (bundle, class) for all of its rows, whatever their curves: the
+        # three agree on every genus and characteristic.
+        bundle, cls = SplitBundle(tuple(degrees)), NumClass(a, b)
+
+        def values(curve):
+            s = RuledSurface(curve, bundle)
+            return lattice_work(s, cls), volume(s, cls), big_test(s, cls)
+
+        want = values(Curve(0))
+        assert all(values(Curve(g, p)) == want for g in genera for p in chars)
+
     def test_big_certified(self):
         verdict, _, _ = classify(surface(2, 5, 0), NumClass(2, -7), ladder(64))
         assert verdict is Verdict.BIG_CERTIFIED

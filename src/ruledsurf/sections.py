@@ -7,19 +7,22 @@ count is only known up to bounds (Riemann-Roch from below, Clifford from
 above in the special range), so the result type is an interval.
 
 Both bounds are sums of ramps R(floor((d + c)/q) + e), R(x) = max(0, x),
-q in {1, 2}.  The slice is summed by the direct-sum recursion
-Sym^a(L + E') = sum over k = 0..a of L^k (x) Sym^(a-k) E': fixing k_1
-leaves the slice of E' one rank lower, down to one leaf of rank 2 or 3.
-A leaf sums each ramp over its q^(r-1) sublattices, on which the floor is
-gone: in rank 2 the points have degrees start + j*(d_1 - d_2), j = 0..a,
-and each sublattice is an arithmetic series from the first j where the
-ramp is positive; in rank 3 each is a triangle, row by row a polynomial,
-less the negative terms of the rows only partly positive, which floor
-sums give in O(log).  Rank 2 costs O(1) whatever a and g are, rank 3
-O(log(min(a, d_2 - d_3) + 1)), and rank r the recursion down to
-C(a+r-3, r-3) rank-3 nodes.  Outside the band 0 <= d <= 2g-2 (so at
-g = 0 everywhere) hi = lo, and a leaf whose degree range misses the band
-sums only lo.
+q in {1, 2}, each summed over its q^(r-1) sublattices, on which the floor
+is gone.  In rank 2 the points have degrees start + j*(d_1 - d_2),
+j = 0..a, and each sublattice is an arithmetic series from the first j
+where the ramp is positive: a group of curves sharing the bundle and the
+class is summed in one pass, the series starts and the ramp that reads no
+genus once for the group, then per curve one series for lo and, inside
+the band, two for hi.  In rank r >= 3 the slice is summed by the
+direct-sum recursion Sym^a(L + E') = sum over k = 0..a of L^k (x)
+Sym^(a-k) E': fixing k_1 leaves the slice of E' one rank lower, down to
+one leaf of rank 3, where each sublattice is a triangle, row by row a
+polynomial, less the negative terms of the rows only partly positive,
+which floor sums give in O(log).  Rank 2 costs O(1) a curve whatever a
+and g are, rank 3 O(log(min(a, d_2 - d_3) + 1)), and rank r the
+recursion down to C(a+r-3, r-3) rank-3 nodes.  Outside the band
+0 <= d <= 2g-2 (so at g = 0 everywhere) hi = lo, and a row or leaf whose
+degree range misses the band sums only lo.
 
 The exact limit lim r! h^0(mD)/m^r is the integral of the positive part
 of the linear form over the dilated simplex; by Hermite-Genocchi it
@@ -33,7 +36,8 @@ MAX_DIGITS; the table is built once per (a, knots).
 growth_classify classifies groups of rows that share a bundle and a class
 on different curves.  The price of the sums, the volume and the verdict
 threshold read only the bundle and the class, so they are taken once per
-group; each row is still summed once at each rung and checked lo <= hi.
+group; each row is still summed once at each rung (in rank 2 by the
+group's one pass) and checked lo <= hi.
 """
 from __future__ import annotations
 
@@ -41,7 +45,7 @@ import enum
 from collections import namedtuple
 from collections.abc import Sequence
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
 from math import comb, factorial
 
 from .bundles import DIGIT_LIMIT, MAX_DIGITS, Curve, check_digits
@@ -77,7 +81,9 @@ class Verdict(enum.Enum):
 def _ramps(genus: int) -> tuple[tuple[int, int, int], ...]:
     """The curve bound as ramps R(floor((d + c)/q) + e), R(x) = max(0, x),
     each given as (q, c, e): lo(d) = R(d - g + 1) is the first, and hi(d) =
-    R(floor(d/2) + 1) + R(floor((d+1)/2) - g) the sum of the other two."""
+    R(floor(d/2) + 1) + R(floor((d+1)/2) - g) the sum of the other two.
+    The genus enters only as -g in the e of the first and the third ramp,
+    and the first has q = 1: _rank2_intervals relies on both."""
     return (1, 0, 1 - genus), (2, 0, 1), (2, 1, -genus)
 
 
@@ -91,22 +97,6 @@ def h0_interval_curve(curve: Curve, degree: int) -> H0Interval:
     """
     lo, hi1, hi2 = ((degree + c) // q + e for q, c, e in _ramps(curve.genus))
     return H0Interval(max(0, lo), max(0, hi1) + max(0, hi2))
-
-
-def _ramp_sum(ramp: tuple[int, int, int], start: int, step: int, left: int) -> int:
-    """Sum of the ramp over the degrees start + j*step, j = 0..left, step >=
-    0: on j = q*j' + v (v < q) it is R(x + j'*step), x = floor((start +
-    v*step + c)/q) + e, over j' <= (left - v) // q, an arithmetic series
-    from its first term >= 0 on."""
-    q, c, e = ramp
-    total = 0
-    for v in range(q):
-        x = (start + v * step + c) // q + e
-        n = (left - v) // q + 1
-        first = _first_at_least_zero(x, step, n)
-        count = n - first
-        total += count * (x + first * step) + step * count * (count - 1) // 2
-    return total
 
 
 def _first_at_least_zero(a: int, b: int, end: int) -> int:
@@ -167,8 +157,8 @@ def _triangle_sum(x: int, slope: int, step: int, n: int) -> int:
 
 def _node_ramp_sum(slope: int, ramp: tuple[int, int, int], start: int, step: int,
                    left: int) -> int:
-    """Sum over k = 0..left of _ramp_sum(ramp, start + k*slope, step,
-    left - k), with slope >= step >= 0: on k = q*k' + u, j = q*j' + v
+    """Sum of the ramp over the degrees start + k*slope + j*step, k, j >= 0,
+    k + j <= left, with slope >= step >= 0: on k = q*k' + u, j = q*j' + v
     (u, v < q) the ramp is R(x + k'*slope + j'*step), x = floor((start +
     u*slope + v*step + c)/q) + e, over k' + j' <= (left - u - v) // q."""
     q, c, e = ramp
@@ -177,24 +167,78 @@ def _node_ramp_sum(slope: int, ramp: tuple[int, int, int], start: int, step: int
                for u in range(q) for v in range(q))
 
 
+def _series(x: int, step: int, n: int) -> int:
+    """Sum of R(x + t*step) over t = 0..n-1, step >= 0: an arithmetic
+    series from its first term >= 0 on."""
+    first = _first_at_least_zero(x, step, n)
+    count = n - first
+    return count * (x + first * step) + step * count * (count - 1) // 2
+
+
+def _sublattices(ramp: tuple[int, int, int], start: int, step: int,
+                 left: int) -> list[tuple[int, int]]:
+    """The ramp R(floor((d + c)/q) + e) over the degrees d = start +
+    j*step, j = 0..left, as q series: on j = q*j' + v (v < q) it is
+    R(x_v + j'*step), x_v = floor((start + v*step + c)/q) + e, over j' <=
+    (left - v) // q.  Returns each (x_v, number of terms)."""
+    q, c, e = ramp
+    return [((start + v * step + c) // q + e, (left - v) // q + 1) for v in range(q)]
+
+
+def _rank2_intervals(degrees: Sequence[int], a: int, b: int,
+                     curves: Sequence[Curve]) -> list[tuple[int, int]]:
+    """(lo, hi) of the class a*xi + b*f, a >= 0, on the rank-2 bundle of
+    the given degrees over each of the curves: the curve intervals summed
+    over the degrees start + j*(d_1 - d_2), j = 0..a, start = b + a*d_2.
+
+    Each ramp of _ramps is summed over its sublattices (_sublattices) as
+    arithmetic series.  At genus g the offsets e of lo's ramp and of hi's
+    second ramp are those of genus 0 less g, and hi's first ramp reads no
+    genus: the series' starts at genus 0 and that ramp's sum are taken
+    once for all the curves, which then pay one series for lo and, inside
+    the band, two more for hi.  Off the band (b + a*d_1 < 0, or
+    max(start, 0) > 2g - 2, that is g < (max(start, 0) + 3) // 2), hi = lo,
+    and hi's starts are not taken unless some curve is inside it.
+    """
+    d1, d2 = degrees
+    start, step = b + a * d2, d1 - d2
+    # lo's ramp has q = 1: one series over j = 0..a.
+    (_, c, e), free_ramp, genus_ramp = _ramps(0)
+    lo_x = start + c + e
+    band = (max(start, 0) + 3) // 2 if b + a * d1 >= 0 else None
+    free = None
+    pairs = []
+    for curve in curves:
+        g = curve.genus
+        lo = _series(lo_x - g, step, a + 1)
+        if band is None or g < band:
+            pairs.append((lo, lo))
+            continue
+        if free is None:
+            (f0, m0), (f1, m1) = _sublattices(free_ramp, start, step, a)
+            (x0, n0), (x1, n1) = _sublattices(genus_ramp, start, step, a)
+            free = _series(f0, step, m0) + _series(f1, step, m1)
+        pairs.append((lo, free + _series(x0 - g, step, n0) + _series(x1 - g, step, n1)))
+    return pairs
+
+
 def _slice_interval(curve: Curve, degrees: Sequence[int], i: int, base: int,
                     left: int) -> tuple[int, int]:
     """Sum the curve intervals over k_i + ... + k_r = left, at degrees
-    base + sum(k_j d_j) over j >= i: the sum over k_i = 0..left of the
-    slice one rank lower, down to a leaf of rank 2 or 3, which sums each
-    ramp at once: by _ramp_sum in rank 2, by _node_ramp_sum of slope
-    d_i - d_r in rank 3."""
-    if i >= len(degrees) - 3:
-        ramp_sum = (_ramp_sum if i == len(degrees) - 2
-                    else partial(_node_ramp_sum, degrees[i] - degrees[-1]))
-        start, step = base + left * degrees[-1], degrees[-2] - degrees[-1]
+    base + sum(k_j d_j) over j >= i, in rank r >= 3: the sum over k_i =
+    0..left of the slice one rank lower, down to a leaf of rank 3, which
+    sums each ramp at once by _node_ramp_sum of slope d_i - d_r."""
+    if i == len(degrees) - 3:
+        slope, step = degrees[i] - degrees[-1], degrees[-2] - degrees[-1]
+        start = base + left * degrees[-1]
         lo_ramp, hi1, hi2 = _ramps(curve.genus)
-        lo = ramp_sum(lo_ramp, start, step, left)
+        lo = _node_ramp_sum(slope, lo_ramp, start, step, left)
         # The leaf's degrees lie in [start, base + left*d_i]; when that
         # range misses the band 0 <= d <= 2g-2 (always at g = 0), hi = lo.
         if base + left * degrees[i] < 0 or max(start, 0) > 2 * curve.genus - 2:
             return lo, lo
-        return lo, ramp_sum(hi1, start, step, left) + ramp_sum(hi2, start, step, left)
+        return lo, (_node_ramp_sum(slope, hi1, start, step, left)
+                    + _node_ramp_sum(slope, hi2, start, step, left))
     lo = hi = 0
     for k in range(left + 1):
         plo, phi = _slice_interval(curve, degrees, i + 1, base + k * degrees[i], left - k)
@@ -217,8 +261,8 @@ def lattice_work(surface: RuledSurface, cls: NumClass) -> int:
     """Work units of h0_class_interval(surface, cls), fitted to measured
     times; 0 when a < 0.
 
-    Rank 2 is one call and three ramp sums when its degree range meets the
-    band 0 <= d <= 2g-2, one when it misses it.  In rank r >= 3 the
+    A rank-2 row is one call and three ramp sums (lo's and hi's two) when
+    its degree range meets the band 0 <= d <= 2g-2, one when it misses it.  In rank r >= 3 the
     recursion makes C(a+r-2, r-3) calls, C(a+r-3, r-3) of them rank-3
     nodes.  A node with left = l sums each of its three ramps (lo's alone
     off the band) over q^2 <= 4 triangles, each in at most 2*min(bits(l+1),
@@ -266,11 +310,16 @@ def _intervals(degrees: Sequence[int], cls: NumClass, curves: Sequence[Curve]) -
     if cls.a == 0 and cls.b == 0:
         return [H0Interval(1, 1)] * len(curves)
     a, b = cls
-    return [H0Interval(*_slice_interval(curve, degrees, 0, b, a)) for curve in curves]
+    if len(degrees) == 2:
+        pairs = _rank2_intervals(degrees, a, b, curves)
+    else:
+        pairs = [_slice_interval(curve, degrees, 0, b, a) for curve in curves]
+    return [H0Interval(lo, hi) for lo, hi in pairs]
 
 
 def h0_class_interval(surface: RuledSurface, cls: NumClass) -> H0Interval:
-    """Sum the curve intervals over the lattice slice sum(k) = a, by the
+    """Sum the curve intervals over the lattice slice sum(k) = a: in rank 2
+    by the closed-form pass of _rank2_intervals, in rank >= 3 by the
     direct-sum recursion down to rank 3 (see the module docstring).
     The class (0, 0) is the structure sheaf: its unique lattice point
     carries the identically trivial twist, so the count is exactly 1.

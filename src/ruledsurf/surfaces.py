@@ -120,6 +120,14 @@ def nef_test(surface: RuledSurface, cls: NumClass) -> bool:
     of E (x) L_r^-1, a sum of line bundles of degree >= 0, so it is nef.
     Sharp: the class is a*d_r + b on the section sigma_r of the quotient
     E -> L_r, and a on a line in a fiber (Lazarsfeld, Positivity II, 6.1-6.2).
+
+    For a > 0 the volume tells the same: D^r = a^(r-1) * sum(v_i), the
+    divided difference of t^r over the knots v_i = a*d_i + b, so
+    vol(D) - D^r = a^(r-1) * h[v_1, ..., v_r] with h(t) = max(t, 0)^r - t^r
+    = (-1)^(r+1) * max(-t, 0)^r.  By Hermite-Genocchi that is a^(r-1) * r! *
+    the integral of max(-l, 0) over the standard simplex, l = sum(lambda_i
+    v_i): >= 0, and 0 iff every knot is >= 0, i.e. iff a*d_r + b >= 0.  So
+    D is nef iff vol(D) = D^r, and otherwise vol(D) > D^r.
     """
     if cls.a < 0:
         return False

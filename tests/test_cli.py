@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import random
@@ -76,17 +77,25 @@ def test_readme_example(capsys, tmp_path, readme_argv):
 
 
 def count_h0_calls(monkeypatch):
-    """Record the class a*xi + b*f of every lattice sum with a > 0: each
-    starts the walk sections._slice_interval at index 0, base b, left a."""
+    """Record the class a*xi + b*f of every lattice sum with a > 0, once
+    for each row it is summed on: a rank-2 group of rows is summed by one
+    sections._rank2_intervals(degrees, a, b, curves) call, and a row of
+    rank >= 3 starts the walk sections._slice_interval at index 0, base b,
+    left a."""
     calls = []
-    original = sections._slice_interval
+    rank2, walk = sections._rank2_intervals, sections._slice_interval
 
-    def counting(curve, degrees, i, base, left):
+    def rank2_counting(degrees, a, b, curves):
+        calls.extend([NumClass(a, b)] * len(curves))
+        return rank2(degrees, a, b, curves)
+
+    def walk_counting(curve, degrees, i, base, left):
         if i == 0:
             calls.append(NumClass(left, base))
-        return original(curve, degrees, i, base, left)
+        return walk(curve, degrees, i, base, left)
 
-    monkeypatch.setattr(sections, "_slice_interval", counting)
+    monkeypatch.setattr(sections, "_rank2_intervals", rank2_counting)
+    monkeypatch.setattr(sections, "_slice_interval", walk_counting)
     return calls
 
 
@@ -189,6 +198,20 @@ class TestScan:
         assert len(lines) == 1 + 2 * 5
         assert all(line.split("\t")[-1] == "true" for line in lines[1:])
 
+    @pytest.mark.parametrize("argv, code, digest", [
+        (["--d1-range=-4:8", "--d2-range=-4:8", "--genus-range", "0:40", "--class=1,0"],
+         EXIT_DISAGREE, "c31911b0f2002c55549d817a870fb904eb71d012cc587f97631502e47c06bde6"),
+        (["--genus-range", "1:2", "--d1-range=0:4", "--d2-range=-2:4", "--d3-range=-2:4"],
+         EXIT_OK, "f3671322ac0358c51837ae2dcef9d52a81ec9bbe7d417325b111d05db8ef4cdb"),
+    ], ids=["rank2", "rank3"])
+    def test_grid_tsv_pinned(self, capsys, argv, code, digest):
+        # The TSV of the benchmark's two scan grids, byte for byte: the
+        # rank-2 grid of 3,731 rows (105 INCONCLUSIVE, so exit 1) and the
+        # rank-3 grid of 160 rows under -K.
+        got, out, err = run_cli(capsys, "scan", *argv, "--m-max", "64")
+        assert (got, err) == (code, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_deterministic_output(self, capsys, tmp_path):
         args = ["scan", "--genus-range", "1:1", "--d1-range=-1:2",
                 "--d2-range=-1:1", "--m-max", "16"]
@@ -282,22 +305,22 @@ class TestScan:
         # at m_max * cls, in the scan's total (pinned by
         # test_over_limit_scan_sums_nothing) and never inside a row's sum.
         calls, summing = [], []
-        work, walk = sections.lattice_work, sections._slice_interval
+        work, rank2 = sections.lattice_work, sections._rank2_intervals
 
         def lattice_work(surface, cls):
             assert not summing
             calls.append((surface.bundle, cls))
             return work(surface, cls)
 
-        def slice_interval(*args):
+        def rank2_intervals(*args):
             summing.append(True)
             try:
-                return walk(*args)
+                return rank2(*args)
             finally:
                 summing.pop()
 
         monkeypatch.setattr(sections, "lattice_work", lattice_work)
-        monkeypatch.setattr(sections, "_slice_interval", slice_interval)
+        monkeypatch.setattr(sections, "_rank2_intervals", rank2_intervals)
         code, out, _ = run_cli(capsys, "scan", "--genus-range", "0:40", "--d1-range=-4:8",
                                "--d2-range=-4:8", "--class=1,0", "--m-max", "64")
         assert code == EXIT_DISAGREE
@@ -317,14 +340,19 @@ class TestScan:
         assert err == ("error: scan of 13824 rows up to m = 1099511627776: the lattice sums "
                        "need 6815232 work units, above the limit of 6000000\n")
 
-    def test_inverted_interval_refused(self, capsys, monkeypatch):
-        # A walk that returned lo > hi is caught by H0Interval on every
-        # scan row, as on every h0 query.
-        monkeypatch.setattr(sections, "_slice_interval", lambda *args: (2, 1))
-        code, out, err = run_cli(capsys, "scan", "--genus-range", "1:1", "--d1-range", "1:1",
-                                 "--d2-range", "0:0", "--m-max", "16")
-        assert (code, out) == (EXIT_VALIDATION, "")
-        assert err == "error: interval needs 0 <= lo <= hi\n"
+    def test_inverted_interval_refused(self, capsys):
+        # A lattice sum that returned lo > hi, from the rank-2 group sum or
+        # from the walk of rank >= 3, is caught by H0Interval on every scan
+        # row, as on every h0 query.
+        cases = [("_rank2_intervals", lambda degrees, a, b, curves: [(2, 1)] * len(curves), ()),
+                 ("_slice_interval", lambda *args: (2, 1), ("--d3-range", "0:0"))]
+        for walk, inverted, ranges in cases:
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(sections, walk, inverted)
+                code, out, err = run_cli(capsys, "scan", "--genus-range", "1:1", "--d1-range",
+                                         "1:1", "--d2-range", "0:0", *ranges, "--m-max", "16")
+            assert (code, out) == (EXIT_VALIDATION, "")
+            assert err == "error: interval needs 0 <= lo <= hi\n"
 
     @staticmethod
     def assert_rows_match_classifier(out, m_max, ranks):
@@ -840,6 +868,27 @@ class TestDigitLimit:
                               env=env, capture_output=True, text=True, timeout=60)
         assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
         assert f"volume: {big}\n" in proc.stdout
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["classify", "--genus", "2", "--char", "2", "--degrees", "1,0"], EXIT_OK),
+    (["scan", "--genus-range", "29:30", "--d1-range", "0:1", "--d2-range", "0:0",
+      "--class", "1,0", "--m-max", "16"], EXIT_DISAGREE),
+    (["classify", "--genus", "-1", "--degrees", "1,0"], EXIT_VALIDATION),
+    (["classify", "--genus", "1", "--degrees", "1,0", "--out", "{tmp}/missing/out.txt"],
+     EXIT_IO),
+], ids=["classify", "disagreeing-scan", "refused", "unwritable-out"])
+def test_entry_point_matches_main(capsys, tmp_path, argv, code):
+    # `python -m ruledsurf` (the console script's code too) freezes the
+    # start-up heap and then runs main(): the same exit code, stdout and
+    # stderr as main() called in this process.
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run([sys.executable, "-m", "ruledsurf", *argv],
+                          env=dict(os.environ, PYTHONPATH=str(src)),
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == run_cli(capsys, *argv)
+    assert proc.returncode == code
 
 
 def test_startup_loads_no_heavy_module():

@@ -2,7 +2,7 @@ from fractions import Fraction
 from math import comb, factorial, lcm
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ruledsurf import (
@@ -19,6 +19,7 @@ from ruledsurf import (
     h0_interval_curve,
     intersect,
     nef_test,
+    pseff_test,
     volume,
 )
 from ruledsurf import sections
@@ -131,6 +132,14 @@ class TestH0IntervalCurve:
 
 
 class TestH0ClassInterval:
+    @pytest.mark.parametrize("g", [0, 1, 2, 7, 10**9])
+    def test_ramps_shift_by_genus(self, g):
+        # _rank2_intervals takes _ramps(0) once a group and shifts e by -g
+        # in the first and the third ramp, summing the first as one series.
+        (q0, c0, e0), free, (q2, c2, e2) = sections._ramps(0)
+        assert q0 == 1
+        assert sections._ramps(g) == ((q0, c0, e0 - g), free, (q2, c2, e2 - g))
+
     def test_elliptic_anticanonical(self):
         # k in {(2,0),(1,1),(0,2)} -> curve degrees 1, 0, -1
         assert h0_class_interval(surface(1, 1, 0), NumClass(2, -1)) == H0Interval(1, 2)
@@ -217,21 +226,25 @@ class TestH0ClassInterval:
     @given(st.integers(0, 6), st.lists(st.one_of(st.integers(-5, 5), st.integers(-10**6, 10**6)),
                                        min_size=2, max_size=6),
            st.integers(0, 30), st.integers(-60, 60))
+    @example(1, [1, 1], 1, 0)  # the degree 1 just past the band [0, 0] of g = 1
     @settings(max_examples=200, deadline=None)
     def test_work_counts_calls(self, g, degrees, a, b):
-        # No curve call on the walk: a rank-2 leaf is three ramp sums when
-        # its degree range meets the band 0 <= d <= 2g-2 and one, lo's,
-        # when it misses it (hi = lo there), and the recursion makes
-        # C(a+r-2, r-3) calls down to rank 3.  A rank-3 node sums lo's
-        # ramp, or all three when its degree range meets the band, over q^2
-        # triangles each: 1 or 9 triangle sums, no ramp sum.  Every
-        # _floor_sums call takes at most 2*min(bits(n+1), bits(c)) - 1
-        # steps, one divmod of a and one of b each, and calls and ramp
-        # sums together are at most lattice_work.
+        # No curve call on any path.  Rank 2 is one _rank2_intervals call,
+        # which sums lo's ramp (one series, q = 1) and, when the degree
+        # range meets the band 0 <= d <= 2g-2, hi's two (two series each,
+        # q = 2): three ramp sums, or one, lo's, off the band (hi = lo
+        # there).  In rank >= 3 the recursion makes C(a+r-2, r-3) calls
+        # down to rank 3.  A rank-3 node sums lo's ramp, or all three when
+        # its degree range meets the band, over q^2 triangles each: 1 or 9
+        # triangle sums, no series.  Every _floor_sums call takes at most
+        # 2*min(bits(n+1), bits(c)) - 1 steps, one divmod of a and one of
+        # b each, and calls and ramp sums together are at most
+        # lattice_work.
         s = surface(g, *degrees)
         cls = NumClass(a, b)
         assume((a, b) != (0, 0))
-        calls = {"slice": 0, "node": 0, "triangle": 0, "ramp": 0, "curve": 0, "divmod": 0}
+        calls = {"rank2": 0, "series": 0, "slice": 0, "node": 0, "triangle": 0, "curve": 0,
+                 "divmod": 0}
 
         def counting(name, fn):
             def wrapper(*args):
@@ -249,9 +262,9 @@ class TestH0ClassInterval:
             return got
 
         with pytest.MonkeyPatch.context() as mp:
-            for name, attr in (("slice", "_slice_interval"), ("node", "_node_ramp_sum"),
-                               ("triangle", "_triangle_sum"), ("ramp", "_ramp_sum"),
-                               ("curve", "h0_interval_curve")):
+            for name, attr in (("rank2", "_rank2_intervals"), ("series", "_series"),
+                               ("slice", "_slice_interval"), ("node", "_node_ramp_sum"),
+                               ("triangle", "_triangle_sum"), ("curve", "h0_interval_curve")):
                 mp.setattr(sections, attr, counting(name, getattr(sections, attr)))
             mp.setattr(sections, "divmod", counting("divmod", divmod), raising=False)
             mp.setattr(sections, "_floor_sums", floor_sums)
@@ -263,17 +276,19 @@ class TestH0ClassInterval:
         low, high = a * s.bundle.degrees[-1] + b, a * s.bundle.degrees[0] + b
         meets = not (high < 0 or max(low, 0) > 2 * g - 2)
         if r == 2:
-            assert calls == {"slice": 1, "node": 0, "triangle": 0, "ramp": 3 if meets else 1,
-                             "curve": 0, "divmod": 0}
+            assert calls == {"rank2": 1, "series": 5 if meets else 1, "slice": 0, "node": 0,
+                             "triangle": 0, "curve": 0, "divmod": 0}
+            units = calls["rank2"] + (3 if meets else 1)
         else:
             assert calls["slice"] == comb(a + r - 2, r - 3)
-            assert calls["ramp"] == 0
+            assert calls["rank2"] == calls["series"] == 0
             # Every node sums lo's ramp (q = 1), some also hi's two (q = 2).
             hi_nodes, odd = divmod(calls["node"] - comb(a + r - 3, r - 3), 2)
             assert odd == 0 and calls["triangle"] == calls["node"] + 6 * hi_nodes
+            units = calls["slice"]
         if r == 3:
             assert calls["node"] == (3 if meets else 1)
-        assert calls["slice"] + calls["ramp"] <= lattice_work(s, cls)
+        assert units <= lattice_work(s, cls)
 
     @given(st.integers(1, 3), st.integers(-3, 3), st.integers(-3, 3),
            st.integers(0, 4), st.integers(-5, 5), st.integers(0, 4))
@@ -455,6 +470,26 @@ class TestVolumeClosedForm:
         assert nef_test(s, cls)
         assert volume(s, cls) == intersect(s, [cls] * r)
 
+    @given(st.integers(2, 8), st.one_of(st.integers(0, 40), st.just(10**9)), st.data())
+    @settings(max_examples=400, deadline=None)
+    def test_volume_bounds_top_intersection(self, r, g, data):
+        # vol(D) >= D^r, with equality on nef classes and, for a > 0, only
+        # on them (see nef_test); for a > 0, D is pseff iff D + f is big
+        # iff vol(D + f) > 0.  b runs over both sides of the nef and the
+        # pseff boundaries.
+        degrees = data.draw(st.lists(st.integers(-8, 8), min_size=r, max_size=r))
+        s = surface(g, *degrees)
+        a = data.draw(st.integers(0, 8))
+        b = data.draw(st.integers(-a * max(degrees) - 10, -a * min(degrees) + 10))
+        cls, plus = NumClass(a, b), NumClass(a, b + 1)
+        vol, top = volume(s, cls), intersect(s, [cls] * r)
+        assert vol >= top
+        if nef_test(s, cls):
+            assert vol == top
+        if a > 0:
+            assert nef_test(s, cls) == (vol == top)
+            assert pseff_test(s, cls) == big_test(s, plus) == (volume(s, plus) > 0)
+
     def test_zariski_rank2(self):
         # In rank 2 the closed form is the Zariski decomposition: with
         # e = d1 - d2 and C_0 the negative section, vol = D^2 when D.C_0
@@ -518,6 +553,27 @@ class TestGrowthClassify:
 
         want = values(Curve(0))
         assert all(values(Curve(g, p)) == want for g in genera for p in chars)
+
+    @given(st.lists(st.tuples(st.one_of(st.integers(0, 60), st.integers(0, 2), st.just(10**9)),
+                              st.sampled_from((0, 2, 3))), min_size=1, max_size=6),
+           st.integers(-6, 9), st.one_of(st.just(0), st.integers(0, 6)),
+           st.one_of(st.just(0), st.integers(-3, 40)), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_rank2_group_matches_brute_force(self, rows, d2, gap, a, data):
+        # A rank-2 group is summed in one pass over its curves, each row
+        # against the per-point oracle: unsorted and repeated genera,
+        # d_1 = d_2, a <= 0 and the class (0, 0), and slices below every
+        # ramp (b < -a*d_1), on either side of the band or across it.
+        d1, g = d2 + gap, data.draw(st.sampled_from([g for g, _ in rows]))
+        near = 3 * min(g, 60) + 20
+        b = data.draw(st.one_of(st.just(0), st.integers(-a * d2 - near, -a * d2 + near),
+                                st.integers(-a * d1 - 400, -a * d1 - 1)))
+        bundle, cls = SplitBundle((d1, d2)), NumClass(a, b)
+        curves = [Curve(g, p) for g, p in rows]
+        [(_, _, [intervals])] = growth_classify(
+            "group", [(RuledSurface(curves[0], bundle), cls, curves)], (1,))
+        assert intervals == [brute_force_interval(RuledSurface(curve, bundle), cls)
+                             for curve in curves]
 
     def test_big_certified(self):
         verdict, _, _ = classify(surface(2, 5, 0), NumClass(2, -7), ladder(64))

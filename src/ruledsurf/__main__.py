@@ -13,15 +13,30 @@ imports, to a generation no collection visits.  Exit is otherwise
 unchanged: atexit handlers, stream flushes and exit codes run as before.
 main() itself does not freeze, since tests and benchmarks call it in a
 long-lived process.
+
+A reader that closes stdout early (`ruledsurf scan ... | head -1`)
+leaves output unwritten, which main() drops.  run() flushes stdout
+itself: if that fails too, it points fd 1 at os.devnull, so that the
+interpreter's own flush at exit neither reports an ignored
+BrokenPipeError nor turns the exit code into 120.  main() never touches
+fd 1, for the same reason as the freeze.
 """
 import gc
+import sys
 
 from .cli import main
 
 
 def run() -> int:
     gc.freeze()
-    return main()
+    code = main()
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:
+        import os  # only on this path: with -S, start-up imports no os
+
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return code
 
 
 if __name__ == "__main__":

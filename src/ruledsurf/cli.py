@@ -3,7 +3,8 @@
 Subcommands: classify | scan | blowup | h0 | frobenius.  Exit codes:
 0 success / agreement, 1 oracle disagreement, 2 validation failure
 (a request over a work limit included), 3 file I/O failure (reading a
-scenario file or writing --out).
+scenario file or writing --out).  A reader that closes stdout early
+fails nothing: the command ends quietly with its own exit code.
 """
 from __future__ import annotations
 
@@ -371,7 +372,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         # rejected input never truncates an existing --out file.
         code, lines = args.func(args)
         if not args.out:
-            print("\n".join(lines))
+            try:
+                print("\n".join(lines))
+            except BrokenPipeError:
+                pass  # the reader has stopped reading: not a failure of the command
             return code
         with open(args.out, "w") as out:
             print("\n".join(lines), file=out)

@@ -10,6 +10,7 @@ import time
 from fractions import Fraction
 from math import comb
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -27,6 +28,12 @@ SCENARIOS = ROOT / "scenarios"
 WIDE_GAP_SCAN = ("--genus-range", "1:1", "--d1-range=2000000000000:2000000000023",
                  "--d2-range=1000000000000:1000000000023", "--d3-range=0:23",
                  "--m-max", str(2**40))
+
+# The benchmark's two scan grids, without their --m-max 64: in rank 2,
+# 3,731 rows of the class (1, 0) in 91 (bundle, class) groups; in rank 3,
+# 160 rows of -K, one a group.
+SCAN_R2 = ("scan", "--genus-range", "0:40", "--d1-range=-4:8", "--d2-range=-4:8", "--class=1,0")
+SCAN_R3 = ("scan", "--genus-range", "1:2", "--d1-range=0:4", "--d2-range=-2:4", "--d3-range=-2:4")
 
 
 def run_cli(capsys, *argv):
@@ -76,27 +83,36 @@ def test_readme_example(capsys, tmp_path, readme_argv):
     assert (code, err) == (EXIT_OK, "")
 
 
-def count_h0_calls(monkeypatch):
-    """Record the class a*xi + b*f of every lattice sum with a > 0, once
-    for each row it is summed on: a rank-2 group of rows is summed by one
-    sections._rank2_intervals(degrees, a, b, curves) call, and a row of
-    rank >= 3 starts the walk sections._slice_interval at index 0, base b,
-    left a."""
-    calls = []
-    rank2, walk = sections._rank2_intervals, sections._slice_interval
+@pytest.fixture
+def run_logged(capsys, monkeypatch):
+    """run_cli, returning also a log of the command's lattice sums.  Every
+    row's sum, in every rank, passes through sections._intervals(degrees,
+    cls, curves), and every price through sections.lattice_work(surface,
+    cls): log.sums gets the summed class once for each row, in order,
+    log.prices the (bundle, class) of each price, and log.priced_in_sum
+    whether a price was taken during a sum."""
+    intervals, work = sections._intervals, sections.lattice_work
+    log = None
 
-    def rank2_counting(degrees, a, b, curves):
-        calls.extend([NumClass(a, b)] * len(curves))
-        return rank2(degrees, a, b, curves)
+    def summing(degrees, cls, curves):
+        log.sums += [cls] * len(curves)
+        priced = len(log.prices)
+        got = intervals(degrees, cls, curves)
+        log.priced_in_sum |= len(log.prices) > priced
+        return got
 
-    def walk_counting(curve, degrees, i, base, left):
-        if i == 0:
-            calls.append(NumClass(left, base))
-        return walk(curve, degrees, i, base, left)
+    def pricing(surface, cls):
+        log.prices.append((surface.bundle, cls))
+        return work(surface, cls)
 
-    monkeypatch.setattr(sections, "_rank2_intervals", rank2_counting)
-    monkeypatch.setattr(sections, "_slice_interval", walk_counting)
-    return calls
+    def run(*argv):
+        nonlocal log
+        log = SimpleNamespace(sums=[], prices=[], priced_in_sum=False)
+        return (*run_cli(capsys, *argv), log)
+
+    monkeypatch.setattr(sections, "_intervals", summing)
+    monkeypatch.setattr(sections, "lattice_work", pricing)
+    return run
 
 
 def write_scenario(tmp_path, name="scenario.json", **overrides):
@@ -199,16 +215,14 @@ class TestScan:
         assert all(line.split("\t")[-1] == "true" for line in lines[1:])
 
     @pytest.mark.parametrize("argv, code, digest", [
-        (["--d1-range=-4:8", "--d2-range=-4:8", "--genus-range", "0:40", "--class=1,0"],
-         EXIT_DISAGREE, "c31911b0f2002c55549d817a870fb904eb71d012cc587f97631502e47c06bde6"),
-        (["--genus-range", "1:2", "--d1-range=0:4", "--d2-range=-2:4", "--d3-range=-2:4"],
-         EXIT_OK, "f3671322ac0358c51837ae2dcef9d52a81ec9bbe7d417325b111d05db8ef4cdb"),
+        (SCAN_R2, EXIT_DISAGREE, "c31911b0f2002c55549d817a870fb904eb71d012cc587f97631502e47c06bde6"),
+        (SCAN_R3, EXIT_OK, "f3671322ac0358c51837ae2dcef9d52a81ec9bbe7d417325b111d05db8ef4cdb"),
     ], ids=["rank2", "rank3"])
     def test_grid_tsv_pinned(self, capsys, argv, code, digest):
         # The TSV of the benchmark's two scan grids, byte for byte: the
         # rank-2 grid of 3,731 rows (105 INCONCLUSIVE, so exit 1) and the
         # rank-3 grid of 160 rows under -K.
-        got, out, err = run_cli(capsys, "scan", *argv, "--m-max", "64")
+        got, out, err = run_cli(capsys, *argv, "--m-max", "64")
         assert (got, err) == (code, "")
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
@@ -288,57 +302,30 @@ class TestScan:
         assert code == EXIT_DISAGREE
         assert len(out.read_text().splitlines()) == 1 + 4
 
-    def test_row_sums_only_its_top_rung(self, capsys, monkeypatch):
-        calls = count_h0_calls(monkeypatch)
-        code, out, _ = run_cli(
-            capsys, "scan", "--genus-range", "1:2", "--d1-range", "0:4",
-            "--d2-range", "0:0", "--m-max", "64",
-        )
-        assert code == EXIT_OK
-        assert len(out.splitlines()) == 1 + 10
-        # One sum per row, at m_max * (-K); the lower rungs are not summed.
-        assert calls == [64 * NumClass(2, 2 - 2 * g - d1) for g in (1, 2) for d1 in range(5)]
+    def test_row_sums_only_its_top_rung(self, run_logged):
+        # One sum per row, at m_max * (-K) = 64 * (r, 2 - 2g - d1), in rank
+        # 2 and in rank 3; the lower rungs are not summed.
+        for rank, d3 in (2, ()), (3, ("--d3-range", "0:0")):
+            code, out, _, log = run_logged("scan", "--genus-range", "1:2", "--d1-range", "0:4",
+                                           "--d2-range", "0:0", *d3, "--m-max", "64")
+            assert (code, len(out.splitlines())) == (EXIT_OK, 1 + 10)
+            assert log.sums == [64 * NumClass(rank, 2 - 2 * g - d1)
+                                for g in (1, 2) for d1 in range(5)]
 
-    def test_prices_each_row_once(self, capsys, monkeypatch):
-        # The scan-r2 grid: its 3,731 rows share 91 (bundle, class) pairs,
-        # and lattice_work, which reads no curve, is called once for each,
-        # at m_max * cls, in the scan's total (pinned by
-        # test_over_limit_scan_sums_nothing) and never inside a row's sum.
-        calls, summing = [], []
-        work, rank2 = sections.lattice_work, sections._rank2_intervals
-
-        def lattice_work(surface, cls):
-            assert not summing
-            calls.append((surface.bundle, cls))
-            return work(surface, cls)
-
-        def rank2_intervals(*args):
-            summing.append(True)
-            try:
-                return rank2(*args)
-            finally:
-                summing.pop()
-
-        monkeypatch.setattr(sections, "lattice_work", lattice_work)
-        monkeypatch.setattr(sections, "_rank2_intervals", rank2_intervals)
-        code, out, _ = run_cli(capsys, "scan", "--genus-range", "0:40", "--d1-range=-4:8",
-                               "--d2-range=-4:8", "--class=1,0", "--m-max", "64")
-        assert code == EXIT_DISAGREE
-        rows = [line.split("\t") for line in out.splitlines()[1:]]
-        assert len(rows) == 3731
-        pairs = {(SplitBundle((int(d1), int(d2))), NumClass(64, 0)) for _, _, d1, d2, *_ in rows}
-        assert len(calls) == len(set(calls)) == 91
-        assert set(calls) == pairs
-
-    def test_over_limit_scan_sums_nothing(self, capsys, monkeypatch):
-        # Every row's top rung is under the limit (493 units), the 13,824
-        # rows together are not: refused before the first row is summed.
-        calls = []
-        monkeypatch.setattr(sections, "_slice_interval", lambda *args: calls.append(args))
-        code, out, err = run_cli(capsys, "scan", *WIDE_GAP_SCAN)
-        assert (code, out, calls) == (EXIT_VALIDATION, "", [])
-        assert err == ("error: scan of 13824 rows up to m = 1099511627776: the lattice sums "
-                       "need 6815232 work units, above the limit of 6000000\n")
+    def test_prices_each_row_once(self, run_logged):
+        # lattice_work reads no curve: on each benchmark scan grid it is
+        # called once for each (bundle, class) group, at m_max * cls, in
+        # the scan's total (pinned by TestWorkBounds::
+        # test_over_limit_sums_nothing), and never during a sum.
+        grids = [(SCAN_R2, EXIT_DISAGREE, 3731, 91), (SCAN_R3, EXIT_OK, 160, 160)]
+        for argv, code, rows, groups in grids:
+            got, out, _, log = run_logged(*argv, "--m-max", "64")
+            fields = [line.split("\t") for line in out.splitlines()[1:]]
+            pairs = {(SplitBundle(tuple(map(int, row[2:-6]))),
+                      64 * NumClass(*map(int, row[-6:-4]))) for row in fields}
+            assert (got, len(fields), log.priced_in_sum) == (code, rows, False)
+            assert len(log.prices) == len(set(log.prices)) == groups
+            assert set(log.prices) == pairs
 
     def test_inverted_interval_refused(self, capsys):
         # A lattice sum that returned lo > hi, from the rank-2 group sum or
@@ -409,12 +396,7 @@ class TestScan:
         assert code in (EXIT_OK, EXIT_DISAGREE)
         self.assert_rows_match_classifier(out, m_max, 3 if rank3 else 2)
 
-    @pytest.mark.parametrize("argv, tables", [
-        (["scan", "--genus-range", "0:40", "--d1-range=-4:8", "--d2-range=-4:8",
-          "--class=1,0", "--m-max", "64"], 91),
-        (["scan", "--genus-range", "1:2", "--d1-range=0:4", "--d2-range=-2:4",
-          "--d3-range=-2:4", "--m-max", "64"], 56),
-    ])
+    @pytest.mark.parametrize("argv, tables", [(SCAN_R2, 91), (SCAN_R3, 56)])
     def test_grid_builds_one_table_per_knot_set(self, capsys, monkeypatch, argv, tables):
         # The rows of the two benchmark scan grids share few knot sets
         # (a*d_i + b), and the volume builds the divided-difference table
@@ -424,7 +406,7 @@ class TestScan:
         monkeypatch.setattr(sections, "_truncated_power_divdiff",
                             lambda knots: calls.append(knots) or table(knots))
         sections._volume.cache_clear()
-        code, out, _ = run_cli(capsys, *argv)
+        code, out, _ = run_cli(capsys, *argv, "--m-max", "64")
         assert code in (EXIT_OK, EXIT_DISAGREE)
         assert len(out.splitlines()) in (1 + 3731, 1 + 160)
         assert len(calls) == tables
@@ -544,28 +526,17 @@ class TestH0:
         assert "verdict: BIG_CERTIFIED" in out
         assert "sample_m_32:" in out
 
-    def test_sums_each_rung_once(self, capsys, monkeypatch):
-        calls = count_h0_calls(monkeypatch)
-        code, out, _ = run_cli(capsys, "h0", "--genus", "2", "--degrees", "5,0",
-                               "--m-max", "64")
-        assert code == EXIT_OK
+    def test_sums_each_rung_once(self, run_logged):
         # The top rung 64 first, then the class itself and each rung of
-        # the ladder below it, 8, 16, 32.
-        assert calls == [m * NumClass(2, -7) for m in (64, 1, 8, 16, 32)]
-        samples = [line.split(":")[0] for line in out.splitlines() if line.startswith("sample_m_")]
-        assert samples == ["sample_m_8", "sample_m_16", "sample_m_32", "sample_m_64"]
-
-    def test_over_limit_ladder_sums_nothing(self, capsys, monkeypatch):
-        # The class and the ladder are priced together, before either is
-        # summed: the class (739,840 units) and its one rung m = 8
-        # (5,919,840) are each under the limit, together they are not.
-        calls = []
-        monkeypatch.setattr(sections, "_slice_interval", lambda *args: calls.append(args))
-        code, out, err = run_cli(capsys, "h0", "--genus", "2", "--degrees", "3,1,0,-2",
-                                 "--class", "20000,0", "--m-max", "8")
-        assert (code, out, calls) == (EXIT_VALIDATION, "", [])
-        assert err == ("error: class (20000, 0) up to m = 8: the lattice sums need "
-                       "6659680 work units, above the limit of 6000000\n")
+        # the ladder below it, 8, 16, 32: -K in rank 2 and in rank 3.
+        for degrees, cls in ("5,0", NumClass(2, -7)), ("4,0,-2", NumClass(3, -4)):
+            code, out, _, log = run_logged("h0", "--genus", "2", "--degrees", degrees,
+                                           "--m-max", "64")
+            assert code == EXIT_OK
+            assert log.sums == [m * cls for m in (64, 1, 8, 16, 32)]
+            samples = [line.split(":")[0] for line in out.splitlines()
+                       if line.startswith("sample_m_")]
+            assert samples == ["sample_m_8", "sample_m_16", "sample_m_32", "sample_m_64"]
 
     @pytest.mark.parametrize("degrees, exponent", [("1,0,0", 1500), ("1,0", 2200)])
     def test_counts_past_digit_limit_refused(self, capsys, degrees, exponent):
@@ -722,6 +693,25 @@ REJECTED = [
 
 
 class TestWorkBounds:
+    @pytest.mark.parametrize("argv, what, units", [
+        # Each of the 13,824 rows' top rung is under the limit (493 units).
+        (("scan", *WIDE_GAP_SCAN), "scan of 13824 rows up to m = 1099511627776", 6815232),
+        # The class (739,840 units) and its one rung m = 8 (5,919,840).
+        (("h0", "--genus", "2", "--degrees", "3,1,0,-2", "--class", "20000,0", "--m-max", "8"),
+         "class (20000, 0) up to m = 8", 6659680),
+        ((*SCAN_R2, "--m-max", str(10**4000)),
+         "scan of 3731 rows up to m = <4001 digits>", 6775004),
+        (("h0", "--genus", "1", "--degrees", "1,0", "--class", "1,0", "--m-max", str(10**4000)),
+         "class (1, 0) up to m = <4001 digits>", 8290068),
+    ], ids=["rank3-scan", "rank4-ladder", "rank2-scan", "rank2-ladder"])
+    def test_over_limit_sums_nothing(self, run_logged, argv, what, units):
+        # All the sums of a command are priced together and refused before
+        # the first: a scan's rows, and an h0 class with its ladder.
+        code, out, err, log = run_logged(*argv)
+        assert (code, out, log.sums) == (EXIT_VALIDATION, "", [])
+        assert err == (f"error: {what}: the lattice sums need {units} work units, "
+                       "above the limit of 6000000\n")
+
     @pytest.mark.parametrize("argv, lines", [
         # m*(3, -3) has one point of degree >= 0, k = (3m, 0, 0) of degree
         # 0, so every rung is [0, 1]
@@ -889,6 +879,29 @@ def test_entry_point_matches_main(capsys, tmp_path, argv, code):
                           capture_output=True, text=True, timeout=60)
     assert (proc.returncode, proc.stdout, proc.stderr) == run_cli(capsys, *argv)
     assert proc.returncode == code
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+def test_closed_stdout_ends_quietly(unbuffered):
+    # A reader that closes stdout early ends the command with its own exit
+    # code and nothing on stderr, at interpreter exit too.  The scan-r2
+    # TSV (153,829 bytes, more than a pipe holds) fails in main's print
+    # after one line is read; classify's few lines, into a pipe closed
+    # before the start, fail in main's print when unbuffered and, when
+    # buffered, in the flush after main.
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONUNBUFFERED=unbuffered)
+    command = [sys.executable, "-m", "ruledsurf"]
+    with subprocess.Popen([*command, *SCAN_R2, "--m-max", "64"], env=env,
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.readline() == b"genus\tchar\td1\td2\ta\tb\tbig\tverdict\tvolume\tagree\n"
+        proc.stdout.close()
+        assert (proc.stderr.read(), proc.wait(timeout=60)) == (b"", EXIT_DISAGREE)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    proc = subprocess.run([*command, "classify", "--genus", "1", "--degrees", "1,0"], env=env,
+                          stdout=write_end, stderr=subprocess.PIPE, timeout=60)
+    os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (EXIT_OK, b"")
 
 
 def test_startup_loads_no_heavy_module():

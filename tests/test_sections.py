@@ -134,8 +134,8 @@ class TestH0IntervalCurve:
 class TestH0ClassInterval:
     @pytest.mark.parametrize("g", [0, 1, 2, 7, 10**9])
     def test_ramps_shift_by_genus(self, g):
-        # _rank2_intervals takes _ramps(0) once a group and shifts e by -g
-        # in the first and the third ramp, summing the first as one series.
+        # The rank-2 group pass takes _ramps(0) once a group and shifts e by
+        # -g in the first and the third ramp, summing the first as one series.
         (q0, c0, e0), free, (q2, c2, e2) = sections._ramps(0)
         assert q0 == 1
         assert sections._ramps(g) == ((q0, c0, e0 - g), free, (q2, c2, e2 - g))
@@ -527,6 +527,31 @@ class TestLeadingCoefficient:
                 diffs = [y - x for x, y in zip(diffs, diffs[1:])]
             assert [Fraction(d, period**3) for d in diffs] == [volume(s, anti)] * 2, (g, degrees)
             assert diffs[1] - diffs[0] == 0
+
+    def test_second_difference_is_volume_at_high_genus(self):
+        # Rank 2, on the 91 bundles of the rank-2 scan grid at g = 0..40,
+        # 1,000 and 10^6, for (1, 0) and -K: along m = m0 + k*P, with P =
+        # 2*(d1 - d2) (2 if d1 = d2) and m0 = 2 + max floor(|T|/|v_i|) over
+        # the thresholds T in {g - 1, 0, 2g + 1} and the non-zero knots v_i
+        # = a*d_i + b, lo and hi are quadratics in k: each second
+        # difference over P^2 is the volume, and the third difference is 0.
+        genera = [*range(41), 1000, 10**6]
+        bundles = [(d1, d2) for d1 in range(-4, 9) for d2 in range(-4, d1 + 1)]
+        assert len(genera) * len(bundles) == 3913
+        for g in genera:
+            for degrees in bundles:
+                s = surface(g, *degrees)
+                period = 2 * (degrees[0] - degrees[1]) or 2
+                for cls in NumClass(1, 0), -canonical_class(s):
+                    knots = [abs(cls.a * d + cls.b) for d in degrees]
+                    m0 = 2 + max((abs(t) // v for t in (g - 1, 0, 2 * g + 1)
+                                  for v in knots if v), default=0)
+                    samples = [h0_class_interval(s, (m0 + k * period) * cls) for k in range(4)]
+                    for bound in zip(*samples):
+                        diffs = [y - 2 * x + w for w, x, y in zip(bound, bound[1:], bound[2:])]
+                        assert [Fraction(d, period**2) for d in diffs] == [volume(s, cls)] * 2, \
+                            (g, degrees, cls)
+                        assert diffs[1] - diffs[0] == 0
 
 
 def classify(s, cls, rungs):

@@ -215,10 +215,10 @@ def load_scenario(path: str) -> BlowupScenario:
     """Parse and validate a scenario JSON file against the fixed schema."""
     import json  # only this command reads JSON; the others start without it
 
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         try:
             raw = json.load(fh)
-        except (json.JSONDecodeError, RecursionError) as err:
+        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as err:
             raise ValueError(f"{path}: not valid JSON ({err})")
     if not isinstance(raw, dict):
         raise ValueError("scenario: expected a JSON object")

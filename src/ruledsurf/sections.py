@@ -261,21 +261,24 @@ def lattice_work(surface: RuledSurface, cls: NumClass) -> int:
     """Work units of h0_class_interval(surface, cls), fitted to measured
     times; 0 when a < 0.
 
-    A rank-2 row is one call and three ramp sums (lo's and hi's two) when
-    its degree range meets the band 0 <= d <= 2g-2, one when it misses it.  In rank r >= 3 the
-    recursion makes C(a+r-2, r-3) calls, C(a+r-3, r-3) of them rank-3
-    nodes.  A node with left = l sums each of its three ramps (lo's alone
-    off the band) over q^2 <= 4 triangles, each in at most 2*min(bits(l+1),
-    bits(s)) - 1 floor-sum steps, s = d_{r-1} - d_r, and is priced
-    min(l+1, M) units a ramp, M = 4*(min(bits(a+1), bits(s)) + 1), times
-    1 + bits(a)//2048 for a step's products of counts of bits(a) bits;
-    over the nodes, C(a+r-2, r-2) - C(a+r-2-M, r-2).
+    A rank-2 row is priced a flat 4 units at any a: the group pass
+    (_rank2_intervals) sums it in one arithmetic series for lo and, inside
+    the band 0 <= d <= 2g-2, two more for hi, besides its share of the
+    series taken once for the group.  In rank r >= 3 the recursion makes
+    C(a+r-2, r-3) calls, C(a+r-3, r-3) of them rank-3 nodes.  A node with
+    left = l sums each of its three ramps (lo's alone off the band) over
+    q^2 <= 4 triangles, each in at most 2*min(bits(l+1), bits(s)) - 1
+    floor-sum steps, s = d_{r-1} - d_r, and is priced min(l+1, M) units a
+    ramp, M = 4*(min(bits(a+1), bits(s)) + 1), times 1 + bits(a)//2048 for
+    a step's products of counts of bits(a) bits; over the nodes,
+    C(a+r-2, r-2) - C(a+r-2-M, r-2).
     Every unit is weighted 1 + size*(bits(a) + 500) // 400000 for long
     integers, size the bit length of |b| + a*max|d_i|, a bound on |degree|.
 
     The price reads the bundle and the class, not the curve: it is the
-    same on every genus and characteristic, and growth_classify takes it
-    once for all the curves of a (bundle, class) group.
+    same on every genus and characteristic, so a rank-2 row's does not ask
+    whether the row meets the band, and growth_classify takes it once for
+    all the curves of a (bundle, class) group.
     """
     if cls.a < 0:
         return 0

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
+from .bundles import is_int
 from .surfaces import NumClass, RuledSurface, big_test, canonical_class, intersect, pseff_test
 
 
@@ -39,6 +40,8 @@ class BlownUpSurface(namedtuple("BlownUpSurface", "base n")):
     def __new__(cls, base: RuledSurface, n: int = 0) -> BlownUpSurface:
         if base.rank != 2:
             raise ValueError("blow-ups supported over rank-2 bases only")
+        if not is_int(n):
+            raise ValueError("n must be an integer")
         if n < 0:
             raise ValueError("n must be non-negative")
         return super().__new__(cls, base, n)

@@ -58,8 +58,7 @@ class TestBlownUpSurface:
 
 
 class TestRecords:
-    """ExtClass, BlownUpSurface, BlowupScenario and
-    BigAnticanonicalCertificate are immutable named tuples."""
+    """Beyond the contract in tests/test_records.py: defaults, steps, str."""
 
     def test_keywords_and_defaults(self):
         assert ExtClass(a=1, b=2) == ExtClass(1, 2, ()) and ExtClass(1, 2).exc == ()
@@ -74,51 +73,8 @@ class TestRecords:
     def test_steps_stored_as_tuple(self):
         assert BlowupScenario(base(), NumClass(0, 1), [True, False]).steps == (True, False)
 
-    @pytest.mark.parametrize("make, kwargs, message", [
-        (BlownUpSurface, {"base": RuledSurface(Curve(1), SplitBundle((1, 0, 0)))},
-         "blow-ups supported over rank-2 bases only"),
-        (BlownUpSurface, {"base": base(), "n": -1}, "n must be non-negative"),
-        (BlowupScenario, {"base": base(), "budget_class": NumClass(-1, 0)},
-         "budget class is not pseudoeffective on the base"),
-    ])
-    def test_validation_messages(self, make, kwargs, message):
-        with pytest.raises(ValueError) as err:
-            make(**kwargs)
-        assert str(err.value) == message
-
     def test_repr_and_str(self):
-        assert repr(ExtClass(1, 2, (-1,))) == "ExtClass(a=1, b=2, exc=(-1,))"
         assert str(ExtClass(1, 2, (0, -1))) == "1*xi + 2*f + -1*e2"
-        assert repr(BlownUpSurface(base(), 2)) == (
-            "BlownUpSurface(base=RuledSurface(curve=Curve(genus=1, characteristic=0), "
-            "bundle=SplitBundle(degrees=(1, 0))), n=2)")
-        cert = certify_big_anticanonical(BlowupScenario(base(), NumClass(0, 0), ()))
-        assert repr(cert) == (
-            "BigAnticanonicalCertificate(certified=True, big_part=NumClass(a=2, b=-1), "
-            "big_part_is_big=True, effective_part=ExtClass(a=0, b=0, exc=()), "
-            "steps_on_strict_transform=True)")
-
-    def test_equality_and_hash_by_value(self):
-        one = BlowupScenario(base(), NumClass(0, 1), [True])
-        assert one == BlowupScenario(base(), NumClass(0, 1), (True,)) != (
-            BlowupScenario(base(), NumClass(0, 1), (False,)))
-        assert hash(one) == hash(BlowupScenario(base(), NumClass(0, 1), (True,)))
-        assert len({ExtClass(1, 2), ExtClass(1, 2, ()), ExtClass(1, 2, (0,))}) == 2
-
-    def test_equal_to_tuple_of_fields(self):
-        # Records are tuples: iterable, and equal to the tuple of their fields.
-        assert ExtClass(1, 2) == (1, 2, ()) and list(BlownUpSurface(base(), 3))[1] == 3
-
-    @pytest.mark.parametrize("record, field", [
-        (ExtClass(1, 2), "exc"), (BlownUpSurface(base()), "n"),
-        (BlowupScenario(base(), NumClass(0, 1)), "steps"),
-        (certify_big_anticanonical(BlowupScenario(base(), NumClass(0, 1))), "certified"),
-    ])
-    def test_fields_read_only(self, record, field):
-        with pytest.raises(AttributeError):
-            setattr(record, field, 0)
-        with pytest.raises(AttributeError):
-            record.extra = 0
 
 
 class TestScenario:
@@ -130,11 +86,9 @@ class TestScenario:
         # deg L = 3 over genus 1: budget of two fibers, seven blow-ups on
         # their strict transforms, -K - 2f = (2, -5) still big.
         scenario = BlowupScenario(base(1, 3, 0), NumClass(0, 2), (True,) * 7)
-        cert = certify_big_anticanonical(scenario)
-        assert cert.certified
-        assert cert.big_part == NumClass(2, -5)
-        assert cert.big_part_is_big
-        assert cert.effective_part == ExtClass(0, 2, (-1,) * 7)
+        assert certify_big_anticanonical(scenario) == BigAnticanonicalCertificate(
+            certified=True, big_part=NumClass(2, -5), big_part_is_big=True,
+            effective_part=ExtClass(0, 2, (-1,) * 7), steps_on_strict_transform=True)
 
     def test_section_on_deg1_elliptic(self):
         scenario = BlowupScenario(base(1, 1, 0), NumClass(1, -1), (True,) * 4)

@@ -104,22 +104,6 @@ class TestH0IntervalCurve:
         # hyperelliptic pencil attains the upper bound.
         assert h0_interval_curve(Curve(3), 2) == H0Interval(0, 2)
 
-    def test_invalid_interval_rejected(self):
-        for lo, hi in ((3, 2), (-1, 0)):
-            with pytest.raises(ValueError) as err:
-                H0Interval(lo=lo, hi=hi)
-            assert str(err.value) == "interval needs 0 <= lo <= hi"
-
-    def test_record(self):
-        # An immutable named tuple: built by keyword, shown and compared
-        # by value, equal to the tuple of its fields.
-        iv = H0Interval(lo=1, hi=2)
-        assert iv == H0Interval(1, 2) == (1, 2) and hash(iv) == hash(H0Interval(1, 2))
-        assert repr(iv) == "H0Interval(lo=1, hi=2)"
-        for field in ("lo", "hi", "extra"):
-            with pytest.raises(AttributeError):
-                setattr(iv, field, 0)
-
     def test_explicit_statement(self):
         # The brute-force oracle reads this function, so it is pinned to
         # the plain statement and not to the ramps it is computed from.

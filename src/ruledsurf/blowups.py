@@ -38,6 +38,8 @@ class BlownUpSurface(namedtuple("BlownUpSurface", "base n")):
     __slots__ = ()
 
     def __new__(cls, base: RuledSurface, n: int = 0) -> BlownUpSurface:
+        if not isinstance(base, RuledSurface):
+            raise ValueError("base must be a RuledSurface")
         if base.rank != 2:
             raise ValueError("blow-ups supported over rank-2 bases only")
         if not is_int(n):
@@ -62,14 +64,21 @@ def check_class(surface: BlownUpSurface, cls: ExtClass, other: ExtClass) -> int:
 class BlowupScenario(namedtuple("BlowupScenario", "base budget_class steps")):
     """A base surface, an effective budget class D, and a chain of blow-up
     steps, each recorded by its incidence flag (True: the center lies on
-    the strict transform of D).  Rejected at construction if the budget is
-    not pseudoeffective on the base."""
+    the strict transform of D).  Rejected at construction if a field has
+    the wrong type, a step being a bool, or if the budget is not
+    pseudoeffective on the base."""
 
     __slots__ = ()
 
     def __new__(cls, base: RuledSurface, budget_class: NumClass,
                 steps: tuple[bool, ...] = ()) -> BlowupScenario:
         steps = tuple(steps)
+        if not isinstance(base, RuledSurface):
+            raise ValueError("base must be a RuledSurface")
+        if not isinstance(budget_class, NumClass):
+            raise ValueError("budget class must be a NumClass")
+        if not all(isinstance(step, bool) for step in steps):
+            raise ValueError("steps must be booleans")
         if not pseff_test(base, budget_class):
             raise ValueError("budget class is not pseudoeffective on the base")
         return super().__new__(cls, base, budget_class, steps)

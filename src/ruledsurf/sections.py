@@ -8,21 +8,21 @@ above in the special range), so the result type is an interval.
 
 Both bounds are sums of ramps R(floor((d + c)/q) + e), R(x) = max(0, x),
 q in {1, 2}, each summed over its q^(r-1) sublattices, on which the floor
-is gone.  In rank 2 the points have degrees start + j*(d_1 - d_2),
-j = 0..a, and each sublattice is an arithmetic series from the first j
-where the ramp is positive: a group of curves sharing the bundle and the
-class is summed in one pass, the series starts and the ramp that reads no
-genus once for the group, then per curve one series for lo and, inside
-the band, two for hi.  In rank r >= 3 the slice is summed by the
-direct-sum recursion Sym^a(L + E') = sum over k = 0..a of L^k (x)
-Sym^(a-k) E': fixing k_1 leaves the slice of E' one rank lower, down to
-one leaf of rank 3, where each sublattice is a triangle, row by row a
-polynomial, less the negative terms of the rows only partly positive,
-which floor sums give in O(log).  Rank 2 costs O(1) a curve whatever a
-and g are, rank 3 O(log(min(a, d_2 - d_3) + 1)), and rank r the
-recursion down to C(a+r-3, r-3) rank-3 nodes.  Outside the band
-0 <= d <= 2g-2 (so at g = 0 everywhere) hi = lo, and a row or leaf whose
-degree range misses the band sums only lo.
+is gone.  The direct-sum recursion Sym^a(L + E') = sum over k = 0..a of
+L^k (x) Sym^(a-k) E' fixes k_1, leaving the slice of E' one rank lower,
+down to one leaf of rank 2 or 3.  A leaf's degrees are start + w.steps
+over w >= 0, |w| <= left, with one step in rank 2 and two in rank 3, so
+each sublattice is a line, an arithmetic series from its first positive
+term, or a triangle, row by row a polynomial, less the negative terms of
+the rows only partly positive, which floor sums give in O(log).  A leaf
+sums a group of curves sharing the bundle and the class in one pass: the
+sublattice starts and the ramp that reads no genus once for the group,
+then per curve one sum for lo and, inside the band, the others for hi.
+Rank 2 costs O(1) a curve whatever a and g are, rank 3
+O(log(min(a, d_2 - d_3) + 1)), and rank r the recursion down to
+C(a+r-3, r-3) rank-3 leaves.  Outside the band 0 <= d <= 2g-2 (so at
+g = 0 everywhere) hi = lo, and a leaf whose degree range misses the band
+sums only lo.
 
 The exact limit lim r! h^0(mD)/m^r is the integral of the positive part
 of the linear form over the dilated simplex; by Hermite-Genocchi it
@@ -36,8 +36,8 @@ MAX_DIGITS; the table is built once per (a, knots).
 growth_classify classifies groups of rows that share a bundle and a class
 on different curves.  The price of the sums, the volume and the verdict
 threshold read only the bundle and the class, so they are taken once per
-group; each row is still summed once at each rung (in rank 2 by the
-group's one pass) and checked lo <= hi.
+group; each row is still summed once at each rung, by the group's one
+pass, and checked lo <= hi.
 """
 from __future__ import annotations
 
@@ -83,8 +83,11 @@ def _ramps(genus: int) -> tuple[tuple[int, int, int], ...]:
     each given as (q, c, e): lo(d) = R(d - g + 1) is the first, and hi(d) =
     R(floor(d/2) + 1) + R(floor((d+1)/2) - g) the sum of the other two.
     The genus enters only as -g in the e of the first and the third ramp,
-    and the first has q = 1: _rank2_intervals relies on both."""
+    and the first has q = 1: _slice_intervals relies on both."""
     return (1, 0, 1 - genus), (2, 0, 1), (2, 1, -genus)
+
+
+_GENUS0_RAMPS = _ramps(0)
 
 
 def h0_interval_curve(curve: Curve, degree: int) -> H0Interval:
@@ -135,9 +138,10 @@ def _floor_sums(n: int, a: int, b: int, c: int) -> tuple[int, int, int]:
     return f, g2 // 2, h
 
 
-def _triangle_sum(x: int, slope: int, step: int, n: int) -> int:
+def _triangle_sum(x: int, n: int, steps: Sequence[int]) -> int:
     """Sum of R(x + k*slope + j*step) over k, j >= 0, k + j <= n >= -1, for
-    slope >= step >= 0.
+    steps = (slope, step), slope >= step >= 0: a rank-3 leaf's sum, as
+    _series is a rank-2 leaf's.
 
     Row k, y = x + k*slope, is empty before ke, the first k with y + (n -
     k)*step >= 0, and whole from kf, the first k with y >= 0.  The rows from
@@ -145,6 +149,7 @@ def _triangle_sum(x: int, slope: int, step: int, n: int) -> int:
     2*slope); those before kf lose their terms j < -F, F = floor(y/step),
     -F*y + step*F(F+1)/2, added back by _floor_sums over i = k - ke.
     """
+    slope, step = steps
     kf = _first_at_least_zero(x, slope, n + 1)
     ke = min(kf, _first_at_least_zero(x + n * step, slope - step, n + 1))
     total = comb(n - ke + 2, 2) * (x + n * slope) + comb(n - ke + 2, 3) * (step - 2 * slope)
@@ -155,105 +160,85 @@ def _triangle_sum(x: int, slope: int, step: int, n: int) -> int:
     return total
 
 
-def _node_ramp_sum(slope: int, ramp: tuple[int, int, int], start: int, step: int,
-                   left: int) -> int:
-    """Sum of the ramp over the degrees start + k*slope + j*step, k, j >= 0,
-    k + j <= left, with slope >= step >= 0: on k = q*k' + u, j = q*j' + v
-    (u, v < q) the ramp is R(x + k'*slope + j'*step), x = floor((start +
-    u*slope + v*step + c)/q) + e, over k' + j' <= (left - u - v) // q."""
-    q, c, e = ramp
-    return sum(_triangle_sum((start + u * slope + v * step + c) // q + e, slope, step,
-                             (left - u - v) // q)
-               for u in range(q) for v in range(q))
-
-
-def _series(x: int, step: int, n: int) -> int:
-    """Sum of R(x + t*step) over t = 0..n-1, step >= 0: an arithmetic
-    series from its first term >= 0 on."""
-    first = _first_at_least_zero(x, step, n)
-    count = n - first
+def _series(x: int, n: int, steps: Sequence[int]) -> int:
+    """Sum of R(x + t*step) over t = 0..n >= -1, for steps = (step,),
+    step >= 0: an arithmetic series from its first term >= 0 on."""
+    step, = steps
+    first = _first_at_least_zero(x, step, n + 1)
+    count = n + 1 - first
     return count * (x + first * step) + step * count * (count - 1) // 2
 
 
-def _sublattices(ramp: tuple[int, int, int], start: int, step: int,
+def _sublattices(ramp: tuple[int, int, int], start: int, steps: Sequence[int],
                  left: int) -> list[tuple[int, int]]:
-    """The ramp R(floor((d + c)/q) + e) over the degrees d = start +
-    j*step, j = 0..left, as q series: on j = q*j' + v (v < q) it is
-    R(x_v + j'*step), x_v = floor((start + v*step + c)/q) + e, over j' <=
-    (left - v) // q.  Returns each (x_v, number of terms)."""
+    """The ramp R(floor((d + c)/q) + e) over the degrees d = start + w.steps,
+    w >= 0, |w| <= left, for one or two steps, as q^len(steps) sums: on
+    w = q*w' + v, v in [0, q)^len(steps), it is R(x_v + w'.steps), x_v =
+    floor((start + v.steps + c)/q) + e, over |w'| <= (left - |v|) // q.
+    Returns each (x_v, (left - |v|) // q)."""
     q, c, e = ramp
-    return [((start + v * step + c) // q + e, (left - v) // q + 1) for v in range(q)]
+    if len(steps) == 1:
+        step, = steps
+        return [((start + v * step + c) // q + e, (left - v) // q) for v in range(q)]
+    slope, step = steps
+    return [((start + u * slope + v * step + c) // q + e, (left - u - v) // q)
+            for u in range(q) for v in range(q)]
 
 
-def _rank2_intervals(degrees: Sequence[int], a: int, b: int,
+def _slice_intervals(degrees: Sequence[int], steps: list[int], i: int, base: int, left: int,
                      curves: Sequence[Curve]) -> list[tuple[int, int]]:
-    """(lo, hi) of the class a*xi + b*f, a >= 0, on the rank-2 bundle of
-    the given degrees over each of the curves: the curve intervals summed
-    over the degrees start + j*(d_1 - d_2), j = 0..a, start = b + a*d_2.
-
-    Each ramp of _ramps is summed over its sublattices (_sublattices) as
-    arithmetic series.  At genus g the offsets e of lo's ramp and of hi's
-    second ramp are those of genus 0 less g, and hi's first ramp reads no
-    genus: the series' starts at genus 0 and that ramp's sum are taken
-    once for all the curves, which then pay one series for lo and, inside
-    the band, two more for hi.  Off the band (b + a*d_1 < 0, or
-    max(start, 0) > 2g - 2, that is g < (max(start, 0) + 3) // 2), hi = lo,
-    and hi's starts are not taken unless some curve is inside it.
+    """(lo, hi) on each of the curves: the curve intervals summed over
+    k_i + ... + k_r = left, at degrees base + sum(k_j d_j) over j >= i, as
+    the sum over k_i = 0..left of the slice one rank lower, down to a leaf
+    of rank 2 or 3.  The leaf's degrees are start + w.steps, w >= 0,
+    |w| <= left, start = base + left*d_r, steps the gaps d_j - d_r of its
+    other one or two summands: each ramp is summed over its _sublattices,
+    by _series on one step, _triangle_sum on two.  The ramps of genus 0
+    are shifted by -g for each curve, and hi's first, which reads no
+    genus, is summed once for all.  Off the band (start + left*steps[0]
+    < 0, or max(start, 0) > 2g - 2, that is g < (max(start, 0) + 3) // 2),
+    hi = lo.
     """
-    d1, d2 = degrees
-    start, step = b + a * d2, d1 - d2
-    # lo's ramp has q = 1: one series over j = 0..a.
-    (_, c, e), free_ramp, genus_ramp = _ramps(0)
+    if i < len(degrees) - 3:
+        sums = [(0, 0)] * len(curves)
+        for k in range(left + 1):
+            part = _slice_intervals(degrees, steps, i + 1, base + k * degrees[i], left - k, curves)
+            sums = [(lo + plo, hi + phi) for (lo, hi), (plo, phi) in zip(sums, part)]
+        return sums
+    total = _series if len(steps) == 1 else _triangle_sum
+    start = base + left * degrees[-1]
+    # lo's ramp has q = 1: one sum over all of the leaf.
+    (_, c, e), free_ramp, genus_ramp = _GENUS0_RAMPS
     lo_x = start + c + e
-    band = (max(start, 0) + 3) // 2 if b + a * d1 >= 0 else None
+    band = (max(start, 0) + 3) // 2 if start + left * steps[0] >= 0 else None
     free = None
     pairs = []
     for curve in curves:
         g = curve.genus
-        lo = _series(lo_x - g, step, a + 1)
+        lo = total(lo_x - g, left, steps)
         if band is None or g < band:
             pairs.append((lo, lo))
             continue
         if free is None:
-            (f0, m0), (f1, m1) = _sublattices(free_ramp, start, step, a)
-            (x0, n0), (x1, n1) = _sublattices(genus_ramp, start, step, a)
-            free = _series(f0, step, m0) + _series(f1, step, m1)
-        pairs.append((lo, free + _series(x0 - g, step, n0) + _series(x1 - g, step, n1)))
+            free = 0
+            for x, n in _sublattices(free_ramp, start, steps, left):
+                free += total(x, n, steps)
+            tied = _sublattices(genus_ramp, start, steps, left)
+        hi = free
+        for x, n in tied:
+            hi += total(x - g, n, steps)
+        pairs.append((lo, hi))
     return pairs
-
-
-def _slice_interval(curve: Curve, degrees: Sequence[int], i: int, base: int,
-                    left: int) -> tuple[int, int]:
-    """Sum the curve intervals over k_i + ... + k_r = left, at degrees
-    base + sum(k_j d_j) over j >= i, in rank r >= 3: the sum over k_i =
-    0..left of the slice one rank lower, down to a leaf of rank 3, which
-    sums each ramp at once by _node_ramp_sum of slope d_i - d_r."""
-    if i == len(degrees) - 3:
-        slope, step = degrees[i] - degrees[-1], degrees[-2] - degrees[-1]
-        start = base + left * degrees[-1]
-        lo_ramp, hi1, hi2 = _ramps(curve.genus)
-        lo = _node_ramp_sum(slope, lo_ramp, start, step, left)
-        # The leaf's degrees lie in [start, base + left*d_i]; when that
-        # range misses the band 0 <= d <= 2g-2 (always at g = 0), hi = lo.
-        if base + left * degrees[i] < 0 or max(start, 0) > 2 * curve.genus - 2:
-            return lo, lo
-        return lo, (_node_ramp_sum(slope, hi1, start, step, left)
-                    + _node_ramp_sum(slope, hi2, start, step, left))
-    lo = hi = 0
-    for k in range(left + 1):
-        plo, phi = _slice_interval(curve, degrees, i + 1, base + k * degrees[i], left - k)
-        lo += plo
-        hi += phi
-    return lo, hi
 
 
 # Most work units (see lattice_work) the lattice sums of one request may
 # take together: one h0_class_interval call, or all rungs of all rows of
 # one growth_classify call.  The slowest accepted requests known take
-# about 10 s, measured in-process on a 2-vCPU Intel Xeon with Python
-# 3.11.7: h0 --genus 1000000000 --degrees 11,10,9,8,7,6,5,4,3,2,1,0
-# --class 13,-71 (4,240,379 units, 2.4 microseconds a unit) 10.2-10.4 s,
-# and --degrees 4,2,1,0 --class 240002,-480004 (5,999,992 units) 6.8-7.8 s.
+# about 8 s, measured in-process on a shared 2-vCPU Intel Xeon with Python
+# 3.11.7 (medians of 6 and of 30 calls, three rounds each):
+# h0 --genus 1000000000 --degrees 11,10,9,8,7,6,5,4,3,2,1,0 --class 13,-71
+# (4,240,379 units, about 1.7 microseconds a unit) 6.5-7.6 s, and
+# --degrees 4,2,1,0 --class 240002,-480004 (5,999,992 units) 5.6-6.3 s.
 MAX_LATTICE_WORK = 6 * 10**6
 
 
@@ -261,22 +246,22 @@ def lattice_work(surface: RuledSurface, cls: NumClass) -> int:
     """Work units of h0_class_interval(surface, cls), fitted to measured
     times; 0 when a < 0.
 
-    A rank-2 row is priced a flat 4 units at any a: the group pass
-    (_rank2_intervals) sums it in one arithmetic series for lo and, inside
+    A rank-2 row is priced a flat 4 units at any a: its leaf
+    (_slice_intervals) sums it in one arithmetic series for lo and, inside
     the band 0 <= d <= 2g-2, two more for hi, besides its share of the
     series taken once for the group.  In rank r >= 3 the recursion makes
-    C(a+r-2, r-3) calls, C(a+r-3, r-3) of them rank-3 nodes.  A node with
+    C(a+r-2, r-3) calls, C(a+r-3, r-3) of them rank-3 leaves.  A leaf with
     left = l sums each of its three ramps (lo's alone off the band) over
     q^2 <= 4 triangles, each in at most 2*min(bits(l+1), bits(s)) - 1
     floor-sum steps, s = d_{r-1} - d_r, and is priced min(l+1, M) units a
     ramp, M = 4*(min(bits(a+1), bits(s)) + 1), times 1 + bits(a)//2048 for
-    a step's products of counts of bits(a) bits; over the nodes,
+    a step's products of counts of bits(a) bits; over the leaves,
     C(a+r-2, r-2) - C(a+r-2-M, r-2).
     Every unit is weighted 1 + size*(bits(a) + 500) // 400000 for long
     integers, size the bit length of |b| + a*max|d_i|, a bound on |degree|.
 
     The price reads the bundle and the class, not the curve: it is the
-    same on every genus and characteristic, so a rank-2 row's does not ask
+    same on every genus and characteristic, so a row's does not ask
     whether the row meets the band, and growth_classify takes it once for
     all the curves of a (bundle, class) group.
     """
@@ -307,23 +292,20 @@ def _check_work(what: str, work: int) -> None:
 def _intervals(degrees: Sequence[int], cls: NumClass, curves: Sequence[Curve]) -> list[H0Interval]:
     """h0_class_interval of cls on the bundle of the given degrees over each
     of the curves, a query already priced by _check_work: one lattice sum
-    for each curve, unless a < 0 or cls = (0, 0)."""
+    for all the curves, unless a < 0 or cls = (0, 0)."""
     if cls.a < 0:
         return [H0Interval(0, 0)] * len(curves)
     if cls.a == 0 and cls.b == 0:
         return [H0Interval(1, 1)] * len(curves)
-    a, b = cls
-    if len(degrees) == 2:
-        pairs = _rank2_intervals(degrees, a, b, curves)
-    else:
-        pairs = [_slice_interval(curve, degrees, 0, b, a) for curve in curves]
+    low = degrees[-1]
+    pairs = _slice_intervals(degrees, [d - low for d in degrees[-3:-1]], 0, cls.b, cls.a, curves)
     return [H0Interval(lo, hi) for lo, hi in pairs]
 
 
 def h0_class_interval(surface: RuledSurface, cls: NumClass) -> H0Interval:
-    """Sum the curve intervals over the lattice slice sum(k) = a: in rank 2
-    by the closed-form pass of _rank2_intervals, in rank >= 3 by the
-    direct-sum recursion down to rank 3 (see the module docstring).
+    """Sum the curve intervals over the lattice slice sum(k) = a by the
+    direct-sum recursion down to a leaf of rank 2 or 3 (see the module
+    docstring).
     The class (0, 0) is the structure sheaf: its unique lattice point
     carries the identically trivial twist, so the count is exactly 1.
 

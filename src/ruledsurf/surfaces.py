@@ -66,6 +66,10 @@ class RuledSurface(namedtuple("RuledSurface", "curve bundle")):
     __slots__ = ()
 
     def __new__(cls, curve: Curve, bundle: SplitBundle) -> RuledSurface:
+        if not isinstance(curve, Curve):
+            raise ValueError("curve must be a Curve")
+        if not isinstance(bundle, SplitBundle):
+            raise ValueError("bundle must be a SplitBundle")
         r = bundle.rank
         if r < 2:
             raise ValueError("projective bundle needs rank >= 2")

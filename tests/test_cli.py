@@ -319,16 +319,18 @@ class TestScan:
             assert set(log.prices) == pairs
 
     def test_inverted_interval_refused(self, capsys):
-        # A lattice sum that returned lo > hi, from the rank-2 group sum or
-        # from the walk of rank >= 3, is caught by H0Interval on every scan
-        # row, as on every h0 query.
-        cases = [("_rank2_intervals", lambda degrees, a, b, curves: [(2, 1)] * len(curves), ()),
-                 ("_slice_interval", lambda *args: (2, 1), ("--d3-range", "0:0"))]
-        for walk, inverted, ranges in cases:
+        # A lattice sum that returned lo > hi, in any rank, is caught by
+        # H0Interval on every scan row, as on every h0 query: every rank
+        # sums through the one recursion, _slice_intervals.
+        scan = ("scan", "--genus-range", "1:1", "--d1-range", "1:1", "--d2-range", "0:0",
+                "--m-max", "16")
+        cases = [scan, (*scan, "--d3-range", "0:0"),
+                 ("h0", "--genus", "1", "--degrees", "1,0,0,0", "--class", "2,0")]
+        for argv in cases:
             with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(sections, walk, inverted)
-                code, out, err = run_cli(capsys, "scan", "--genus-range", "1:1", "--d1-range",
-                                         "1:1", "--d2-range", "0:0", *ranges, "--m-max", "16")
+                mp.setattr(sections, "_slice_intervals",
+                           lambda degrees, steps, i, base, left, curves: [(2, 1)] * len(curves))
+                code, out, err = run_cli(capsys, *argv)
             assert (code, out) == (EXIT_VALIDATION, "")
             assert err == "error: interval needs 0 <= lo <= hi\n"
 

@@ -46,6 +46,7 @@ ROWS = [
             ("negative-n", dict(base=BASE, n=-1), "n must be non-negative"),
             ("float-n", dict(base=BASE, n=1.5), "n must be an integer"),
             ("bool-n", dict(base=BASE, n=True), "n must be an integer"),
+            ("base-not-surface", dict(base="x"), "base must be a RuledSurface"),
         ]),
     Row(BlowupScenario, dict(base=BASE, budget_class=NumClass(0, 1)), (BASE, NumClass(0, 1), ()),
         BlowupScenario(BASE, NumClass(0, 1), (True,)),
@@ -53,6 +54,15 @@ ROWS = [
         refusals=[
             ("budget-not-pseff", dict(base=BASE, budget_class=NumClass(-1, 0)),
              "budget class is not pseudoeffective on the base"),
+            ("base-not-surface", dict(base=BASE.bundle, budget_class=NumClass(0, 1)),
+             "base must be a RuledSurface"),
+            ("budget-not-class", dict(base=BASE, budget_class=(0, 1)),
+             "budget class must be a NumClass"),
+            # a step that is true but no flag would certify
+            ("step-not-bool", dict(base=BASE, budget_class=NumClass(0, 1), steps=("no",)),
+             "steps must be booleans"),
+            ("step-int", dict(base=BASE, budget_class=NumClass(0, 1), steps=(1,)),
+             "steps must be booleans"),
         ]),
     Row(Curve, dict(genus=2), (2, 0), Curve(2, 3), "Curve(genus=2, characteristic=0)",
         refusals=[
@@ -79,6 +89,10 @@ ROWS = [
              "projective bundle needs rank >= 2"),
             ("rank-129", dict(curve=Curve(1), bundle=SplitBundle((0,) * 129)),
              "projective bundle: rank 129 is above the limit of 128"),
+            ("curve-not-curve", dict(curve="c", bundle=SplitBundle((1, 0))),
+             "curve must be a Curve"),
+            ("bundle-not-bundle", dict(curve=Curve(1), bundle=(1, 0)),
+             "bundle must be a SplitBundle"),
         ]),
     Row(SplitBundle, dict(degrees=[0, 5, 2]), ((5, 2, 0),), SplitBundle((5, 2, 1)),
         "SplitBundle(degrees=(5, 2, 0))",

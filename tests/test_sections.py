@@ -118,8 +118,8 @@ class TestH0IntervalCurve:
 class TestH0ClassInterval:
     @pytest.mark.parametrize("g", [0, 1, 2, 7, 10**9])
     def test_ramps_shift_by_genus(self, g):
-        # The rank-2 group pass takes _ramps(0) once a group and shifts e by
-        # -g in the first and the third ramp, summing the first as one series.
+        # A leaf reads the ramps of genus 0 and shifts e by -g in the first
+        # and the third ramp for each curve, summing the first in one sum.
         (q0, c0, e0), free, (q2, c2, e2) = sections._ramps(0)
         assert q0 == 1
         assert sections._ramps(g) == ((q0, c0, e0 - g), free, (q2, c2, e2 - g))
@@ -213,22 +213,21 @@ class TestH0ClassInterval:
     @example(1, [1, 1], 1, 0)  # the degree 1 just past the band [0, 0] of g = 1
     @settings(max_examples=200, deadline=None)
     def test_work_counts_calls(self, g, degrees, a, b):
-        # No curve call on any path.  Rank 2 is one _rank2_intervals call,
-        # which sums lo's ramp (one series, q = 1) and, when the degree
-        # range meets the band 0 <= d <= 2g-2, hi's two (two series each,
-        # q = 2): three ramp sums, or one, lo's, off the band (hi = lo
-        # there).  In rank >= 3 the recursion makes C(a+r-2, r-3) calls
-        # down to rank 3.  A rank-3 node sums lo's ramp, or all three when
-        # its degree range meets the band, over q^2 triangles each: 1 or 9
-        # triangle sums, no series.  Every _floor_sums call takes at most
-        # 2*min(bits(n+1), bits(c)) - 1 steps, one divmod of a and one of
-        # b each, and calls and ramp sums together are at most
+        # No curve call on any path.  The one recursion, _slice_intervals,
+        # is one call, its leaf, in rank 2, and C(a+r-2, r-3) calls in rank
+        # r >= 3, C(a+r-3, r-3) of them leaves of rank 3.  A leaf sums
+        # lo's ramp (q = 1) and, when its degree range meets the band
+        # 0 <= d <= 2g-2, hi's two (q = 2): three ramp sums, or one, lo's,
+        # off the band (hi = lo there), each over q^dim sublattices, dim
+        # its one step in rank 2 or two in rank 3: 1 or 5 series in rank
+        # 2, 1 or 9 triangles in a rank-3 leaf.  Every _floor_sums call
+        # takes at most 2*min(bits(n+1), bits(c)) - 1 steps, one divmod of
+        # a and one of b each, and calls and ramp sums together are at most
         # lattice_work.
         s = surface(g, *degrees)
         cls = NumClass(a, b)
         assume((a, b) != (0, 0))
-        calls = {"rank2": 0, "series": 0, "slice": 0, "node": 0, "triangle": 0, "curve": 0,
-                 "divmod": 0}
+        calls = {"slice": 0, "series": 0, "triangle": 0, "curve": 0, "divmod": 0}
 
         def counting(name, fn):
             def wrapper(*args):
@@ -246,8 +245,7 @@ class TestH0ClassInterval:
             return got
 
         with pytest.MonkeyPatch.context() as mp:
-            for name, attr in (("rank2", "_rank2_intervals"), ("series", "_series"),
-                               ("slice", "_slice_interval"), ("node", "_node_ramp_sum"),
+            for name, attr in (("slice", "_slice_intervals"), ("series", "_series"),
                                ("triangle", "_triangle_sum"), ("curve", "h0_interval_curve")):
                 mp.setattr(sections, attr, counting(name, getattr(sections, attr)))
             mp.setattr(sections, "divmod", counting("divmod", divmod), raising=False)
@@ -260,18 +258,20 @@ class TestH0ClassInterval:
         low, high = a * s.bundle.degrees[-1] + b, a * s.bundle.degrees[0] + b
         meets = not (high < 0 or max(low, 0) > 2 * g - 2)
         if r == 2:
-            assert calls == {"rank2": 1, "series": 5 if meets else 1, "slice": 0, "node": 0,
-                             "triangle": 0, "curve": 0, "divmod": 0}
-            units = calls["rank2"] + (3 if meets else 1)
+            assert calls == {"slice": 1, "series": 5 if meets else 1, "triangle": 0, "curve": 0,
+                             "divmod": 0}
+            leaves, hi_leaves = 1, int(meets)
         else:
+            leaves = comb(a + r - 3, r - 3)
             assert calls["slice"] == comb(a + r - 2, r - 3)
-            assert calls["rank2"] == calls["series"] == 0
-            # Every node sums lo's ramp (q = 1), some also hi's two (q = 2).
-            hi_nodes, odd = divmod(calls["node"] - comb(a + r - 3, r - 3), 2)
-            assert odd == 0 and calls["triangle"] == calls["node"] + 6 * hi_nodes
-            units = calls["slice"]
+            assert calls["series"] == 0
+            # Every leaf sums lo's ramp in one triangle, some also hi's two
+            # in four each.
+            hi_leaves, odd = divmod(calls["triangle"] - leaves, 8)
+            assert odd == 0 and 0 <= hi_leaves <= leaves
         if r == 3:
-            assert calls["node"] == (3 if meets else 1)
+            assert calls["triangle"] == (9 if meets else 1)
+        units = calls["slice"] + leaves + 2 * hi_leaves
         assert units <= lattice_work(s, cls)
 
     @given(st.integers(1, 3), st.integers(-3, 3), st.integers(-3, 3),
@@ -319,9 +319,13 @@ class TestFloorSums:
     @given(st.integers(-400, 100), st.integers(0, 20), st.integers(0, 20), st.integers(-1, 25))
     @settings(max_examples=500)
     def test_triangle_matches_brute_force(self, x, extra, step, n):
+        # The two leaf sums: R(x + w.steps) over w >= 0, |w| <= n, on the
+        # two steps (slope, step) of a rank-3 leaf and the one step of a
+        # rank-2 leaf.
         slope = step + extra
-        assert sections._triangle_sum(x, slope, step, n) == sum(
+        assert sections._triangle_sum(x, n, (slope, step)) == sum(
             max(0, x + k * slope + j * step) for k in range(n + 1) for j in range(n + 1 - k))
+        assert sections._series(x, n, (step,)) == sum(max(0, x + j * step) for j in range(n + 1))
 
 
 class TestVolume:
@@ -565,19 +569,22 @@ class TestGrowthClassify:
 
     @given(st.lists(st.tuples(st.one_of(st.integers(0, 60), st.integers(0, 2), st.just(10**9)),
                               st.sampled_from((0, 2, 3))), min_size=1, max_size=6),
-           st.integers(-6, 9), st.one_of(st.just(0), st.integers(0, 6)),
-           st.one_of(st.just(0), st.integers(-3, 40)), st.data())
+           st.integers(-6, 9), st.lists(st.one_of(st.just(0), st.integers(0, 6)),
+                                        min_size=1, max_size=3), st.data())
     @settings(max_examples=300, deadline=None)
-    def test_rank2_group_matches_brute_force(self, rows, d2, gap, a, data):
-        # A rank-2 group is summed in one pass over its curves, each row
-        # against the per-point oracle: unsorted and repeated genera,
-        # d_1 = d_2, a <= 0 and the class (0, 0), and slices below every
-        # ramp (b < -a*d_1), on either side of the band or across it.
-        d1, g = d2 + gap, data.draw(st.sampled_from([g for g, _ in rows]))
+    def test_group_matches_brute_force(self, rows, low, gaps, data):
+        # A group is summed in one pass over its curves, in rank 2, 3 or 4
+        # (a small there, for the brute force), each row against the
+        # per-point oracle: unsorted and repeated genera, equal degrees,
+        # a <= 0 and the class (0, 0), and slices below every ramp
+        # (b < -a*d_1), on either side of the band or across it.
+        degrees = [low + sum(gaps[i:]) for i in range(len(gaps))] + [low]
+        a = data.draw(st.one_of(st.just(0), st.integers(-3, (40, 20, 8)[len(gaps) - 1])))
+        d1, g = degrees[0], data.draw(st.sampled_from([g for g, _ in rows]))
         near = 3 * min(g, 60) + 20
-        b = data.draw(st.one_of(st.just(0), st.integers(-a * d2 - near, -a * d2 + near),
+        b = data.draw(st.one_of(st.just(0), st.integers(-a * low - near, -a * low + near),
                                 st.integers(-a * d1 - 400, -a * d1 - 1)))
-        bundle, cls = SplitBundle((d1, d2)), NumClass(a, b)
+        bundle, cls = SplitBundle(tuple(degrees)), NumClass(a, b)
         curves = [Curve(g, p) for g, p in rows]
         [(_, _, [intervals])] = growth_classify(
             "group", [(RuledSurface(curves[0], bundle), cls, curves)], (1,))

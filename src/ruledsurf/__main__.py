@@ -22,6 +22,7 @@ BrokenPipeError nor turns the exit code into 120.  main() never touches
 fd 1, for the same reason as the freeze.
 """
 import gc
+import os
 import sys
 
 from .cli import main
@@ -33,8 +34,6 @@ def run() -> int:
     try:
         sys.stdout.flush()
     except BrokenPipeError:
-        import os  # only on this path: with -S, start-up imports no os
-
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return code
 

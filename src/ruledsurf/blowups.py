@@ -21,10 +21,17 @@ from .bundles import is_int
 from .surfaces import NumClass, RuledSurface, big_test, canonical_class, intersect, pseff_test
 
 
-class ExtClass(namedtuple("ExtClass", "a b exc", defaults=((),))):
+class ExtClass(namedtuple("ExtClass", "a b exc")):
     """Class a*xi + b*f + sum(exc_i * e_i) on a blown-up surface."""
 
     __slots__ = ()
+
+    def __new__(cls, a: int, b: int, exc: tuple[int, ...] = ()) -> ExtClass:
+        if not (is_int(a) and is_int(b)):
+            raise ValueError("class coefficients a, b must be integers")
+        if not (isinstance(exc, tuple) and all(map(is_int, exc))):
+            raise ValueError("exceptional coefficients must be a tuple of integers")
+        return super().__new__(cls, a, b, exc)
 
     def __str__(self) -> str:
         parts = [f"{self.a}*xi", f"{self.b}*f"]
@@ -72,7 +79,10 @@ class BlowupScenario(namedtuple("BlowupScenario", "base budget_class steps")):
 
     def __new__(cls, base: RuledSurface, budget_class: NumClass,
                 steps: tuple[bool, ...] = ()) -> BlowupScenario:
-        steps = tuple(steps)
+        try:
+            steps = tuple(steps)
+        except TypeError:
+            raise ValueError("steps must be booleans") from None
         if not isinstance(base, RuledSurface):
             raise ValueError("base must be a RuledSurface")
         if not isinstance(budget_class, NumClass):

@@ -8,17 +8,18 @@ above in the special range), so the result type is an interval.
 
 Both bounds are sums of ramps R(floor((d + c)/q) + e), R(x) = max(0, x),
 q in {1, 2}, each summed over its q^(r-1) sublattices, on which the floor
-is gone.  The direct-sum recursion Sym^a(L + E') = sum over k = 0..a of
-L^k (x) Sym^(a-k) E' fixes k_1, leaving the slice of E' one rank lower,
-down to one leaf of rank 2 or 3.  A leaf's degrees are start + w.steps
-over w >= 0, |w| <= left, with one step in rank 2 and two in rank 3, so
-each sublattice is a line, an arithmetic series from its first positive
-term, or a triangle, row by row a polynomial, less the negative terms of
-the rows only partly positive, which floor sums give in O(log).  A leaf
-sums a group of curves sharing the bundle and the class in one pass: the
-sublattice starts and the ramp that reads no genus once for the group,
-then per curve one sum for lo and, inside the band, the others for hi.
-Rank 2 costs O(1) a curve whatever a and g are, rank 3
+is gone.  The sums read E only up to a twist, P_C(E) = P_C(E (x) L): the
+gaps d_i - d_r of all summands but the last, and the base b + a*d_r.  The
+direct-sum recursion Sym^a(L + E') = sum over k = 0..a of L^k (x)
+Sym^(a-k) E' fixes k_1, moving the base by k_1 times the first gap, down
+to one leaf of rank 2 or 3, of degrees base + w.gaps over w >= 0,
+|w| <= left.  Each sublattice is then a line, an arithmetic series from
+its first positive term, or a triangle, row by row a polynomial, less the
+negative terms of the rows only partly positive, which floor sums give in
+O(log).  A leaf sums a group of curves sharing the bundle and the class in
+one pass: the sublattice starts and the ramp that reads no genus once for
+the group, then per curve one sum for lo and, inside the band, the others
+for hi.  Rank 2 costs O(1) a curve whatever a and g are, rank 3
 O(log(min(a, d_2 - d_3) + 1)), and rank r the recursion down to
 C(a+r-3, r-3) rank-3 leaves.  Outside the band 0 <= d <= 2g-2 (so at
 g = 0 everywhere) hi = lo, and a leaf whose degree range misses the band
@@ -78,16 +79,12 @@ class Verdict(enum.Enum):
     __hash__ = object.__hash__
 
 
-def _ramps(genus: int) -> tuple[tuple[int, int, int], ...]:
-    """The curve bound as ramps R(floor((d + c)/q) + e), R(x) = max(0, x),
-    each given as (q, c, e): lo(d) = R(d - g + 1) is the first, and hi(d) =
-    R(floor(d/2) + 1) + R(floor((d+1)/2) - g) the sum of the other two.
-    The genus enters only as -g in the e of the first and the third ramp,
-    and the first has q = 1: _slice_intervals relies on both."""
-    return (1, 0, 1 - genus), (2, 0, 1), (2, 1, -genus)
-
-
-_GENUS0_RAMPS = _ramps(0)
+# The curve bound at genus 0 as ramps R(floor((d + c)/q) + e), R(x) =
+# max(0, x), each given as (q, c, e): lo(d) = R(d + 1) is the first, and
+# hi(d) = R(floor(d/2) + 1) + R(floor((d+1)/2)) the sum of the other two.
+# A genus g subtracts g from the e of the first and the third ramp, and
+# the first has q = 1: h0_interval_curve and the leaves apply both rules.
+_RAMPS = (1, 0, 1), (2, 0, 1), (2, 1, 0)
 
 
 def h0_interval_curve(curve: Curve, degree: int) -> H0Interval:
@@ -96,10 +93,13 @@ def h0_interval_curve(curve: Curve, degree: int) -> H0Interval:
     bounds from below and Clifford from above; beyond 2g-2, where d - g + 1
     is exact, it is the larger of the two (so on P^1 every d is exact).  At
     d = 0 and g > 0 the twist may or may not be trivial: [0, 1].  Both ends
-    are the ramps of _ramps, which vanish for d < 0.
+    are the ramps of _RAMPS, shifted by -g as a leaf shifts them; all three
+    vanish for d < 0.
     """
-    lo, hi1, hi2 = ((degree + c) // q + e for q, c, e in _ramps(curve.genus))
-    return H0Interval(max(0, lo), max(0, hi1) + max(0, hi2))
+    (_, c, e), (q1, c1, e1), (q2, c2, e2) = _RAMPS
+    lo = degree + c + e - curve.genus
+    hi = max(0, (degree + c1) // q1 + e1) + max(0, (degree + c2) // q2 + e2 - curve.genus)
+    return H0Interval(max(0, lo), hi)
 
 
 def _first_at_least_zero(a: int, b: int, end: int) -> int:
@@ -138,9 +138,9 @@ def _floor_sums(n: int, a: int, b: int, c: int) -> tuple[int, int, int]:
     return f, g2 // 2, h
 
 
-def _triangle_sum(x: int, n: int, steps: Sequence[int]) -> int:
+def _triangle_sum(x: int, n: int, gaps: Sequence[int]) -> int:
     """Sum of R(x + k*slope + j*step) over k, j >= 0, k + j <= n >= -1, for
-    steps = (slope, step), slope >= step >= 0: a rank-3 leaf's sum, as
+    gaps = (slope, step), slope >= step >= 0: a rank-3 leaf's sum, as
     _series is a rank-2 leaf's.
 
     Row k, y = x + k*slope, is empty before ke, the first k with y + (n -
@@ -149,7 +149,7 @@ def _triangle_sum(x: int, n: int, steps: Sequence[int]) -> int:
     2*slope); those before kf lose their terms j < -F, F = floor(y/step),
     -F*y + step*F(F+1)/2, added back by _floor_sums over i = k - ke.
     """
-    slope, step = steps
+    slope, step = gaps
     kf = _first_at_least_zero(x, slope, n + 1)
     ke = min(kf, _first_at_least_zero(x + n * step, slope - step, n + 1))
     total = comb(n - ke + 2, 2) * (x + n * slope) + comb(n - ke + 2, 3) * (step - 2 * slope)
@@ -160,73 +160,71 @@ def _triangle_sum(x: int, n: int, steps: Sequence[int]) -> int:
     return total
 
 
-def _series(x: int, n: int, steps: Sequence[int]) -> int:
-    """Sum of R(x + t*step) over t = 0..n >= -1, for steps = (step,),
+def _series(x: int, n: int, gaps: Sequence[int]) -> int:
+    """Sum of R(x + t*step) over t = 0..n >= -1, for gaps = (step,),
     step >= 0: an arithmetic series from its first term >= 0 on."""
-    step, = steps
+    step, = gaps
     first = _first_at_least_zero(x, step, n + 1)
     count = n + 1 - first
     return count * (x + first * step) + step * count * (count - 1) // 2
 
 
-def _sublattices(ramp: tuple[int, int, int], start: int, steps: Sequence[int],
+def _sublattices(ramp: tuple[int, int, int], base: int, gaps: Sequence[int],
                  left: int) -> list[tuple[int, int]]:
-    """The ramp R(floor((d + c)/q) + e) over the degrees d = start + w.steps,
-    w >= 0, |w| <= left, for one or two steps, as q^len(steps) sums: on
-    w = q*w' + v, v in [0, q)^len(steps), it is R(x_v + w'.steps), x_v =
-    floor((start + v.steps + c)/q) + e, over |w'| <= (left - |v|) // q.
+    """The ramp R(floor((d + c)/q) + e) over the degrees d = base + w.gaps,
+    w >= 0, |w| <= left, for one or two gaps, as q^len(gaps) sums: on
+    w = q*w' + v, v in [0, q)^len(gaps), it is R(x_v + w'.gaps), x_v =
+    floor((base + v.gaps + c)/q) + e, over |w'| <= (left - |v|) // q.
     Returns each (x_v, (left - |v|) // q)."""
     q, c, e = ramp
-    if len(steps) == 1:
-        step, = steps
-        return [((start + v * step + c) // q + e, (left - v) // q) for v in range(q)]
-    slope, step = steps
-    return [((start + u * slope + v * step + c) // q + e, (left - u - v) // q)
+    if len(gaps) == 1:
+        step, = gaps
+        return [((base + v * step + c) // q + e, (left - v) // q) for v in range(q)]
+    slope, step = gaps
+    return [((base + u * slope + v * step + c) // q + e, (left - u - v) // q)
             for u in range(q) for v in range(q)]
 
 
-def _slice_intervals(degrees: Sequence[int], steps: list[int], i: int, base: int, left: int,
+def _slice_intervals(gaps: Sequence[int], base: int, left: int,
                      curves: Sequence[Curve]) -> list[tuple[int, int]]:
-    """(lo, hi) on each of the curves: the curve intervals summed over
-    k_i + ... + k_r = left, at degrees base + sum(k_j d_j) over j >= i, as
-    the sum over k_i = 0..left of the slice one rank lower, down to a leaf
-    of rank 2 or 3.  The leaf's degrees are start + w.steps, w >= 0,
-    |w| <= left, start = base + left*d_r, steps the gaps d_j - d_r of its
-    other one or two summands: each ramp is summed over its _sublattices,
-    by _series on one step, _triangle_sum on two.  The ramps of genus 0
-    are shifted by -g for each curve, and hi's first, which reads no
-    genus, is summed once for all.  Off the band (start + left*steps[0]
-    < 0, or max(start, 0) > 2g - 2, that is g < (max(start, 0) + 3) // 2),
-    hi = lo.
+    """(lo, hi) on each of the curves: the curve intervals summed over the
+    degrees base + w.gaps, w >= 0, |w| <= left, gaps >= 0 descending, as
+    the sum over the first coordinate k = 0..left of the slice of
+    gaps[1:] at base + k*gaps[0], down to a leaf of one or two gaps: each
+    ramp of _RAMPS is summed over its _sublattices, by _series on one gap,
+    _triangle_sum on two.  lo's ramp and hi's second are shifted by -g for
+    each curve, and hi's first, which reads no genus, is summed once for
+    all.  Off the band (base + left*gaps[0] < 0, or max(base, 0) > 2g - 2,
+    that is g < (max(base, 0) + 3) // 2), hi = lo.
     """
-    if i < len(degrees) - 3:
+    if len(gaps) > 2:
         sums = [(0, 0)] * len(curves)
+        step, rest = gaps[0], gaps[1:]
         for k in range(left + 1):
-            part = _slice_intervals(degrees, steps, i + 1, base + k * degrees[i], left - k, curves)
+            part = _slice_intervals(rest, base + k * step, left - k, curves)
             sums = [(lo + plo, hi + phi) for (lo, hi), (plo, phi) in zip(sums, part)]
         return sums
-    total = _series if len(steps) == 1 else _triangle_sum
-    start = base + left * degrees[-1]
+    total = _series if len(gaps) == 1 else _triangle_sum
     # lo's ramp has q = 1: one sum over all of the leaf.
-    (_, c, e), free_ramp, genus_ramp = _GENUS0_RAMPS
-    lo_x = start + c + e
-    band = (max(start, 0) + 3) // 2 if start + left * steps[0] >= 0 else None
+    (_, c, e), free_ramp, genus_ramp = _RAMPS
+    lo_x = base + c + e
+    band = (max(base, 0) + 3) // 2 if base + left * gaps[0] >= 0 else None
     free = None
     pairs = []
     for curve in curves:
         g = curve.genus
-        lo = total(lo_x - g, left, steps)
+        lo = total(lo_x - g, left, gaps)
         if band is None or g < band:
             pairs.append((lo, lo))
             continue
         if free is None:
             free = 0
-            for x, n in _sublattices(free_ramp, start, steps, left):
-                free += total(x, n, steps)
-            tied = _sublattices(genus_ramp, start, steps, left)
+            for x, n in _sublattices(free_ramp, base, gaps, left):
+                free += total(x, n, gaps)
+            tied = _sublattices(genus_ramp, base, gaps, left)
         hi = free
         for x, n in tied:
-            hi += total(x - g, n, steps)
+            hi += total(x - g, n, gaps)
         pairs.append((lo, hi))
     return pairs
 
@@ -292,13 +290,14 @@ def _check_work(what: str, work: int) -> None:
 def _intervals(degrees: Sequence[int], cls: NumClass, curves: Sequence[Curve]) -> list[H0Interval]:
     """h0_class_interval of cls on the bundle of the given degrees over each
     of the curves, a query already priced by _check_work: one lattice sum
-    for all the curves, unless a < 0 or cls = (0, 0)."""
+    for all the curves, on the twisted gaps d_i - d_r and base b + a*d_r,
+    unless a < 0 or cls = (0, 0)."""
     if cls.a < 0:
         return [H0Interval(0, 0)] * len(curves)
     if cls.a == 0 and cls.b == 0:
         return [H0Interval(1, 1)] * len(curves)
     low = degrees[-1]
-    pairs = _slice_intervals(degrees, [d - low for d in degrees[-3:-1]], 0, cls.b, cls.a, curves)
+    pairs = _slice_intervals([d - low for d in degrees[:-1]], cls.b + cls.a * low, cls.a, curves)
     return [H0Interval(lo, hi) for lo, hi in pairs]
 
 

@@ -329,7 +329,7 @@ class TestScan:
         for argv in cases:
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(sections, "_slice_intervals",
-                           lambda degrees, steps, i, base, left, curves: [(2, 1)] * len(curves))
+                           lambda gaps, base, left, curves: [(2, 1)] * len(curves))
                 code, out, err = run_cli(capsys, *argv)
             assert (code, out) == (EXIT_VALIDATION, "")
             assert err == "error: interval needs 0 <= lo <= hi\n"

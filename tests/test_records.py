@@ -63,6 +63,10 @@ ROWS = [
              "steps must be booleans"),
             ("step-int", dict(base=BASE, budget_class=NumClass(0, 1), steps=(1,)),
              "steps must be booleans"),
+            ("steps-int", dict(base=BASE, budget_class=NumClass(0, 1), steps=5),
+             "steps must be booleans"),
+            ("steps-none", dict(base=BASE, budget_class=NumClass(0, 1), steps=None),
+             "steps must be booleans"),
         ]),
     Row(Curve, dict(genus=2), (2, 0), Curve(2, 3), "Curve(genus=2, characteristic=0)",
         refusals=[
@@ -72,7 +76,18 @@ ROWS = [
              "characteristic must be 0 or a prime"),
         ]),
     Row(ExtClass, dict(a=1, b=2), (1, 2, ()), ExtClass(1, 2, (0,)),
-        "ExtClass(a=1, b=2, exc=())", "1*xi + 2*f"),
+        "ExtClass(a=1, b=2, exc=())", "1*xi + 2*f",
+        refusals=[
+            ("str-a", dict(a="x", b=None, exc=3), "class coefficients a, b must be integers"),
+            ("none-b", dict(a=1, b=None), "class coefficients a, b must be integers"),
+            ("bool-a", dict(a=True, b=0), "class coefficients a, b must be integers"),
+            ("exc-int", dict(a=1, b=0, exc=3),
+             "exceptional coefficients must be a tuple of integers"),
+            ("exc-list", dict(a=1, b=0, exc=[1]),
+             "exceptional coefficients must be a tuple of integers"),
+            ("exc-float", dict(a=1, b=0, exc=(1.5,)),
+             "exceptional coefficients must be a tuple of integers"),
+        ]),
     Row(H0Interval, dict(lo=1, hi=2), (1, 2), H0Interval(1, 1), "H0Interval(lo=1, hi=2)",
         refusals=[
             ("lo-above-hi", dict(lo=3, hi=2), "interval needs 0 <= lo <= hi"),

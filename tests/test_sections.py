@@ -116,14 +116,6 @@ class TestH0IntervalCurve:
 
 
 class TestH0ClassInterval:
-    @pytest.mark.parametrize("g", [0, 1, 2, 7, 10**9])
-    def test_ramps_shift_by_genus(self, g):
-        # A leaf reads the ramps of genus 0 and shifts e by -g in the first
-        # and the third ramp for each curve, summing the first in one sum.
-        (q0, c0, e0), free, (q2, c2, e2) = sections._ramps(0)
-        assert q0 == 1
-        assert sections._ramps(g) == ((q0, c0, e0 - g), free, (q2, c2, e2 - g))
-
     def test_elliptic_anticanonical(self):
         # k in {(2,0),(1,1),(0,2)} -> curve degrees 1, 0, -1
         assert h0_class_interval(surface(1, 1, 0), NumClass(2, -1)) == H0Interval(1, 2)
@@ -496,50 +488,56 @@ class TestVolumeClosedForm:
                         assert volume(s, cls) == want, (d1, d2, a, b)
 
 
+def lead_samples(s, cls, count):
+    """(P, lo samples, hi samples) of cls at m = m0 + k*P, k = 0..count-1,
+    with P = 2*lcm of the non-zero gaps d_i - d_j (2 if there are none)
+    and m0 = 2 + max floor(|T|/|v_i|) over the thresholds T in {g - 1, 0,
+    2g + 1} and the non-zero knots v_i = a*d_i + b: along them lo and hi
+    are polynomials of degree r in k."""
+    degrees, g = s.bundle.degrees, s.curve.genus
+    period = 2 * lcm(*(x - y for i, x in enumerate(degrees) for y in degrees[i + 1:] if x != y))
+    knots = [abs(cls.a * d + cls.b) for d in degrees]
+    m0 = 2 + max((abs(t) // v for t in (g - 1, 0, 2 * g + 1) for v in knots if v), default=0)
+    return (period, *zip(*(h0_class_interval(s, (m0 + k * period) * cls) for k in range(count))))
+
+
+def assert_leads_are_volume(s, cls):
+    """The r-th differences of lo and hi at r + 2 lead samples, over P^r,
+    are the volume, so that their (r+1)-th difference is 0."""
+    r = s.rank
+    period, *bounds = lead_samples(s, cls, r + 2)
+    for bound in bounds:
+        for _ in range(r):
+            bound = [y - x for x, y in zip(bound, bound[1:])]
+        assert [Fraction(d, period**r) for d in bound] == [volume(s, cls)] * 2, (s, cls)
+
+
 class TestLeadingCoefficient:
     def test_third_difference_is_volume(self):
-        # lo(m) is exact outside the Clifford band, so along m = k*M, M a
-        # multiple of its quasi-period, it is a cubic in k whose leading
-        # coefficient is vol/3!: the third difference over M^3 is vol and
-        # the fourth is 0.  On the 160 rows of the rank-3 scan grid.
-        rows = [(g, (d1, d2, d3)) for g in (1, 2) for d1 in range(0, 5)
-                for d2 in range(-2, min(4, d1) + 1) for d3 in range(-2, min(4, d2) + 1)]
-        assert len(rows) == 160
-        for g, degrees in rows:
-            s = surface(g, *degrees)
-            gaps = [x - y for i, x in enumerate(degrees) for y in degrees[i + 1:] if x != y]
-            period = 8 * lcm(*gaps)
-            anti = -canonical_class(s)
-            diffs = [h0_class_interval(s, k * period * anti).lo for k in range(1, 6)]
-            for _ in range(3):
-                diffs = [y - x for x, y in zip(diffs, diffs[1:])]
-            assert [Fraction(d, period**3) for d in diffs] == [volume(s, anti)] * 2, (g, degrees)
-            assert diffs[1] - diffs[0] == 0
+        # Rank 3, on the 80 bundles of the rank-3 scan grid at g = 0..5,
+        # 40, 1,000 and 10^6, for (1, 0), -K and (2, -3): lo and hi are
+        # cubics in k along the lead samples.
+        bundles = [(d1, d2, d3) for d1 in range(0, 5) for d2 in range(-2, min(4, d1) + 1)
+                   for d3 in range(-2, min(4, d2) + 1)]
+        assert len(bundles) == 80
+        for g in (*range(6), 40, 1000, 10**6):
+            for degrees in bundles:
+                s = surface(g, *degrees)
+                for cls in NumClass(1, 0), -canonical_class(s), NumClass(2, -3):
+                    assert_leads_are_volume(s, cls)
 
     def test_second_difference_is_volume_at_high_genus(self):
         # Rank 2, on the 91 bundles of the rank-2 scan grid at g = 0..40,
-        # 1,000 and 10^6, for (1, 0) and -K: along m = m0 + k*P, with P =
-        # 2*(d1 - d2) (2 if d1 = d2) and m0 = 2 + max floor(|T|/|v_i|) over
-        # the thresholds T in {g - 1, 0, 2g + 1} and the non-zero knots v_i
-        # = a*d_i + b, lo and hi are quadratics in k: each second
-        # difference over P^2 is the volume, and the third difference is 0.
+        # 1,000 and 10^6, for (1, 0) and -K: lo and hi are quadratics in k
+        # along the lead samples.
         genera = [*range(41), 1000, 10**6]
         bundles = [(d1, d2) for d1 in range(-4, 9) for d2 in range(-4, d1 + 1)]
         assert len(genera) * len(bundles) == 3913
         for g in genera:
             for degrees in bundles:
                 s = surface(g, *degrees)
-                period = 2 * (degrees[0] - degrees[1]) or 2
                 for cls in NumClass(1, 0), -canonical_class(s):
-                    knots = [abs(cls.a * d + cls.b) for d in degrees]
-                    m0 = 2 + max((abs(t) // v for t in (g - 1, 0, 2 * g + 1)
-                                  for v in knots if v), default=0)
-                    samples = [h0_class_interval(s, (m0 + k * period) * cls) for k in range(4)]
-                    for bound in zip(*samples):
-                        diffs = [y - 2 * x + w for w, x, y in zip(bound, bound[1:], bound[2:])]
-                        assert [Fraction(d, period**2) for d in diffs] == [volume(s, cls)] * 2, \
-                            (g, degrees, cls)
-                        assert diffs[1] - diffs[0] == 0
+                    assert_leads_are_volume(s, cls)
 
 
 def classify(s, cls, rungs):

@@ -28,7 +28,7 @@ EXIT_VALIDATION = 2
 EXIT_IO = 3
 
 # Most grid points (genera x characteristics x degree ranges, before the
-# d1 >= d2 >= d3 filter) one scan may ask for.
+# non-increasing filter over the ranges given) one scan may ask for.
 MAX_SCAN_POINTS = 10**5
 
 
@@ -132,33 +132,27 @@ def cmd_classify(args: argparse.Namespace) -> tuple[int, list[str]]:
 
 # -------------------------------------------------------------------- scan
 
-def _scan_grid(args: argparse.Namespace) -> tuple[list[list[Curve]], list[SplitBundle]]:
-    """The scan grid as blocks of curves and the bundles: its rows, in
-    emission order, are each block's curves in turn, each with every
-    bundle.  Genera and characteristics (each once, sorted) run in that
-    order, the non-increasing degree tuples in lexicographic order.  All
-    curves of a block share each bundle's class: a fixed --class puts
-    every curve in one block, -K (which reads the genus) makes one block a
-    genus."""
+def cmd_scan(args: argparse.Namespace) -> tuple[int, list[str]]:
+    """The scan grid's rows, in emission order: genera and characteristics
+    (each once, sorted) in that order, each curve with every bundle, the
+    non-increasing degree tuples of the ranges given in lexicographic
+    order.  Rows are classified in blocks of curves that share each
+    bundle's class: a fixed --class puts every curve in one block, -K
+    (which reads the genus) makes one block a genus."""
     genera, chars = args.genus_range, sorted(set(args.chars))
-    ranges = [args.d1_range, args.d2_range, *([args.d3_range] if args.d3_range else [])]
+    ranges = {name: r for name in ("d1", "d2", "d3") if (r := getattr(args, f"{name}_range"))}
     # stop - start, not len(): len() of a range past sys.maxsize overflows.
-    size = len(chars) * math.prod(r.stop - r.start for r in (genera, *ranges))
+    size = len(chars) * math.prod(r.stop - r.start for r in (genera, *ranges.values()))
     if size > MAX_SCAN_POINTS:
         raise ValueError(f"scan grid has {size} points before filtering, "
                          f"above the limit of {MAX_SCAN_POINTS}")
-    bundles = [SplitBundle(degs) for degs in itertools.product(*ranges)
+    bundles = [SplitBundle(degs) for degs in itertools.product(*ranges.values())
                if all(x >= y for x, y in zip(degs, degs[1:]))]
     if not bundles:
-        raise ValueError("scan grid is empty (degree ranges never satisfy d1 >= d2 >= d3)")
+        raise ValueError(f"scan grid is empty (degree ranges never satisfy {' >= '.join(ranges)})")
     blocks = [[Curve(g, p) for p in chars] for g in genera]
     if args.num_class is not None:
         blocks = [[curve for block in blocks for curve in block]]
-    return blocks, bundles
-
-
-def cmd_scan(args: argparse.Namespace) -> tuple[int, list[str]]:
-    blocks, bundles = _scan_grid(args)
     # A group for each bundle in each block: the class on the bundle over
     # each of the block's curves.  The surface over the first curve stands
     # for them all in -K, which reads only the genus, and in the slope test.
@@ -168,30 +162,29 @@ def cmd_scan(args: argparse.Namespace) -> tuple[int, list[str]]:
             surface = RuledSurface(block[0], bundle)
             cls = args.num_class if args.num_class is not None else -canonical_class(surface)
             groups.append((surface, cls, block))
-    rows = len(bundles) * sum(map(len, blocks))
-    classified = growth_classify(f"scan of {rows} rows up to m = {args.m_max}",
-                                 groups, (args.m_max,))
-    lines = ["\t".join(["genus", "char", "d1", "d2", *(["d3"] if args.d3_range else []),
-                         "a", "b", "big", "verdict", "volume", "agree"])]
+    classified = growth_classify(f"scan of {len(bundles) * len(genera) * len(chars)} rows "
+                                 f"up to m = {args.m_max}", groups, (args.m_max,))
+    lines = ["\t".join(["genus", "char", *ranges, "a", "b", "big", "verdict", "volume", "agree"])]
     code = EXIT_OK
-    results = zip(groups, classified)
-    for block in blocks:
-        # The columns after the curve's two: a list for each group of the
-        # block, an entry for each of its rows.
-        columns = []
-        for (surface, cls, _), (vol, verdicts, _) in itertools.islice(results, len(bundles)):
-            big = big_test(surface, cls)
-            expected = Verdict.BIG_CERTIFIED if big else Verdict.NOT_BIG_CERTIFIED
-            if verdicts.count(expected) < len(verdicts):
-                code = EXIT_DISAGREE
-            head = "\t".join(map(str, [*surface.bundle.degrees, *cls, _bool_str(big), ""]))
-            tails = dict.fromkeys(verdicts)
-            for verdict in tails:
-                tails[verdict] = f"{head}{verdict.value}\t{vol}\t{_bool_str(verdict is expected)}"
-            columns.append(list(map(tails.__getitem__, verdicts)))
-        for j, curve in enumerate(block):
-            fields = f"{curve.genus}\t{curve.characteristic}\t"
-            lines += [fields + column[j] for column in columns]
+    # The columns after the curve's two: a list for each group of the
+    # block, an entry for each of its rows.  The block's rows are written
+    # once its last bundle's column is done.
+    columns = []
+    for (surface, cls, block), (vol, verdicts, _) in zip(groups, classified):
+        big = big_test(surface, cls)
+        expected = Verdict.BIG_CERTIFIED if big else Verdict.NOT_BIG_CERTIFIED
+        if verdicts.count(expected) < len(verdicts):
+            code = EXIT_DISAGREE
+        head = "\t".join(map(str, [*surface.bundle.degrees, *cls, _bool_str(big), ""]))
+        tails = dict.fromkeys(verdicts)
+        for verdict in tails:
+            tails[verdict] = f"{head}{verdict.value}\t{vol}\t{_bool_str(verdict is expected)}"
+        columns.append(list(map(tails.__getitem__, verdicts)))
+        if len(columns) == len(bundles):
+            for j, curve in enumerate(block):
+                fields = f"{curve.genus}\t{curve.characteristic}\t"
+                lines += [fields + column[j] for column in columns]
+            columns = []
     return code, lines
 
 

@@ -7,19 +7,20 @@ count is only known up to bounds (Riemann-Roch from below, Clifford from
 above in the special range), so the result type is an interval.
 
 Both bounds are sums of ramps R(floor((d + c)/q) + e), R(x) = max(0, x),
-q in {1, 2}, each summed over its q^(r-1) sublattices, on which the floor
-is gone.  The sums read E only up to a twist, P_C(E) = P_C(E (x) L): the
-gaps d_i - d_r of all summands but the last, and the base b + a*d_r.  The
-direct-sum recursion Sym^a(L + E') = sum over k = 0..a of L^k (x)
+q in {1, 2}.  The sums read E only up to a twist, P_C(E) = P_C(E (x) L):
+the gaps d_i - d_r of all summands but the last, and the base b + a*d_r.
+The direct-sum recursion Sym^a(L + E') = sum over k = 0..a of L^k (x)
 Sym^(a-k) E' fixes k_1, moving the base by k_1 times the first gap, down
 to one leaf of rank 2 or 3, of degrees base + w.gaps over w >= 0,
-|w| <= left.  Each sublattice is then a line, an arithmetic series from
-its first positive term, or a triangle, row by row a polynomial, less the
-negative terms of the rows only partly positive, which floor sums give in
-O(log).  A leaf sums a group of curves sharing the bundle and the class in
-one pass: the sublattice starts and the ramp that reads no genus once for
-the group, then per curve one sum for lo and, inside the band, the others
-for hi.  Rank 2 costs O(1) a curve whatever a and g are, rank 3
+|w| <= left.  There each ramp is split into the sublattices on which its
+floor is gone, q of them at a rank-2 leaf and q^2 at a rank-3 leaf.  Each
+sublattice is then a line, an arithmetic series from its first positive
+term, or a triangle, row by row a polynomial, less the negative terms of
+the rows only partly positive, which floor sums give in O(log).  A leaf
+sums a group of curves sharing the bundle and the class in one pass: the
+sublattice starts and the ramp that reads no genus once for the group,
+then per curve one sum for lo and, inside the band, the others for hi.
+Rank 2 costs O(1) a curve whatever a and g are, rank 3
 O(log(min(a, d_2 - d_3) + 1)), and rank r the recursion down to
 C(a+r-3, r-3) rank-3 leaves.  Outside the band 0 <= d <= 2g-2 (so at
 g = 0 everywhere) hi = lo, and a leaf whose degree range misses the band

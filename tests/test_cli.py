@@ -35,6 +35,21 @@ WIDE_GAP_SCAN = ("--genus-range", "1:1", "--d1-range=2000000000000:2000000000023
 SCAN_R2 = ("scan", "--genus-range", "0:40", "--d1-range=-4:8", "--d2-range=-4:8", "--class=1,0")
 SCAN_R3 = ("scan", "--genus-range", "1:2", "--d1-range=0:4", "--d2-range=-2:4", "--d3-range=-2:4")
 
+# tests/test_oracle.py's knots-shifted plant, as source: sections._volume
+# with its knots shifted by -1.  It makes a scan disagree whatever the
+# clean program's own verdicts, so the tests of the exit-1 path set it: by
+# monkeypatch in this process, and in a spawned one ahead of the entry
+# point's run(), as CI's console-script step does (PLANTED_RUN).
+KNOTS_SHIFTED = ("lambda a, knots, volume=sections._volume.__wrapped__: "
+                 "volume(a, tuple(v - 1 for v in knots))")
+PLANTED_RUN = (f"from ruledsurf import sections; sections._volume = {KNOTS_SHIFTED}; "
+               "from ruledsurf.__main__ import run; raise SystemExit(run())")
+
+
+def knots_shifted():
+    """The planted volume, to set in place of sections._volume."""
+    return eval(KNOTS_SHIFTED, {"sections": sections})
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -214,14 +229,28 @@ class TestScan:
         assert all(line.split("\t")[-1] == "true" for line in lines[1:])
 
     @pytest.mark.parametrize("argv, code, digest", [
-        (SCAN_R2, EXIT_DISAGREE, "c31911b0f2002c55549d817a870fb904eb71d012cc587f97631502e47c06bde6"),
-        (SCAN_R3, EXIT_OK, "f3671322ac0358c51837ae2dcef9d52a81ec9bbe7d417325b111d05db8ef4cdb"),
-    ], ids=["rank2", "rank3"])
+        ((*SCAN_R2, "--m-max", "64"), EXIT_DISAGREE,
+         "c31911b0f2002c55549d817a870fb904eb71d012cc587f97631502e47c06bde6"),
+        ((*SCAN_R3, "--m-max", "64"), EXIT_OK,
+         "f3671322ac0358c51837ae2dcef9d52a81ec9bbe7d417325b111d05db8ef4cdb"),
+        (("scan", "--genus-range", "0:4", "--chars", "3,2,2,0", "--d1-range=-4:8",
+          "--d2-range=-4:8", "--class=1,0", "--m-max", "64"), EXIT_OK,
+         "9bbcbc442f5e56cc73932f1b46a1652ab02dd249592aafc0fe671fccc13a4022"),
+        (("scan", "--genus-range", "0:9", "--chars", "3,2,2,0", "--d1-range=-4:8",
+          "--d2-range=-4:8", "--m-max", "16"), EXIT_OK,
+         "f0132c9b2e657df7fe87188aace403947dcbbe28f54ccfe326eee3afdde22399"),
+        (("scan", "--genus-range", "0:3", "--chars", "2,0", "--d1-range=0:3", "--d2-range=-2:2",
+          "--d3-range=-2:2", "--class=1,0", "--m-max", "32"), EXIT_OK,
+         "99335d39f76197ab376d2b1a811539590f520da2cc1253914065f0095d305d98"),
+    ], ids=["rank2", "rank3", "chars-one-block", "chars-minus-k", "chars-rank3"])
     def test_grid_tsv_pinned(self, capsys, argv, code, digest):
-        # The TSV of the benchmark's two scan grids, byte for byte: the
-        # rank-2 grid of 3,731 rows (105 INCONCLUSIVE, so exit 1) and the
-        # rank-3 grid of 160 rows under -K.
-        got, out, err = run_cli(capsys, *argv, "--m-max", "64")
+        # The TSV byte for byte, the order of its rows too: the
+        # benchmark's two scan grids, the rank-2 grid of 3,731 rows (105
+        # INCONCLUSIVE, so exit 1) and the rank-3 grid of 160 rows under
+        # -K; then three grids over several characteristics, a repeated
+        # one scanned once: a fixed class in one block of 15 curves, -K
+        # in blocks of 3 (one a genus), and a fixed class in rank 3.
+        got, out, err = run_cli(capsys, *argv)
         assert (got, err) == (code, "")
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
@@ -260,9 +289,10 @@ class TestScan:
         assert code == EXIT_IO
         assert err == "error: [Errno 2] No such file or directory: '/nonexistent-dir/out.tsv'\n"
 
-    def test_disagreement_sets_exit_code(self, capsys):
-        # Two of the four rows disagree (high genus): the exit code must
-        # follow each row's agree flag.
+    def test_disagreement_sets_exit_code(self, capsys, monkeypatch):
+        # Under the knots-shifted plant the two big rows read vol = 0 and
+        # disagree: the exit code must follow each row's agree flag.
+        monkeypatch.setattr(sections, "_volume", knots_shifted())
         code, out, _ = run_cli(
             capsys, "scan", "--genus-range", "29:30", "--d1-range", "0:1",
             "--d2-range", "0:0", "--class", "1,0", "--m-max", "16",
@@ -285,7 +315,8 @@ class TestScan:
         assert row[6] == "true"  # big by the slope test
         assert row[-1] == "false"
 
-    def test_disagreeing_scan_writes_out(self, tmp_path):
+    def test_disagreeing_scan_writes_out(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(sections, "_volume", knots_shifted())
         out = tmp_path / "grid.tsv"
         code = main(["scan", "--genus-range", "29:30", "--d1-range", "0:1",
                      "--d2-range", "0:0", "--class", "1,0", "--m-max", "16",
@@ -693,6 +724,10 @@ REJECTED = [*(refused(f"argv{i}", argv, reason) for i, (argv, reason) in enumera
     # twice they would pass it.  The grid is then refused as empty.
     refused("scan-chars-repeated-under-cap", ["scan", "--genus-range", "0:50000", "--chars",
                                               "0,0", "--d1-range=0:0", "--d2-range=1:1"],
+            "error: scan grid is empty (degree ranges never satisfy d1 >= d2)\n"),
+    # the refusal names the ranges given: d3 in rank 3 only
+    refused("scan-grid-empty-rank3", ["scan", "--genus-range", "1:1", "--d1-range=0:0",
+                                      "--d2-range=0:0", "--d3-range=1:1"],
             "error: scan grid is empty (degree ranges never satisfy d1 >= d2 >= d3)\n"),
     # scenario files: malformed, mistyped or refused by the records
     refused("blowup-missing-field", ["blowup", "{path}"],
@@ -852,23 +887,27 @@ class TestDigitLimit:
         assert f"volume: {big}\n" in proc.stdout
 
 
-@pytest.mark.parametrize("argv, code", [
-    (["classify", "--genus", "2", "--char", "2", "--degrees", "1,0"], EXIT_OK),
+@pytest.mark.parametrize("argv, code, planted", [
+    (["classify", "--genus", "2", "--char", "2", "--degrees", "1,0"], EXIT_OK, False),
     (["scan", "--genus-range", "29:30", "--d1-range", "0:1", "--d2-range", "0:0",
-      "--class", "1,0", "--m-max", "16"], EXIT_DISAGREE),
-    (["classify", "--genus", "-1", "--degrees", "1,0"], EXIT_VALIDATION),
+      "--class", "1,0", "--m-max", "16"], EXIT_DISAGREE, True),
+    (["classify", "--genus", "-1", "--degrees", "1,0"], EXIT_VALIDATION, False),
     (["classify", "--genus", "1", "--degrees", "1,0", "--out", "{tmp}/missing/out.txt"],
-     EXIT_IO),
+     EXIT_IO, False),
 ], ids=["classify", "disagreeing-scan", "refused", "unwritable-out"])
-def test_entry_point_matches_main(capsys, tmp_path, argv, code):
+def test_entry_point_matches_main(capsys, monkeypatch, tmp_path, argv, code, planted):
     # `python -m ruledsurf` (the console script's code too) freezes the
     # start-up heap and then runs main(): the same exit code, stdout and
-    # stderr as main() called in this process.
+    # stderr as main() called in this process.  The disagreeing scan runs
+    # under the knots-shifted plant on both sides, spawned through run().
     argv = [arg.format(tmp=tmp_path) for arg in argv]
     src = Path(__file__).resolve().parent.parent / "src"
-    proc = subprocess.run([sys.executable, "-m", "ruledsurf", *argv],
+    entry = ["-c", PLANTED_RUN] if planted else ["-m", "ruledsurf"]
+    proc = subprocess.run([sys.executable, *entry, *argv],
                           env=dict(os.environ, PYTHONPATH=str(src)),
                           capture_output=True, text=True, timeout=60)
+    if planted:
+        monkeypatch.setattr(sections, "_volume", knots_shifted())
     assert (proc.returncode, proc.stdout, proc.stderr) == run_cli(capsys, *argv)
     assert proc.returncode == code
 
@@ -877,13 +916,13 @@ def test_entry_point_matches_main(capsys, tmp_path, argv, code):
 def test_closed_stdout_ends_quietly(unbuffered):
     # A reader that closes stdout early ends the command with its own exit
     # code and nothing on stderr, at interpreter exit too.  The scan-r2
-    # TSV (153,829 bytes, more than a pipe holds) fails in main's print
-    # after one line is read; classify's few lines, into a pipe closed
-    # before the start, fail in main's print when unbuffered and, when
-    # buffered, in the flush after main.
+    # TSV under the knots-shifted plant (more than a pipe holds) fails in
+    # main's print after one line is read; classify's few lines, into a
+    # pipe closed before the start, fail in main's print when unbuffered
+    # and, when buffered, in the flush after main.
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONUNBUFFERED=unbuffered)
     command = [sys.executable, "-m", "ruledsurf"]
-    with subprocess.Popen([*command, *SCAN_R2, "--m-max", "64"], env=env,
+    with subprocess.Popen([sys.executable, "-c", PLANTED_RUN, *SCAN_R2, "--m-max", "64"], env=env,
                           stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
         assert proc.stdout.readline() == b"genus\tchar\td1\td2\ta\tb\tbig\tverdict\tvolume\tagree\n"
         proc.stdout.close()

@@ -16,7 +16,7 @@ import pytest
 
 from ruledsurf import H0Interval, cli, sections
 from ruledsurf.cli import EXIT_DISAGREE, EXIT_OK, EXIT_VALIDATION
-from test_cli import SCAN_R2, SCAN_R3, run_cli
+from test_cli import SCAN_R2, SCAN_R3, knots_shifted, run_cli
 
 GRIDS = {"scan-r2": (*SCAN_R2, "--m-max", "64"), "scan-r3": (*SCAN_R3, "--m-max", "64")}
 REFUSED = "interval needs 0 <= lo <= hi"
@@ -46,8 +46,7 @@ Plant = namedtuple("Plant", "id plant pins reason", defaults=(None,))
 HI_UNREAD = "no verdict reads hi: a scan decides from lo and vol, and checks only hi >= lo"
 
 PLANTED = [
-    Plant("knots-shifted", lambda: (sections, "_volume",
-                                    lambda a, knots: VOLUME(a, tuple(v - 1 for v in knots))),
+    Plant("knots-shifted", lambda: (sections, "_volume", knots_shifted()),
           {"scan-r2": 143, "scan-r3": 14}),
     Plant("volume-truncated", lambda: (sections, "_volume",
                                        lambda a, knots: Fraction(int(VOLUME(a, knots)))),

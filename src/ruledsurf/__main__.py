@@ -14,12 +14,16 @@ unchanged: atexit handlers, stream flushes and exit codes run as before.
 main() itself does not freeze, since tests and benchmarks call it in a
 long-lived process.
 
-A reader that closes stdout early (`ruledsurf scan ... | head -1`)
-leaves output unwritten, which main() drops.  run() flushes stdout
-itself: if that fails too, it points fd 1 at os.devnull, so that the
-interpreter's own flush at exit neither reports an ignored
-BrokenPipeError nor turns the exit code into 120.  main() never touches
-fd 1, for the same reason as the freeze.
+main() flushes stdout as it prints, so it alone decides what a failed
+write means: a reader that closes stdout early (`ruledsurf scan ... |
+head -1`) leaves output unwritten, which main() drops, and any other
+failure, a full device say, exits 3 with one `error:` line.  The
+unwritten output stays in the stream's buffer, so run() flushes once
+more: if that fails too, it points fd 1 at os.devnull, so that the
+interpreter's own flush at exit neither reports an ignored OSError nor
+turns the exit code into 120.  With fd 1 closed at start-up, sys.stdout
+is None and there is nothing to flush.  main() never touches fd 1, for
+the same reason as the freeze.
 """
 import gc
 import os
@@ -32,8 +36,9 @@ def run() -> int:
     gc.freeze()
     code = main()
     try:
-        sys.stdout.flush()
-    except BrokenPipeError:
+        if sys.stdout is not None:
+            sys.stdout.flush()
+    except OSError:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return code
 

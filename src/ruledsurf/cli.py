@@ -3,8 +3,8 @@
 Subcommands: classify | scan | blowup | h0 | frobenius.  Exit codes:
 0 success / agreement, 1 oracle disagreement, 2 validation failure
 (a request over a work limit included), 3 file I/O failure (reading a
-scenario file or writing --out).  A reader that closes stdout early
-fails nothing: the command ends quietly with its own exit code.
+scenario file, or writing --out or stdout).  A reader that closes stdout
+early fails nothing: the command ends quietly with its own exit code.
 """
 from __future__ import annotations
 
@@ -366,7 +366,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         code, lines = args.func(args)
         if not args.out:
             try:
-                print("\n".join(lines))
+                print("\n".join(lines), flush=True)
             except BrokenPipeError:
                 pass  # the reader has stopped reading: not a failure of the command
             return code

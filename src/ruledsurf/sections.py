@@ -84,7 +84,8 @@ class Verdict(enum.Enum):
 # max(0, x), each given as (q, c, e): lo(d) = R(d + 1) is the first, and
 # hi(d) = R(floor(d/2) + 1) + R(floor((d+1)/2)) the sum of the other two.
 # A genus g subtracts g from the e of the first and the third ramp, and
-# the first has q = 1: h0_interval_curve and the leaves apply both rules.
+# the first has q = 1: the leaves of _slice_intervals, the table's only
+# reader, apply both rules.
 _RAMPS = (1, 0, 1), (2, 0, 1), (2, 1, 0)
 
 
@@ -93,14 +94,15 @@ def h0_interval_curve(curve: Curve, degree: int) -> H0Interval:
     d < 0, else [max(0, d-g+1), max(floor(d/2)+1, d-g+1)].  Riemann-Roch
     bounds from below and Clifford from above; beyond 2g-2, where d - g + 1
     is exact, it is the larger of the two (so on P^1 every d is exact).  At
-    d = 0 and g > 0 the twist may or may not be trivial: [0, 1].  Both ends
-    are the ramps of _RAMPS, shifted by -g as a leaf shifts them; all three
-    vanish for d < 0.
+    d = 0 and g > 0 the twist may or may not be trivial: [0, 1].  The
+    leaves sum these bounds as the ramps of _RAMPS; this function states
+    them without that table, so that the brute-force references that sum
+    it do not move with the leaves.
     """
-    (_, c, e), (q1, c1, e1), (q2, c2, e2) = _RAMPS
-    lo = degree + c + e - curve.genus
-    hi = max(0, (degree + c1) // q1 + e1) + max(0, (degree + c2) // q2 + e2 - curve.genus)
-    return H0Interval(max(0, lo), hi)
+    if degree < 0:
+        return H0Interval(0, 0)
+    riemann_roch = degree - curve.genus + 1
+    return H0Interval(max(0, riemann_roch), max(degree // 2 + 1, riemann_roch))
 
 
 def _first_at_least_zero(a: int, b: int, end: int) -> int:

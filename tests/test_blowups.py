@@ -39,11 +39,6 @@ class TestBlownUpSurface:
         k1 = s1.canonical_class()
         assert check_class(s1, k1, k1) == -9
 
-    def test_k_squared_after_ten(self):
-        s = BlownUpSurface(base(1, 2, 0), 10)
-        k = s.canonical_class()
-        assert check_class(s, k, k) == 8 * (1 - 1) - 10
-
     def test_k_squared_n3_g2(self):
         s = BlownUpSurface(base(2, 4, 1), n=3)
         k = s.canonical_class()

@@ -150,25 +150,12 @@ def write_scenario(tmp_path, **overrides):
 
 
 class TestClassify:
-    def test_elliptic_big(self, capsys):
-        code, out, _ = run_cli(capsys, "classify", "--genus", "1", "--degrees", "1,0")
-        assert code == EXIT_OK
-        assert "big: true" in out
-        assert "volume: 1" in out
-        assert "nef: false" in out  # -K pairs negatively with the section
-
     def test_rank3_prints_nef_after_pseff(self, capsys):
         # -K = 3*xi + 0*f on P(O(2) + O + O) over P^1 is nef, with
         # vol = (3*xi)^3 = 27*deg E = 54.
         code, out, _ = run_cli(capsys, "classify", "--genus", "0", "--degrees", "2,0,0")
         assert code == EXIT_OK
         assert "big: true\npseff: true\nnef: true\nvolume: 54\n" in out
-
-    def test_genus2_not_big(self, capsys):
-        code, out, _ = run_cli(capsys, "classify", "--genus", "2", "--degrees", "2,0")
-        assert code == EXIT_OK
-        assert "big: false" in out
-        assert "volume: 0" in out
 
     def test_rank_128_small_degrees_print_volume(self, capsys):
         # Under the digit limit: 128 degrees below 100 in absolute value.
@@ -177,41 +164,6 @@ class TestClassify:
         assert (code, err) == (EXIT_OK, "")
         assert "big: true" in out
         assert Fraction(out.split("volume: ")[1].split()[0]) > 0
-
-    def test_volume_digit_limit_on_table_entries(self, capsys):
-        # The volume of (1, 0) on degrees (K, 0) is K, but the table's
-        # entry D^2 = K^2 must stay within 4,300 digits too: it has 4,300
-        # at K = 10^2150 - 1 and 4,301 at K = 10^2150.
-        argv = ["classify", "--genus", "1", "--class", "1,0", "--degrees"]
-        code, out, _ = run_cli(capsys, *argv, f"{10**2150 - 1},0")
-        assert code == EXIT_OK
-        assert f"volume: {10**2150 - 1}" in out
-        for k in (10**2150, 10**2200):
-            code, _, err = run_cli(capsys, *argv, f"{k},0")
-            assert code == EXIT_VALIDATION
-            assert "limit of 4300 decimal digits" in err
-
-    def test_min_destabilizing_e(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "classify", "--genus", "2", "--char", "2", "--degrees", "1,0"
-        )
-        assert code == EXIT_OK
-        assert "min_destabilizing_e: 2" in out
-
-    def test_explicit_class(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "classify", "--genus", "1", "--degrees", "1,0",
-            "--class", "1,0",
-        )
-        assert code == EXIT_OK
-        assert "nef: true" in out
-        assert "big: true" in out
-
-    def test_large_prime_characteristic(self, capsys):
-        code, out, _ = run_cli(capsys, "classify", "--genus", "2", "--char",
-                               "1000000000000000003", "--degrees", "1,0")
-        assert code == EXIT_OK
-        assert "min_destabilizing_e: 1" in out
 
 
 class TestScan:
@@ -253,27 +205,6 @@ class TestScan:
         got, out, err = run_cli(capsys, *argv)
         assert (got, err) == (code, "")
         assert hashlib.sha256(out.encode()).hexdigest() == digest
-
-    def test_deterministic_output(self, capsys, tmp_path):
-        args = ["scan", "--genus-range", "1:1", "--d1-range=-1:2",
-                "--d2-range=-1:1", "--m-max", "16"]
-        out1 = tmp_path / "a.tsv"
-        out2 = tmp_path / "b.tsv"
-        assert main(args + ["--out", str(out1)]) == EXIT_OK
-        assert main(args + ["--out", str(out2)]) == EXIT_OK
-        assert out1.read_bytes() == out2.read_bytes()
-
-    def test_single_point_matches_classify(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "scan", "--genus-range", "2:2", "--d1-range", "5:5",
-            "--d2-range", "0:0", "--m-max", "32",
-        )
-        assert code == EXIT_OK
-        row = out.strip().split("\n")[1].split("\t")
-        assert row[6] == "true"  # big column, same verdict as classify
-        code2, out2, _ = run_cli(capsys, "classify", "--genus", "2",
-                                 "--degrees", "5,0")
-        assert "big: true" in out2
 
     def test_repeated_characteristic_scanned_once(self, capsys):
         code, out, _ = run_cli(capsys, "scan", "--genus-range", "1:1", "--chars", "2,2",
@@ -435,32 +366,7 @@ class TestScan:
         assert len(out.splitlines()) in (1 + 3731, 1 + 160)
         assert len(calls) == tables
 
-    def test_rank3_grid(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "scan", "--genus-range", "1:1", "--d1-range", "1:2",
-            "--d2-range", "0:0", "--d3-range", "0:0", "--m-max", "16",
-        )
-        assert code == EXIT_OK
-        assert out.split("\n")[0].split("\t")[2:5] == ["d1", "d2", "d3"]
-
-
 class TestBlowup:
-    def test_certifies_example(self, capsys, tmp_path):
-        path = write_scenario(tmp_path)
-        code, out, _ = run_cli(capsys, "blowup", path)
-        assert code == EXIT_OK
-        assert "certified: true" in out
-        assert "k_squared_step_0: 0" in out
-        assert "k_squared_step_7: -7" in out
-
-    def test_flipped_flag(self, capsys, tmp_path):
-        flags = [{"on_strict_transform": True} for _ in range(7)]
-        flags[0]["on_strict_transform"] = False
-        path = write_scenario(tmp_path, steps=flags)
-        code, out, _ = run_cli(capsys, "blowup", path)
-        assert code == EXIT_OK
-        assert "certified: false" in out
-
     def test_long_chain_report_is_linear(self, capsys, tmp_path):
         n = 100_000
         path = write_scenario(tmp_path, steps=[{"on_strict_transform": True}] * n)
@@ -474,27 +380,6 @@ class TestBlowup:
 
 
 class TestH0:
-    def test_interval_output(self, capsys):
-        code, out, _ = run_cli(capsys, "h0", "--genus", "1", "--degrees", "1,0")
-        assert code == EXIT_OK
-        assert "h0_lo: 1" in out and "h0_hi: 2" in out
-
-    def test_genus0_degree0_exact(self, capsys):
-        # P^1 x P^1: the class xi has k in {(1,0),(0,1)}, two degree-0
-        # points on P^1, each with exactly one section.
-        code, out, _ = run_cli(capsys, "h0", "--genus", "0", "--degrees", "0,0",
-                               "--class", "1,0")
-        assert code == EXIT_OK
-        assert "h0_lo: 2" in out and "h0_hi: 2" in out
-
-    def test_growth_section(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "h0", "--genus", "2", "--degrees", "5,0", "--m-max", "32"
-        )
-        assert code == EXIT_OK
-        assert "verdict: BIG_CERTIFIED" in out
-        assert "sample_m_32:" in out
-
     def test_sums_each_rung_once(self, run_logged):
         # The top rung 64 first, then the class itself and each rung of
         # the ladder below it, 8, 16, 32: -K in rank 2 and in rank 3.
@@ -506,16 +391,6 @@ class TestH0:
             samples = [line.split(":")[0] for line in out.splitlines()
                        if line.startswith("sample_m_")]
             assert samples == ["sample_m_8", "sample_m_16", "sample_m_32", "sample_m_64"]
-
-    def test_high_genus_big_class_inconclusive(self, capsys):
-        # Big (volume 1) but not yet confirmed by the counts up to m = 64:
-        # never labelled NOT_BIG_CERTIFIED.
-        code, out, _ = run_cli(capsys, "h0", "--genus", "30", "--degrees", "1,0",
-                               "--class", "1,0", "--m-max", "64")
-        assert code == EXIT_OK
-        assert "volume: 1\n" in out
-        assert "verdict: INCONCLUSIVE\n" in out
-
 
 class TestOut:
     @pytest.mark.parametrize("argv", [
@@ -573,6 +448,141 @@ def refused(name, argv, reason, scenario=None):
     and the reason name as {path}."""
     return pytest.param(argv, reason, scenario, id=name)
 
+
+def with_scenario(tmp_path, argv, scenario):
+    """argv with {path} naming a file of the scenario bytes in tmp_path,
+    and that path."""
+    path = tmp_path / "scenario.json"
+    if scenario is not None:
+        path.write_bytes(scenario)
+    return [arg.format(path=path) for arg in argv], path
+
+
+def accepted(name, command, lines, scenario=None):
+    """A row of ACCEPTED: as refused(), with argv written as one command
+    split at spaces, and the lines stdout holds, whole and in order."""
+    return pytest.param(command.split(" "), lines, scenario, id=name)
+
+
+# Inputs that must succeed, each with its test id and lines of its
+# output: test_accepted_quickly checks that it exits 0 within 1 s with
+# nothing on stderr and each line on stdout, whole and in order, and that
+# --out writes the same bytes and nothing to stdout.
+ACCEPTED = [
+    # -K on the elliptic P(O(1) + O) is big, but meets the section of
+    # degree 0 negatively
+    accepted("classify-elliptic-minus-k", "classify --genus 1 --degrees 1,0",
+             ["big: true", "nef: false", "volume: 1"]),
+    accepted("classify-explicit-class", "classify --genus 1 --degrees 1,0 --class 1,0",
+             ["big: true", "nef: true"]),
+    accepted("classify-genus2-not-big", "classify --genus 2 --degrees 2,0",
+             ["big: false", "volume: 0"]),
+    accepted("classify-min-destabilizing-e", "classify --genus 2 --char 2 --degrees 1,0",
+             ["min_destabilizing_e: 2"]),
+    accepted("classify-large-prime-char",
+             "classify --genus 2 --char 1000000000000000003 --degrees 1,0",
+             ["min_destabilizing_e: 1"]),
+    # the volume of (1, 0) on degrees (K, 0) is K, and the table's entry
+    # D^2 = K^2 has 4,300 digits at K = 10^2150 - 1 (4,301 at 10^2150,
+    # a REJECTED row)
+    accepted("classify-table-entry-at-digit-limit",
+             f"classify --genus 1 --class 1,0 --degrees {10**2150 - 1},0",
+             [f"volume: {10**2150 - 1}"]),
+    # knots (K, K), K = 2^4760 - 1 and 2^4760, whose table entries, K^2
+    # at most, have 2,866 digits: one volume, 2K
+    *(accepted(f"classify-knots-{k.bit_length()}-bits",
+               f"classify --genus 1 --degrees=0,0 --class=1,{k}", [f"volume: {2 * k}"])
+      for k in (2**4760 - 1, 2**4760)),
+    # a scan row and classify agree on the same surface
+    accepted("classify-single-point", "classify --genus 2 --degrees 5,0",
+             ["big: true", "volume: 9/5"]),
+    accepted("scan-single-point",
+             "scan --genus-range 2:2 --d1-range 5:5 --d2-range 0:0 --m-max 32",
+             ["2\t0\t5\t0\t2\t-7\ttrue\tBIG_CERTIFIED\t9/5\ttrue"]),
+    accepted("scan-small-grid", "scan --genus-range 1:1 --d1-range=-1:2 --d2-range=-1:1 --m-max 16",
+             ["genus\tchar\td1\td2\ta\tb\tbig\tverdict\tvolume\tagree",
+              "1\t0\t-1\t-1\t2\t2\tfalse\tNOT_BIG_CERTIFIED\t0\ttrue"]),
+    accepted("scan-rank3-header",
+             "scan --genus-range 1:1 --d1-range 1:2 --d2-range 0:0 --d3-range 0:0 --m-max 16",
+             ["genus\tchar\td1\td2\td3\ta\tb\tbig\tverdict\tvolume\tagree",
+              "1\t0\t1\t0\t0\t3\t-1\ttrue\tBIG_CERTIFIED\t8\ttrue"]),
+    # the 160-row rank-3 grid of acceptance criterion 2 at m = 64: every
+    # row agrees
+    accepted("scan-r3", " ".join([*SCAN_R3, "--m-max", "64"]),
+             ["genus\tchar\td1\td2\td3\ta\tb\tbig\tverdict\tvolume\tagree",
+              "1\t0\t0\t-2\t-2\t3\t4\ttrue\tBIG_CERTIFIED\t16\ttrue"]),
+    # genus 1: K^2 = 8(1 - g) = 0 on the base, and each blow-up lowers it
+    # by one
+    accepted("blowup-certified", "blowup {path}",
+             ["certified: true", "k_squared_step_0: 0", "k_squared_step_7: -7"], scenario_json()),
+    accepted("blowup-first-step-off-transform", "blowup {path}",
+             ["certified: false", "steps_on_strict_transform: false"],
+             scenario_json(steps=[{"on_strict_transform": i > 0} for i in range(7)])),
+    accepted("h0-elliptic-minus-k", "h0 --genus 1 --degrees 1,0", ["h0_lo: 1", "h0_hi: 2"]),
+    # P^1 x P^1: the class xi has k in {(1,0),(0,1)}, two degree-0 points
+    # on P^1, each with exactly one section
+    accepted("h0-genus0-degree0-exact", "h0 --genus 0 --degrees 0,0 --class 1,0",
+             ["h0_lo: 2", "h0_hi: 2"]),
+    accepted("h0-growth-section", "h0 --genus 2 --degrees 5,0 --m-max 32",
+             ["verdict: BIG_CERTIFIED", "sample_m_32: [950, 951]"]),
+    # big (volume 1) but not yet confirmed by the counts up to m = 64:
+    # never labelled NOT_BIG_CERTIFIED
+    accepted("h0-high-genus-big-class-inconclusive",
+             "h0 --genus 30 --degrees 1,0 --class 1,0 --m-max 64",
+             ["volume: 1", "verdict: INCONCLUSIVE"]),
+    # m*(3, -3) has one point of degree >= 0, k = (3m, 0, 0) of degree 0,
+    # so every rung is [0, 1]
+    accepted("h0-rank3-every-rung-0-1", "h0 --genus 2 --degrees 1,0,0 --m-max 100000000",
+             ["h0_lo: 0", "h0_hi: 1", "verdict: NOT_BIG_CERTIFIED",
+              *(f"sample_m_{m}: [0, 1]" for m in sections.ladder(10**8))]),
+    # degrees d = 0..N, N = 10^9 = g, all in the Clifford band [0, 2g-2]:
+    # only d = N has d-g+1 > 0, and hi sums floor(d/2)+1 = (N/2)^2 + N + 1
+    accepted("h0-genus-1e9-band", "h0 --genus 1000000000 --degrees 1,0 --class 1000000000,0",
+             ["h0_lo: 1", "h0_hi: {}".format((10**9 // 2) ** 2 + 10**9 + 1)]),
+    # as the O(a^2) walk over its 8 million rank-2 progressions sums them
+    accepted("h0-rank4-class-4000", "h0 --genus 2 --degrees 3,1,0,-2 --class 4000,0",
+             ["h0_lo: 27060638312711", "h0_hi: 27060641517512"]),
+    accepted("h0-genus-1e6-ladder-2-39",
+             f"h0 --genus 1000000 --degrees 1,0 --class 1,0 --m-max {2**39}",
+             ["h0_lo: 0", "h0_hi: 2", "verdict: BIG_CERTIFIED",
+              "sample_m_{}: [{}, {}]".format(2**39, *_rank2_sums(10**6, 2**39))]),
+    # genus 0, where lo = hi sums d + 1 over the 2,000,001 leaves
+    accepted("h0-genus0-class-2000000",
+             "h0 --genus 0 --degrees 1000000,500000,0 --class 2000000,0",
+             ["class: (2000000, 0)", "h0_lo: 2000003000003000003000001",
+              "h0_hi: 2000003000003000003000001", "volume: 12000000000000000000000000"]),
+    # gap 10^6 at a = 1.9*10^6, hi summed too: each node is O(log), not
+    # O(min(a, gap))
+    accepted("h0-gap-1e6-class-1900000",
+             "h0 --genus 5 --degrees 2000000,1000000,0 --class 1900000,-1000",
+             ["class: (1900000, -1000)", "h0_lo: 3429505413189677138600000",
+              "h0_hi: 3429505413189677138600000", "volume: 41153999978340000000000000001/2000"]),
+    # 18 rungs up to m = 2^20; at genus 1 lo sums the degrees of the
+    # slice, 5*10^6 * m * C(m+2, 2), and hi = lo + 1 for the one d = 0
+    accepted("h0-rank3-ladder-2-20-genus1",
+             "h0 --genus 1 --degrees 10000000,5000000,0 --class 1,0 --m-max 1048576",
+             ["h0_lo: 15000000", "h0_hi: 15000001", "volume: 15000000", "verdict: BIG_CERTIFIED",
+              *(f"sample_m_{m}: [{lo}, {lo + 1}]" for m in sections.ladder(2**20)
+                for lo in [5 * 10**6 * m * comb(m + 2, 2)])]),
+    # 18 rungs of a rank-3 ladder up to m = 2^20
+    accepted("h0-rank3-ladder-2-20-genus2", "h0 --genus 2 --degrees 4,0,-2 --m-max 1048576",
+             ["class: (3, -4)", "volume: 64/3", "verdict: BIG_CERTIFIED"]),
+    # genus 0 again, at a = 1.3*10^6: lo = hi = C(a+2, 2)(1 + 5*10^5 a)
+    # and the volume is a^3 deg E
+    accepted("h0-genus0-class-1300000",
+             "h0 --genus 0 --degrees 1000000,500000,0 --class 1300000,0",
+             ["h0_lo: {}".format(comb(1300002, 2) * (1 + 5 * 10**5 * 1300000)),
+              "h0_hi: {}".format(comb(1300002, 2) * (1 + 5 * 10**5 * 1300000)),
+              "volume: {}".format(1300000**3 * 1500000)]),
+    accepted("frobenius-pullback", "frobenius --genus 1 --char 2 --degrees 1,0 --e 2",
+             ["pullback_degrees: 4,0", "min_destabilizing_e: 0"]),
+    # p^e alone passes 4,300 digits, but every pulled-back degree is 0
+    accepted("frobenius-zero-degrees-any-e", "frobenius --genus 1 --char 2 --degrees 0,0 --e 20000",
+             ["pullback_degrees: 0,0"]),
+    # 3^e * 2 first reaches 4,301 digits at e = 9012 (a REJECTED row)
+    accepted("frobenius-e-at-digit-limit", "frobenius --genus 1 --char 3 --degrees 2,1 --e 9011",
+             [f"pullback_degrees: {2 * 3**9011},{3**9011}"]),
+]
 
 # Every input that must only be refused, each with its test id and a
 # phrase of its refusal: test_rejected_quickly checks that it exits 2
@@ -672,6 +682,15 @@ REJECTED = [*(refused(f"argv{i}", argv, reason) for i, (argv, reason) in enumera
     (["classify", "--genus", "1", "--degrees", "1,0", "y" * 3000],
      "ruledsurf: error: unrecognized arguments: <3000 characters>\n"),
 ])),
+    # the table's entry D^2 = K^2 has 4,301 digits at K = 10^2150, though
+    # the volume K has fewer (K = 10^2150 - 1 is an ACCEPTED row)
+    refused("classify-table-entry-past-digit-limit",
+            ["classify", "--genus", "1", "--class", "1,0", "--degrees", f"{10**2150},0"],
+            OVER_DIGITS),
+    # 3^e * 2 first reaches 4,301 digits at e = 9012
+    refused("frobenius-e-past-digit-limit",
+            ["frobenius", "--genus", "1", "--char", "3", "--degrees", "2,1", "--e", "9012"],
+            "e = 9012 makes the degrees p^e*d pass the limit of 4300 decimal digits"),
     # a command-line number of 4,301 digits in each option that reads a
     # number, refused by argparse by the option's name, not echoed back
     refused("token-classify-genus",
@@ -787,69 +806,22 @@ class TestWorkBounds:
         assert err == (f"error: {what}: the lattice sums need {units} work units, "
                        "above the limit of 6000000\n")
 
-    @pytest.mark.parametrize("argv, lines", [
-        # m*(3, -3) has one point of degree >= 0, k = (3m, 0, 0) of degree
-        # 0, so every rung is [0, 1]
-        (["h0", "--genus", "2", "--degrees", "1,0,0", "--m-max", "100000000"],
-         ["h0_lo: 0", "h0_hi: 1", "verdict: NOT_BIG_CERTIFIED",
-          *(f"sample_m_{m}: [0, 1]" for m in sections.ladder(10**8))]),
-        # degrees d = 0..N, N = 10^9 = g, all in the Clifford band [0, 2g-2]:
-        # only d = N has d-g+1 > 0, and hi sums floor(d/2)+1 = (N/2)^2 + N + 1
-        (["h0", "--genus", "1000000000", "--degrees", "1,0", "--class", "1000000000,0"],
-         ["h0_lo: 1", "h0_hi: {}".format((10**9 // 2) ** 2 + 10**9 + 1)]),
-        # as the O(a^2) walk over its 8 million rank-2 progressions sums them
-        (["h0", "--genus", "2", "--degrees", "3,1,0,-2", "--class", "4000,0"],
-         ["h0_lo: 27060638312711", "h0_hi: 27060641517512"]),
-        (["h0", "--genus", "1000000", "--degrees", "1,0", "--class", "1,0",
-          "--m-max", str(2**39)],
-         ["h0_lo: 0", "h0_hi: 2", "verdict: BIG_CERTIFIED",
-          "sample_m_{}: [{}, {}]".format(2**39, *_rank2_sums(10**6, 2**39))]),
-        # knots (K, K), K = 2^4760 - 1 and 2^4760, whose table entries,
-        # K^2 at most, have 2,866 digits: one volume, 2K
-        *((["classify", "--genus", "1", "--degrees=0,0", f"--class=1,{k}"],
-           [f"volume: {2 * k}"]) for k in (2**4760 - 1, 2**4760)),
-        # genus 0, where lo = hi sums d + 1 over the 2,000,001 leaves
-        (["h0", "--genus", "0", "--degrees", "1000000,500000,0", "--class", "2000000,0"],
-         ["class: (2000000, 0)", "h0_lo: 2000003000003000003000001",
-          "h0_hi: 2000003000003000003000001", "volume: 12000000000000000000000000"]),
-        # gap 10^6 at a = 1.9*10^6, hi summed too: each node is O(log), not
-        # O(min(a, gap))
-        (["h0", "--genus", "5", "--degrees", "2000000,1000000,0", "--class", "1900000,-1000"],
-         ["class: (1900000, -1000)", "h0_lo: 3429505413189677138600000",
-          "h0_hi: 3429505413189677138600000", "volume: 41153999978340000000000000001/2000"]),
-        # 18 rungs up to m = 2^20; at genus 1 lo sums the degrees of the
-        # slice, 5*10^6 * m * C(m+2, 2), and hi = lo + 1 for the one d = 0
-        (["h0", "--genus", "1", "--degrees", "10000000,5000000,0", "--class", "1,0",
-          "--m-max", "1048576"],
-         ["h0_lo: 15000000", "h0_hi: 15000001", "volume: 15000000", "verdict: BIG_CERTIFIED",
-          *(f"sample_m_{m}: [{lo}, {lo + 1}]" for m in sections.ladder(2**20)
-            for lo in [5 * 10**6 * m * comb(m + 2, 2)])]),
-        # the 160-row rank-3 grid of acceptance criterion 2 at m = 64:
-        # every row agrees
-        (["scan", "--genus-range", "1:2", "--d1-range=0:4", "--d2-range=-2:4",
-          "--d3-range=-2:4", "--m-max", "64"],
-         ["genus\tchar\td1\td2\td3\ta\tb\tbig\tverdict\tvolume\tagree",
-          "1\t0\t0\t-2\t-2\t3\t4\ttrue\tBIG_CERTIFIED\t16\ttrue"]),
-        # 18 rungs of a rank-3 ladder up to m = 2^20
-        (["h0", "--genus", "2", "--degrees", "4,0,-2", "--m-max", "1048576"],
-         ["class: (3, -4)", "volume: 64/3", "verdict: BIG_CERTIFIED"]),
-        # genus 0 again, at a = 1.3*10^6: lo = hi = C(a+2, 2)(1 + 5*10^5 a)
-        # and the volume is a^3 deg E
-        (["h0", "--genus", "0", "--degrees", "1000000,500000,0", "--class", "1300000,0"],
-         ["h0_lo: {}".format(comb(1300002, 2) * (1 + 5 * 10**5 * 1300000)),
-          "h0_hi: {}".format(comb(1300002, 2) * (1 + 5 * 10**5 * 1300000)),
-          "volume: {}".format(1300000**3 * 1500000)]),
-    ])
-    def test_accepted_quickly(self, capsys, argv, lines):
+    @pytest.mark.parametrize("argv, lines, scenario", ACCEPTED)
+    def test_accepted_quickly(self, capsys, tmp_path, argv, lines, scenario):
         # Each h0 query is fast only because its walk is in closed form: no
         # loop over k_1, over the band degrees or over a rank-3 node's rows.
         # The 1 s bound is a loose check of that, far above the query's
         # time, not a timing.
+        argv, _ = with_scenario(tmp_path, argv, scenario)
         start = time.perf_counter()
-        code, out, _ = run_cli(capsys, *argv)
+        code, out, err = run_cli(capsys, *argv)
         assert time.perf_counter() - start < 1.0
-        assert code == EXIT_OK
-        assert set(lines) <= set(out.splitlines())
+        assert (code, err) == (EXIT_OK, "")
+        rest = iter(out.splitlines())
+        assert [line for line in lines if line not in rest] == []
+        path = tmp_path / "out.txt"
+        assert run_cli(capsys, *argv, "--out", str(path)) == (EXIT_OK, "", "")
+        assert path.read_bytes() == out.encode()
 
     def test_rank3_huge_class_is_fast(self, capsys):
         # A rank-3 node is O(log) by floor sums: 37 work units at a = 10^12.
@@ -863,10 +835,7 @@ class TestWorkBounds:
 
     @pytest.mark.parametrize("argv, reason, scenario", REJECTED)
     def test_rejected_quickly(self, capsys, tmp_path, argv, reason, scenario):
-        path = tmp_path / "scenario.json"
-        if scenario is not None:
-            path.write_bytes(scenario)
-        argv = [arg.format(path=path) for arg in argv]
+        argv, path = with_scenario(tmp_path, argv, scenario)
         start = time.perf_counter()
         err = run_refused(capsys, *argv)
         assert time.perf_counter() - start < 1.0
@@ -912,14 +881,18 @@ def test_entry_point_matches_main(capsys, monkeypatch, tmp_path, argv, code, pla
     assert proc.returncode == code
 
 
+CLASSIFY = ("classify", "--genus", "1", "--degrees", "1,0")
+
+
 @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
-def test_closed_stdout_ends_quietly(unbuffered):
+def test_closed_stdout_ends_quietly(capsys, tmp_path, unbuffered):
     # A reader that closes stdout early ends the command with its own exit
     # code and nothing on stderr, at interpreter exit too.  The scan-r2
     # TSV under the knots-shifted plant (more than a pipe holds) fails in
     # main's print after one line is read; classify's few lines, into a
-    # pipe closed before the start, fail in main's print when unbuffered
-    # and, when buffered, in the flush after main.
+    # pipe closed before the start, fail in main's print, which flushes.
+    # With fd 1 closed at start-up sys.stdout is None: nothing fails, and
+    # --out is written.
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONUNBUFFERED=unbuffered)
     command = [sys.executable, "-m", "ruledsurf"]
     with subprocess.Popen([sys.executable, "-c", PLANTED_RUN, *SCAN_R2, "--m-max", "64"], env=env,
@@ -929,10 +902,31 @@ def test_closed_stdout_ends_quietly(unbuffered):
         assert (proc.stderr.read(), proc.wait(timeout=60)) == (b"", EXIT_DISAGREE)
     read_end, write_end = os.pipe()
     os.close(read_end)
-    proc = subprocess.run([*command, "classify", "--genus", "1", "--degrees", "1,0"], env=env,
+    proc = subprocess.run([*command, *CLASSIFY], env=env,
                           stdout=write_end, stderr=subprocess.PIPE, timeout=60)
     os.close(write_end)
     assert (proc.returncode, proc.stderr) == (EXIT_OK, b"")
+    out = tmp_path / "out.txt"
+    closed = ["sh", "-c", 'exec "$0" "$@" >&-', *command, *CLASSIFY]
+    for argv in closed, [*closed, "--out", str(out)]:
+        proc = subprocess.run(argv, env=env, stderr=subprocess.PIPE, timeout=60)
+        assert (proc.returncode, proc.stderr) == (EXIT_OK, b"")
+    assert out.read_text() == run_cli(capsys, *CLASSIFY)[1]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+def test_full_stdout_exits_3(unbuffered):
+    # A stdout the OS cannot write, a full device, fails the command with
+    # exit 3 and one error line, whether the write fails within main's
+    # print (scan-r2's TSV, or unbuffered) or in the flush that ends it.
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONUNBUFFERED=unbuffered)
+    for argv in CLASSIFY, (*SCAN_R2, "--m-max", "64"):
+        with open("/dev/full", "wb") as full:
+            proc = subprocess.run([sys.executable, "-m", "ruledsurf", *argv], env=env,
+                                  stdout=full, stderr=subprocess.PIPE, timeout=60)
+        assert (proc.returncode, proc.stderr) == (
+            EXIT_IO, b"error: [Errno 28] No space left on device\n")
 
 
 def test_startup_loads_no_heavy_module():
@@ -946,33 +940,6 @@ def test_startup_loads_no_heavy_module():
                           env=dict(os.environ, PYTHONPATH=str(src)),
                           capture_output=True, text=True, timeout=60)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
-
-
-class TestFrobenius:
-    def test_pullback(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "frobenius", "--genus", "1", "--char", "2",
-            "--degrees", "1,0", "--e", "2",
-        )
-        assert code == EXIT_OK
-        assert "pullback_degrees: 4,0" in out
-        assert "min_destabilizing_e: 0" in out
-
-    def test_e_just_past_printable_bound(self, capsys):
-        # 3^e * 2 first reaches 4301 decimal digits at e = 9012.
-        argv = ["frobenius", "--genus", "1", "--char", "3", "--degrees", "2,1"]
-        code, out, _ = run_cli(capsys, *argv, "--e", "9011")
-        assert code == EXIT_OK
-        assert len(out.split()[1].split(",")[0]) == 4300
-        err = run_refused(capsys, *argv, "--e", "9012")
-        assert "e = 9012 makes the degrees p^e*d pass the limit of 4300 decimal digits" in err
-
-    def test_zero_degrees_any_e(self, capsys):
-        # p^e alone passes 4,300 digits, but every pulled-back degree is 0.
-        code, out, _ = run_cli(capsys, "frobenius", "--genus", "1", "--char", "2",
-                               "--degrees", "0,0", "--e", "20000")
-        assert code == EXIT_OK
-        assert "pullback_degrees: 0,0" in out
 
 
 # ------------------------------------------------------------------ argv fuzz

@@ -17,13 +17,16 @@ long-lived process.
 main() flushes stdout as it prints, so it alone decides what a failed
 write means: a reader that closes stdout early (`ruledsurf scan ... |
 head -1`) leaves output unwritten, which main() drops, and any other
-failure, a full device say, exits 3 with one `error:` line.  The
-unwritten output stays in the stream's buffer, so run() flushes once
-more: if that fails too, it points fd 1 at os.devnull, so that the
-interpreter's own flush at exit neither reports an ignored OSError nor
-turns the exit code into 120.  With fd 1 closed at start-up, sys.stdout
-is None and there is nothing to flush.  main() never touches fd 1, for
-the same reason as the freeze.
+failure, a full device say, exits 3 with one `error:` line.  A failed
+write to stderr changes nothing: main() and its parsers write every
+refusal through one helper that drops it.
+Either way the unwritten text stays in the stream's buffer, so run()
+flushes stdout and then stderr once more: where that fails too, it
+points the stream's fd at os.devnull, so that the interpreter's own
+flush at exit neither reports an ignored OSError nor turns the exit code
+into 120.  With fd 1 or fd 2 closed at start-up, sys.stdout or
+sys.stderr is None and there is nothing to flush.  main() never touches
+a file descriptor, for the same reason as the freeze.
 """
 import gc
 import os
@@ -35,11 +38,12 @@ from .cli import main
 def run() -> int:
     gc.freeze()
     code = main()
-    try:
-        if sys.stdout is not None:
-            sys.stdout.flush()
-    except OSError:
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    for stream in sys.stdout, sys.stderr:
+        try:
+            if stream is not None:
+                stream.flush()
+        except OSError:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
     return code
 
 

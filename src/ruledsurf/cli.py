@@ -5,6 +5,8 @@ Subcommands: classify | scan | blowup | h0 | frobenius.  Exit codes:
 (a request over a work limit included), 3 file I/O failure (reading a
 scenario file, or writing --out or stdout).  A reader that closes stdout
 early fails nothing: the command ends quietly with its own exit code.
+Refusals are written to stderr alone; a stderr that cannot be written,
+or is closed, loses them and changes neither the exit code nor stdout.
 """
 from __future__ import annotations
 
@@ -47,12 +49,26 @@ def _shorten(message: str) -> str:
     return re.sub(r"\S{101,}", lambda word: f"<{len(word[0])} characters>", message)
 
 
+def _to_stderr(text: str) -> None:
+    """Write text to stderr: a stderr that is None (fd 2 closed at
+    start-up) or that the OS cannot write loses the text, and changes
+    neither the exit code nor stdout."""
+    try:
+        sys.stderr.write(text)
+    except (AttributeError, OSError):
+        pass
+
+
 class _Parser(argparse.ArgumentParser):
     """An ArgumentParser, and the parser of each subcommand, whose
-    refusals (exit 2, after the usage line) pass through _shorten."""
+    refusals (exit 2, after the usage line) pass through _shorten.  The
+    usage and error lines go through _to_stderr: argparse's own error()
+    prints the usage to stdout when sys.stderr is None, and before Python
+    3.11 lets a failed write of its message escape."""
 
     def error(self, message: str):
-        super().error(_shorten(message))
+        _to_stderr(f"{self.format_usage()}{self.prog}: error: {_shorten(message)}\n")
+        self.exit(EXIT_VALIDATION)
 
 
 def _ints(text: str, sep: str = ",", count: int = 0,
@@ -378,5 +394,5 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ValueError as err:
         code = EXIT_VALIDATION
         message = f"{args.command}: {TOO_LONG}" if _too_long(err) else str(err)
-    print(f"error: {_shorten(message)}", file=sys.stderr)
+    _to_stderr(f"error: {_shorten(message)}\n")
     return code

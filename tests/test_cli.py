@@ -929,6 +929,29 @@ def test_full_stdout_exits_3(unbuffered):
             EXIT_IO, b"error: [Errno 28] No space left on device\n")
 
 
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("stderr", ["2>/dev/full", "2>&-"], ids=["full", "closed"])
+def test_dead_stderr_changes_nothing(capsys, tmp_path, stderr, unbuffered):
+    # A stderr the OS cannot write, or closed at start-up (sys.stderr is
+    # None), loses the refusal's lines and nothing else: the refusal keeps
+    # its exit code and stdout stays empty, as a success keeps exit 0 and
+    # its stdout.  The interpreter runs directly: a wrapper script in front
+    # of it could itself hold fd 2 open.
+    if stderr == "2>/dev/full" and not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONUNBUFFERED=unbuffered)
+    command = ["sh", "-c", f'exec "$0" "$@" {stderr}', sys.executable, "-m", "ruledsurf"]
+    for argv, code, out in [
+        (("classify", "--genus", "-1", "--degrees", "1,0"), EXIT_VALIDATION, ""),
+        ((*CLASSIFY, "--out", str(tmp_path / "missing" / "out.txt")), EXIT_IO, ""),
+        (("classify", "--genus", "x", "--degrees", "1,0"), EXIT_VALIDATION, ""),
+        (CLASSIFY, EXIT_OK, run_cli(capsys, *CLASSIFY)[1]),
+    ]:
+        proc = subprocess.run([*command, *argv], env=env, stdout=subprocess.PIPE,
+                              text=True, timeout=60)
+        assert (proc.returncode, proc.stdout) == (code, out), argv
+
+
 def test_startup_loads_no_heavy_module():
     # A one-shot command is mostly start-up: importing the CLI loads
     # neither dataclasses (with inspect) nor typing, and json only once
@@ -944,7 +967,8 @@ def test_startup_loads_no_heavy_module():
 
 # ------------------------------------------------------------------ argv fuzz
 
-_JUNK = st.sampled_from(["", "x", "1.5", "1,0", "-", "3:1", " 2", "1e3", "5"])
+_JUNK = st.sampled_from(["", "x", "1.5", "1,0", "-", "3:1", " 2", "1e3", "5",
+                         "1,,2", "0x10", "٣", "1_0", str(10**30)])
 
 
 def _token(good):
@@ -1024,6 +1048,7 @@ def test_argv_fuzz_exits_cleanly(fuzz_dir, capsys, data):
     argv = data.draw(_argv(fuzz_dir))
     assert main(argv) in (EXIT_OK, EXIT_DISAGREE, EXIT_VALIDATION, EXIT_IO)
     err = capsys.readouterr().err
+    assert len(err) < 2000
     assert "set_int_max_str_digits" not in err
     # argparse's fallback when a type= raises a plain ValueError, as
     # type=int does: every number is read by one type of the CLI's own.

@@ -4,6 +4,7 @@ has one), equal and hashed by value, equal to the plain tuple of its fields,
 and refused with a ValueError of a fixed message when malformed.  One row a
 record; the generic tests below run over the rows."""
 from collections import namedtuple
+from fractions import Fraction
 
 import pytest
 
@@ -71,8 +72,20 @@ ROWS = [
     Row(Curve, dict(genus=2), (2, 0), Curve(2, 3), "Curve(genus=2, characteristic=0)",
         refusals=[
             ("negative-genus", dict(genus=-1), "genus must be non-negative"),
+            # A float genus would otherwise reach the lattice sums and fail
+            # there with TypeError; a bool would pass as 0 or 1.
             ("float-genus", dict(genus=1.5), "genus and characteristic must be integers"),
+            ("bool-genus", dict(genus=True), "genus and characteristic must be integers"),
+            ("str-genus", dict(genus="2"), "genus and characteristic must be integers"),
+            ("float-characteristic", dict(genus=1, characteristic=2.0),
+             "genus and characteristic must be integers"),
+            ("bool-characteristic", dict(genus=1, characteristic=True),
+             "genus and characteristic must be integers"),
             ("composite-characteristic", dict(genus=1, characteristic=4),
+             "characteristic must be 0 or a prime"),
+            ("characteristic-1", dict(genus=1, characteristic=1),
+             "characteristic must be 0 or a prime"),
+            ("negative-characteristic", dict(genus=1, characteristic=-3),
              "characteristic must be 0 or a prime"),
         ]),
     Row(ExtClass, dict(a=1, b=2), (1, 2, ()), ExtClass(1, 2, (0,)),
@@ -96,6 +109,11 @@ ROWS = [
     Row(NumClass, dict(a=1, b=-2), (1, -2), NumClass(-2, 1), "NumClass(a=1, b=-2)", "(1, -2)",
         refusals=[
             ("float-a", dict(a=1.5, b=0), "class coefficients a, b must be integers"),
+            ("bool-a", dict(a=True, b=0), "class coefficients a, b must be integers"),
+            ("fraction-a", dict(a=Fraction(1, 2), b=0), "class coefficients a, b must be integers"),
+            ("float-b", dict(a=0, b=1.5), "class coefficients a, b must be integers"),
+            ("bool-b", dict(a=0, b=True), "class coefficients a, b must be integers"),
+            ("fraction-b", dict(a=0, b=Fraction(1, 2)), "class coefficients a, b must be integers"),
         ]),
     Row(RuledSurface, dict(curve=Curve(1), bundle=SplitBundle((0, 1))),
         (Curve(1), SplitBundle((1, 0))), RuledSurface(Curve(2), SplitBundle((1, 0))), BASE_REPR,
@@ -113,7 +131,10 @@ ROWS = [
         "SplitBundle(degrees=(5, 2, 0))",
         refusals=[
             ("empty", dict(degrees=()), "a bundle needs at least one summand"),
+            # Unsortable entries must still give ValueError, not TypeError.
             ("non-integer-degree", dict(degrees=(1, "x")), "summand degrees must be integers"),
+            ("float-degree", dict(degrees=(1.5, 0)), "summand degrees must be integers"),
+            ("bool-degree", dict(degrees=(True, 0)), "summand degrees must be integers"),
         ]),
 ]
 

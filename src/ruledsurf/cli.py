@@ -75,14 +75,18 @@ def _ints(text: str, sep: str = ",", count: int = 0,
           shape: str = "a comma-separated list of integers") -> tuple[int, ...]:
     """The argparse type of every number on the command line: the integers
     of `text` split at `sep`, exactly `count` of them if `count` is set.
+    An integer is ASCII digits with an optional sign and whitespace:
+    int() alone would also read other scripts' digits and underscores.
     argparse prints its ArgumentTypeError after the usage line, exit 2."""
+    malformed = argparse.ArgumentTypeError(f"expected {shape}, got {text!r}")
+    if not text.isascii() or "_" in text:
+        raise malformed
     try:
         values = tuple(int(part) for part in text.split(sep))
     except ValueError as err:
-        raise argparse.ArgumentTypeError(TOO_LONG if _too_long(err)
-                                         else f"expected {shape}, got {text!r}") from None
+        raise (argparse.ArgumentTypeError(TOO_LONG) if _too_long(err) else malformed) from None
     if count and len(values) != count:
-        raise argparse.ArgumentTypeError(f"expected {shape}, got {text!r}")
+        raise malformed
     return values
 
 

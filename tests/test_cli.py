@@ -739,6 +739,17 @@ REJECTED = [*(refused(f"argv{i}", argv, reason) for i, (argv, reason) in enumera
                                          "--class", cls],
               f"argument --class: expected two integers a,b, got '{cls}'\n")
       for name, cls in [("malformed", "1,x"), ("three-numbers", "1,2,3")]),
+    # a number is ASCII digits with an optional sign: int() alone would
+    # read other scripts' digits and underscores
+    refused("genus-arabic-indic-digit", ["classify", "--genus=٣", "--degrees=1,0"],
+            "argument --genus: expected an integer, got '٣'\n"),
+    refused("degrees-underscore", ["classify", "--genus=1", "--degrees=1_0,0"],
+            "argument --degrees: expected a comma-separated list of integers, got '1_0,0'\n"),
+    refused("class-arabic-indic-digit", ["classify", "--genus=1", "--degrees=1,0", "--class=1,٠"],
+            "argument --class: expected two integers a,b, got '1,٠'\n"),
+    refused("genus-range-arabic-indic-digit",
+            ["scan", "--genus-range=0:٢", "--d1-range=0:1", "--d2-range=0:0"],
+            "argument --genus-range: expected an inclusive range lo:hi, got '0:٢'\n"),
     # 50,001 genera of one characteristic are under the grid cap; counted
     # twice they would pass it.  The grid is then refused as empty.
     refused("scan-chars-repeated-under-cap", ["scan", "--genus-range", "0:50000", "--chars",
@@ -1044,9 +1055,16 @@ def fuzz_dir(tmp_path_factory):
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_argv_fuzz_exits_cleanly(fuzz_dir, capsys, data):
     # Small inputs only: every call must return a documented exit code
-    # and raise nothing (a traceback fails the test).
+    # and raise nothing (a traceback fails the test), and a non-ASCII
+    # digit or an underscore in a number is refused.  The 1 s bound is a
+    # loose check that small inputs take closed-form work, not a timing.
     argv = data.draw(_argv(fuzz_dir))
-    assert main(argv) in (EXIT_OK, EXIT_DISAGREE, EXIT_VALIDATION, EXIT_IO)
+    start = time.perf_counter()
+    code = main(argv)
+    assert time.perf_counter() - start < 1.0
+    assert code in (EXIT_OK, EXIT_DISAGREE, EXIT_VALIDATION, EXIT_IO)
+    if any(arg.partition("=")[2] in ("٣", "1_0") for arg in argv):
+        assert code == EXIT_VALIDATION
     err = capsys.readouterr().err
     assert len(err) < 2000
     assert "set_int_max_str_digits" not in err

@@ -83,6 +83,127 @@ def walk_by_k(g, degrees, i, base, left):
     return lo, hi
 
 
+def residue_divdiff(knots):
+    """Reference for the table: the divided difference of max(t, 0)**r over
+    the r knots v, the sum over the distinct positive knots p of the
+    residue at p of t**r / prod(t - v_j).  At p of multiplicity m it is the
+    coefficient of (t - p)**(m-1): the Taylor coefficients C(r, k) p**(r-k)
+    of t**r at p, divided by t - v = (p - v) + (t - p) for each other knot
+    v, by c_k <- (c_k - c_(k-1))/(p - v)."""
+    total = Fraction(0)
+    for p in {v for v in knots if v > 0}:
+        c = [Fraction(comb(len(knots), k) * p ** (len(knots) - k)) for k in range(knots.count(p))]
+        for v in knots:
+            if v != p:
+                for k in range(len(c)):
+                    c[k] = (c[k] - (c[k - 1] if k else 0)) / (p - v)
+        total += c[-1]
+    return total
+
+
+def residue_volume(s, cls):
+    """Reference for volume: a^(r-1) times the residue sum."""
+    knots = [cls.a * d + cls.b for d in s.bundle.degrees]
+    return Fraction(cls.a) ** (s.rank - 1) * residue_divdiff(knots)
+
+
+def classify(s, cls, rungs):
+    """growth_classify on the one row (s, cls): (verdict, volume, intervals)."""
+    [(vol, [verdict], samples)] = growth_classify(f"class {cls}", [(s, cls, [s.curve])], rungs)
+    return verdict, vol, tuple(interval for [interval] in samples)
+
+
+BIG, NOT_BIG = Verdict.BIG_CERTIFIED, Verdict.NOT_BIG_CERTIFIED
+SLOPE_TESTS = {"big": big_test, "pseff": pseff_test, "nef": nef_test}
+
+
+def row(name, g, degrees, cls, interval, vol, holds, m, verdict, top):
+    """A row of CLASSES, with the test id `name`: the class cls on P_C(E),
+    C of genus g and E of the degrees, with its h0_class_interval, its
+    volume, the slope tests that hold (of "big pseff nef"), and the
+    verdict and interval at the top rung m*cls of growth_classify on
+    ladder(m)."""
+    return pytest.param(surface(g, *degrees), NumClass(*cls), H0Interval(*interval),
+                        Fraction(vol), set(holds.split()), m, verdict, H0Interval(*top), id=name)
+
+
+# The hand-checked classes, one row each: test_class_values checks every
+# value of a row, and each row against the references above.
+CLASSES = [
+    # -K on the elliptic P(O(1) + O): k in {(2,0),(1,1),(0,2)} -> curve
+    # degrees 1, 0, -1
+    row("elliptic-minus-k", 1, (1, 0), (2, -1), (1, 2), 1, "big pseff", 8, BIG, (36, 37)),
+    row("elliptic-xi", 1, (1, 0), (1, 0), (1, 2), 1, "big pseff nef", 8, BIG, (36, 37)),
+    # xi - f, on the boundary of the big cone
+    row("elliptic-section", 1, (1, 0), (1, -1), (0, 1), 0, "pseff", 8, NOT_BIG, (0, 1)),
+    row("elliptic-fiber", 1, (1, 0), (0, 1), (1, 1), 0, "pseff nef", 8, NOT_BIG, (8, 8)),
+    row("elliptic-negative-a", 1, (1, 0), (-1, 10), (0, 0), 0, "", 8, NOT_BIG, (0, 0)),
+    row("elliptic-negative-a-b100", 1, (1, 0), (-1, 100), (0, 0), 0, "", 8, NOT_BIG, (0, 0)),
+    # -K on degrees (5, 0) at genus 2, big by the theorem's threshold:
+    # curve degrees 3, -2, -7; only the first is effective and it is
+    # beyond 2g-2, so the count is exact.
+    row("genus2-minus-k", 2, (5, 0), (2, -7), (2, 2), "9/5", "big pseff", 64, BIG, (3744, 3745)),
+    # -K on degrees (2, 0) at genus 2, on the boundary of the big cone
+    row("genus2-boundary-minus-k", 2, (2, 0), (2, -4), (0, 1), 0, "pseff", 64, NOT_BIG, (0, 1)),
+    row("genus2-fiber5-d20", 2, (2, 0), (0, 5), (4, 4), 0, "pseff nef", 8, NOT_BIG, (39, 39)),
+    row("genus2-negative-a", 2, (2, 0), (-1, 5), (0, 0), 0, "", 8, NOT_BIG, (0, 0)),
+    row("genus2-boundary", 2, (3, 0), (1, -3), (0, 1), 0, "pseff", 8, NOT_BIG, (0, 1)),
+    row("structure-sheaf", 2, (3, 1), (0, 0), (1, 1), 0, "pseff nef", 8, NOT_BIG, (1, 1)),
+    row("genus2-fiber5-d31", 2, (3, 1), (0, 5), (4, 4), 0, "pseff nef", 8, NOT_BIG, (39, 39)),
+    row("genus3-fiber", 3, (1, 0), (0, 1), (0, 1), 0, "pseff nef", 32, NOT_BIG, (30, 30)),
+    # On P^1 the counts 4m+1 of 4m fibers pass any ceiling of the form
+    # (1+g)(rm+1)^(r-1) = 2m+1; the zero volume still decides.
+    row("genus0-fiber4", 0, (1, 0), (0, 4), (5, 5), 0, "pseff nef", 16, NOT_BIG, (65, 65)),
+    # a = 0, b != 0: one point of degree b
+    row("genus3-fiber5", 3, (4, 1), (0, 5), (3, 3), 0, "pseff nef", 8, NOT_BIG, (38, 38)),
+    row("genus3-minus-fiber5", 3, (4, 1), (0, -5), (0, 0), 0, "", 8, NOT_BIG, (0, 0)),
+    # genus 0, equal degrees
+    row("genus0-equal-degrees", 0, (0, 0), (5, -1), (0, 0), 0, "", 8, NOT_BIG, (0, 0)),
+    # equal last two degrees: step 0
+    row("genus2-step0", 2, (4, 4), (6, -20), (21, 21), 48, "big pseff nef", 8, BIG,
+        (1519, 1519)),
+    # genus 0: exact from degree -1 up
+    row("genus0-rank3", 0, (3, 1, -2), (7, 2), (312, 312), "5476/5", "big pseff", 8, BIG,
+        (100584, 100584)),
+    # step 0 in rank 3
+    row("genus5-rank3-step0", 5, (3, 1, 1), (9, -4), (385, 414), 2673, "big pseff nef", 8, BIG,
+        (226884, 226884)),
+    # repeated summand degrees merge into one higher-multiplicity knot
+    row("confluent-knots-rank3", 2, (4, 2, 2), (3, -10), (1, 4), 2, "big pseff", 8, BIG,
+        (204, 221)),
+    row("genus3-rank3-minus-k", 3, (4, 0, 0), (3, -8), (2, 5), 4, "big pseff", 8, BIG, (408, 425)),
+    row("genus3-rank4", 3, (2, -1, -1, -1), (8, 3), (322, 371), "130321/27", "big pseff", 8, BIG,
+        (878475, 881127)),
+    # Nef iff a >= 0 and b >= -a*d_r: on (2, 1, -1), xi + f is nef and
+    # xi is not, as it pairs to -1 with the section of E -> O(-1).
+    row("rank3-xi-plus-f", 1, (2, 1, -1), (1, 1), (5, 6), 5, "big pseff nef", 8, BIG, (600, 601)),
+    row("rank3-fiber", 1, (2, 1, -1), (0, 1), (1, 1), 0, "pseff nef", 8, NOT_BIG, (8, 8)),
+    row("rank3-xi", 1, (2, 1, -1), (1, 0), (3, 3), "13/6", "big pseff", 8, BIG, (271, 273)),
+    row("rank3-negative-a", 1, (2, 1, -1), (-1, 10), (0, 0), 0, "", 8, NOT_BIG, (0, 0)),
+    # Big (volume 1), but at g = 30 the Riemann-Roch lower bounds up to
+    # m = 64 reach only 1260/4096 of the asymptote: not yet half.
+    row("genus30-xi", 30, (1, 0), (1, 0), (0, 2), 1, "big pseff nef", 64, Verdict.INCONCLUSIVE,
+        (630, 1095)),
+]
+
+
+@pytest.mark.parametrize("s, cls, interval, vol, holds, m, verdict, top", CLASSES)
+def test_class_values(s, cls, interval, vol, holds, m, verdict, top):
+    got_verdict, got_vol, samples = classify(s, cls, ladder(m))
+    assert h0_class_interval(s, cls) == interval
+    assert volume(s, cls) == got_vol == vol
+    assert {name for name, test in SLOPE_TESTS.items() if test(s, cls)} == holds
+    assert (got_verdict, samples[-1]) == (verdict, top)
+    # The references: the lattice enumeration, the residue sum, and the
+    # volume's sign for bigness and for the verdict.
+    assert (interval, top) == (brute_force_interval(s, cls), brute_force_interval(s, m * cls))
+    assert vol == (residue_volume(s, cls) if cls.a > 0 else 0)
+    assert ("big" in holds) == (vol > 0) == (verdict is not NOT_BIG)
+    if cls.a > 0:
+        # nef iff vol(D) = D^r, pseff iff D + f is big (see nef_test)
+        assert ("nef" in holds) == (vol == intersect(s, [cls] * s.rank))
+        assert ("pseff" in holds) == (residue_volume(s, NumClass(cls.a, cls.b + 1)) > 0)
+
 class TestH0IntervalCurve:
     def test_explicit_statement(self):
         # The brute-force references sum this function, so it is pinned
@@ -97,42 +218,12 @@ class TestH0IntervalCurve:
 
 
 class TestH0ClassInterval:
-    def test_elliptic_anticanonical(self):
-        # k in {(2,0),(1,1),(0,2)} -> curve degrees 1, 0, -1
-        assert h0_class_interval(surface(1, 1, 0), NumClass(2, -1)) == H0Interval(1, 2)
-
-    def test_structure_sheaf(self):
-        assert h0_class_interval(surface(2, 3, 1), NumClass(0, 0)) == H0Interval(1, 1)
-
-    def test_genus2_exact(self):
-        # curve degrees 3, -2, -7; only the first is effective and it is
-        # beyond 2g-2, so the count is exact.
-        assert h0_class_interval(surface(2, 5, 0), NumClass(2, -7)) == H0Interval(2, 2)
-
-    def test_negative_a(self):
-        assert h0_class_interval(surface(1, 1, 0), NumClass(-1, 10)) == H0Interval(0, 0)
-
     @given(st.integers(0, 40), st.lists(st.integers(-6, 6), min_size=2, max_size=6),
            st.integers(0, 12), st.integers(-40, 40))
     @settings(max_examples=300)
     def test_matches_brute_force(self, g, degrees, a, b):
         s = surface(g, *degrees)
         assert h0_class_interval(s, NumClass(a, b)) == brute_force_interval(s, NumClass(a, b))
-
-    @pytest.mark.parametrize("g, degrees, cls", [
-        (0, (3, 1, -2), NumClass(7, 2)),     # genus 0: exact from degree -1 up
-        (0, (0, 0), NumClass(5, -1)),        # genus 0, equal degrees
-        (2, (4, 4), NumClass(6, -20)),       # equal last two degrees: step 0
-        (5, (3, 1, 1), NumClass(9, -4)),     # step 0 in rank 3
-        (3, (2, -1, -1, -1), NumClass(8, 3)),
-        (3, (4, 1), NumClass(0, 5)),         # a = 0, b != 0: one point of degree b
-        (3, (4, 1), NumClass(0, -5)),
-        (30, (1, 0), NumClass(1, 0)),        # the high-genus (1, 0) class
-        (30, (1, 0), NumClass(64, 0)),
-    ])
-    def test_matches_brute_force_cases(self, g, degrees, cls):
-        s = surface(g, *degrees)
-        assert h0_class_interval(s, cls) == brute_force_interval(s, cls)
 
     def test_rank2_large_m_is_fast(self):
         # O(1) for rank 2 whatever a and g are: a brute-force walk would
@@ -302,20 +393,6 @@ class TestFloorSums:
 
 
 class TestVolume:
-    def test_elliptic_example(self):
-        assert volume(surface(1, 1, 0), NumClass(2, -1)) == 1
-
-    def test_zero_outside_big_cone(self):
-        s = surface(2, 2, 0)
-        assert volume(s, -canonical_class(s)) == 0
-        assert volume(s, NumClass(0, 5)) == 0
-        assert volume(s, NumClass(-1, 5)) == 0
-
-    def test_confluent_knots_rank3(self):
-        # repeated summand degrees merge into one higher-multiplicity knot
-        s = surface(2, 4, 2, 2)
-        assert volume(s, NumClass(3, -10)) == 2
-
     @given(st.integers(1, 3), st.integers(-4, 4), st.integers(-4, 4),
            st.integers(-5, 5), st.integers(-5, 5))
     def test_positive_iff_big(self, g, d1, d2, a, b):
@@ -349,31 +426,6 @@ class TestVolume:
             errors.append(abs(vol - Fraction(2 * lo, m * m)))
         assert errors == sorted(errors, reverse=True)
         assert errors[-1] <= Fraction(1, 64)
-
-
-
-def residue_divdiff(knots):
-    """Reference for the table: the divided difference of max(t, 0)**r over
-    the r knots v, the sum over the distinct positive knots p of the
-    residue at p of t**r / prod(t - v_j).  At p of multiplicity m it is the
-    coefficient of (t - p)**(m-1): the Taylor coefficients C(r, k) p**(r-k)
-    of t**r at p, divided by t - v = (p - v) + (t - p) for each other knot
-    v, by c_k <- (c_k - c_(k-1))/(p - v)."""
-    total = Fraction(0)
-    for p in {v for v in knots if v > 0}:
-        c = [Fraction(comb(len(knots), k) * p ** (len(knots) - k)) for k in range(knots.count(p))]
-        for v in knots:
-            if v != p:
-                for k in range(len(c)):
-                    c[k] = (c[k] - (c[k - 1] if k else 0)) / (p - v)
-        total += c[-1]
-    return total
-
-
-def residue_volume(s, cls):
-    """Reference for volume: a^(r-1) times the residue sum."""
-    knots = [cls.a * d + cls.b for d in s.bundle.degrees]
-    return Fraction(cls.a) ** (s.rank - 1) * residue_divdiff(knots)
 
 
 # Knot magnitudes: small ones repeat and hit 0, large ones are distinct.
@@ -521,12 +573,6 @@ class TestLeadingCoefficient:
                     assert_leads_are_volume(s, cls)
 
 
-def classify(s, cls, rungs):
-    """growth_classify on the one row (s, cls): (verdict, volume, intervals)."""
-    [(vol, [verdict], samples)] = growth_classify(f"class {cls}", [(s, cls, [s.curve])], rungs)
-    return verdict, vol, tuple(interval for [interval] in samples)
-
-
 class TestGrowthClassify:
     @given(st.lists(st.integers(-6, 6), min_size=2, max_size=4), st.integers(-3, 64),
            st.integers(-40, 40),
@@ -570,22 +616,6 @@ class TestGrowthClassify:
         assert intervals == [brute_force_interval(RuledSurface(curve, bundle), cls)
                              for curve in curves]
 
-    def test_big_certified(self):
-        verdict, _, _ = classify(surface(2, 5, 0), NumClass(2, -7), ladder(64))
-        assert verdict is Verdict.BIG_CERTIFIED
-
-    def test_not_big_at_boundary(self):
-        verdict, _, _ = classify(surface(2, 2, 0), NumClass(2, -4), ladder(64))
-        assert verdict is Verdict.NOT_BIG_CERTIFIED
-
-    def test_fiber_class_not_big(self):
-        verdict, _, _ = classify(surface(3, 1, 0), NumClass(0, 1), ladder(32))
-        assert verdict is Verdict.NOT_BIG_CERTIFIED
-        # On P^1 the counts 4m+1 of 4m fibers pass any ceiling of the form
-        # (1+g)(rm+1)^(r-1) = 2m+1; the zero volume still decides.
-        verdict, _, _ = classify(surface(0, 1, 0), NumClass(0, 4), ladder(16))
-        assert verdict is Verdict.NOT_BIG_CERTIFIED
-
     def test_m_max_too_small(self):
         with pytest.raises(ValueError):
             ladder(7)
@@ -618,14 +648,6 @@ class TestGrowthClassify:
         assert fitted(top[2]) == fitted(full[2])
         assert top[1] == full[1]
         assert top[2] == full[2][-1:]
-
-    def test_high_genus_section_class_inconclusive(self):
-        # Big (volume 1), but at g = 30 the Riemann-Roch lower bounds up to
-        # m = 64 reach only 1260/4096 of the asymptote: not yet half.
-        verdict, vol, intervals = classify(surface(30, 1, 0), NumClass(1, 0), ladder(64))
-        assert vol == 1
-        assert Fraction(2 * intervals[-1].lo, 64**2) == Fraction(1260, 4096)
-        assert verdict is Verdict.INCONCLUSIVE
 
     def test_explicit_lower_bound(self):
         # On a big instance with non-negative degrees the section count is

@@ -103,21 +103,6 @@ class TestIntersect:
 
 
 class TestBigTest:
-    def test_theorem_threshold_g2(self):
-        s = rank2_surface(2, 5, 0)
-        assert big_test(s, NumClass(2, -7))
-
-    def test_equality_not_big(self):
-        s = rank2_surface(1, 1, 0)
-        assert not big_test(s, NumClass(1, -1))
-
-    def test_fiber_classes_not_big(self):
-        assert not big_test(rank2_surface(2, 3, 1), NumClass(0, 5))
-
-    def test_rank3_criterion(self):
-        s = RuledSurface(Curve(3), SplitBundle((4, 0, 0)))
-        assert big_test(s, NumClass(3, -8))
-
     @given(st.integers(1, 4), st.integers(-4, 4), st.integers(-4, 4),
            small_classes, st.integers(-3, 3))
     def test_twist_invariance(self, g, d1, d2, cls, t):
@@ -140,44 +125,12 @@ class TestBigTest:
             assert big_test(s, NumClass(cls.a, cls.b + extra))
 
 
-class TestPseffTest:
-    def test_boundary_class(self):
-        s = rank2_surface(2, 3, 0)
-        boundary = NumClass(1, -3)
-        assert pseff_test(s, boundary)
-        assert not big_test(s, boundary)
-
-    def test_fiber_is_pseff(self):
-        assert pseff_test(rank2_surface(), NumClass(0, 1))
-
-    def test_negative_a_rejected(self):
-        assert not pseff_test(rank2_surface(), NumClass(-1, 100))
-
-
 class TestNefTest:
-    def test_example_nef_and_big(self):
-        s = rank2_surface(1, 1, 0)
-        cls = NumClass(1, 0)
-        assert nef_test(s, cls) and big_test(s, cls)
-
-    def test_fiber_nef_not_big(self):
-        s = rank2_surface(1, 1, 0)
-        assert nef_test(s, NumClass(0, 1))
-        assert not big_test(s, NumClass(0, 1))
-
     def test_negative_section_not_nef(self):
         s = rank2_surface(1, 1, 0)
         sigma = NumClass(1, -1)
         assert intersect(s, [sigma, sigma]) == -1
         assert not nef_test(s, sigma)
-
-    def test_rank3_rule(self):
-        # Nef iff a >= 0 and b >= -a*d_r: on (2, 1, -1), xi + f is nef and
-        # xi is not, as it pairs to -1 with the section of E -> O(-1).
-        s = RuledSurface(Curve(1), SplitBundle((2, 1, -1)))
-        assert nef_test(s, NumClass(1, 1)) and nef_test(s, NumClass(0, 1))
-        assert not nef_test(s, NumClass(1, 0))
-        assert not nef_test(s, NumClass(-1, 10))
 
     @given(st.integers(2, 6), st.one_of(st.integers(0, 5), st.just(10**9)), st.data())
     @settings(max_examples=300, deadline=None)

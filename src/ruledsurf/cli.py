@@ -121,13 +121,17 @@ def _build_surface(args: argparse.Namespace) -> RuledSurface:
     return RuledSurface(Curve(args.genus, args.char), SplitBundle(args.degrees))
 
 
+def _class_of(args: argparse.Namespace, surface: RuledSurface) -> NumClass:
+    """--class, which defaults to -K of the surface."""
+    return args.num_class if args.num_class is not None else -canonical_class(surface)
+
+
 # ---------------------------------------------------------------- classify
 
 def cmd_classify(args: argparse.Namespace) -> tuple[int, list[str]]:
     surface = _build_surface(args)
     bundle = surface.bundle
-    k = canonical_class(surface)
-    cls = args.num_class if args.num_class is not None else -k
+    cls = _class_of(args, surface)
     lines = [
         f"genus: {surface.curve.genus}",
         f"characteristic: {surface.curve.characteristic}",
@@ -137,7 +141,7 @@ def cmd_classify(args: argparse.Namespace) -> tuple[int, list[str]]:
         f"mu_max: {bundle.mu_max}",
         f"mu_min: {bundle.mu_min}",
         f"semistable: {_bool_str(bundle.mu_max == bundle.mu_min)}",
-        f"canonical_class: {k}",
+        f"canonical_class: {canonical_class(surface)}",
         f"class: {cls}",
         f"big: {_bool_str(big_test(surface, cls))}",
         f"pseff: {_bool_str(pseff_test(surface, cls))}",
@@ -156,9 +160,10 @@ def cmd_scan(args: argparse.Namespace) -> tuple[int, list[str]]:
     """The scan grid's rows, in emission order: genera and characteristics
     (each once, sorted) in that order, each curve with every bundle, the
     non-increasing degree tuples of the ranges given in lexicographic
-    order.  Rows are classified in blocks of curves that share each
-    bundle's class: a fixed --class puts every curve in one block, -K
-    (which reads the genus) makes one block a genus."""
+    order.  The sums read the curve only through its genus, so rows are
+    classified in blocks of genera that share each bundle's class, each
+    genus once for all the characteristics: a fixed --class puts every
+    genus in one block, -K (which reads the genus) makes one block a genus."""
     genera, chars = args.genus_range, sorted(set(args.chars))
     ranges = {name: r for name in ("d1", "d2", "d3") if (r := getattr(args, f"{name}_range"))}
     # stop - start, not len(): len() of a range past sys.maxsize overflows.
@@ -170,25 +175,26 @@ def cmd_scan(args: argparse.Namespace) -> tuple[int, list[str]]:
                if all(x >= y for x, y in zip(degs, degs[1:]))]
     if not bundles:
         raise ValueError(f"scan grid is empty (degree ranges never satisfy {' >= '.join(ranges)})")
-    blocks = [[Curve(g, p) for p in chars] for g in genera]
-    if args.num_class is not None:
-        blocks = [[curve for block in blocks for curve in block]]
-    # A group for each bundle in each block: the class on the bundle over
-    # each of the block's curves.  The surface over the first curve stands
-    # for them all in -K, which reads only the genus, and in the slope test.
-    groups = []
-    for block in blocks:
-        for bundle in bundles:
-            surface = RuledSurface(block[0], bundle)
-            cls = args.num_class if args.num_class is not None else -canonical_class(surface)
-            groups.append((surface, cls, block))
+    # Curve refuses a negative genus before a characteristic, and genera
+    # ascend: the least genus meets the grid's first refusal, if any.
+    for p in chars:
+        Curve(genera[0], p)
+    blocks = [genera] if args.num_class is not None else [[g] for g in genera]
+    # A group for each bundle in each block: the class on the bundle over a
+    # curve of each of the block's genera.  The surface over the block's
+    # first genus stands for them all: -K reads only the genus, and the
+    # slope test only the bundle.
+    surfaces = [(RuledSurface(Curve(block[0]), bundle), block)
+                for block in blocks for bundle in bundles]
+    groups = [(surface, _class_of(args, surface), block) for surface, block in surfaces]
     classified = growth_classify(f"scan of {len(bundles) * len(genera) * len(chars)} rows "
                                  f"up to m = {args.m_max}", groups, (args.m_max,))
     lines = ["\t".join(["genus", "char", *ranges, "a", "b", "big", "verdict", "volume", "agree"])]
     code = EXIT_OK
     # The columns after the curve's two: a list for each group of the
-    # block, an entry for each of its rows.  The block's rows are written
-    # once its last bundle's column is done.
+    # block, an entry for each of its genera.  The block's rows are
+    # written, each genus's once for each characteristic, once its last
+    # bundle's column is done.
     columns = []
     for (surface, cls, block), (vol, verdicts, _) in zip(groups, classified):
         big = big_test(surface, cls)
@@ -201,9 +207,9 @@ def cmd_scan(args: argparse.Namespace) -> tuple[int, list[str]]:
             tails[verdict] = f"{head}{verdict.value}\t{vol}\t{_bool_str(verdict is expected)}"
         columns.append(list(map(tails.__getitem__, verdicts)))
         if len(columns) == len(bundles):
-            for j, curve in enumerate(block):
-                fields = f"{curve.genus}\t{curve.characteristic}\t"
-                lines += [fields + column[j] for column in columns]
+            for j, g in enumerate(block):
+                cells = [column[j] for column in columns]
+                lines += [f"{g}\t{p}\t{cell}" for p in chars for cell in cells]
             columns = []
     return code, lines
 
@@ -278,12 +284,13 @@ def cmd_blowup(args: argparse.Namespace) -> tuple[int, list[str]]:
 
 def cmd_h0(args: argparse.Namespace) -> tuple[int, list[str]]:
     surface = _build_surface(args)
-    cls = args.num_class if args.num_class is not None else -canonical_class(surface)
+    cls = _class_of(args, surface)
     if args.m_max is None:
         what, rungs = f"class {cls}", (1,)
     else:
         what, rungs = f"class {cls} up to m = {args.m_max}", (1, *ladder(args.m_max))
-    [(vol, [verdict], samples)] = growth_classify(what, [(surface, cls, [surface.curve])], rungs)
+    groups = [(surface, cls, [surface.curve.genus])]
+    [(vol, [verdict], samples)] = growth_classify(what, groups, rungs)
     intervals = [interval for [interval] in samples]
     lines = [
         f"class: {cls}",

@@ -16,11 +16,12 @@ to one leaf of rank 2 or 3, of degrees base + w.gaps over w >= 0,
 floor is gone, q of them at a rank-2 leaf and q^2 at a rank-3 leaf.  Each
 sublattice is then a line, an arithmetic series from its first positive
 term, or a triangle, row by row a polynomial, less the negative terms of
-the rows only partly positive, which floor sums give in O(log).  A leaf
-sums a group of curves sharing the bundle and the class in one pass: the
-sublattice starts and the ramp that reads no genus once for the group,
-then per curve one sum for lo and, inside the band, the others for hi.
-Rank 2 costs O(1) a curve whatever a and g are, rank 3
+the rows only partly positive, which floor sums give in O(log).  The
+bounds read the curve only through its genus, so a leaf sums a group of
+genera sharing the bundle and the class in one pass: the sublattice
+starts and the ramp that reads no genus once for the group, then per
+genus one sum for lo and, inside the band, the others for hi.
+Rank 2 costs O(1) a genus whatever a and g are, rank 3
 O(log(min(a, d_2 - d_3) + 1)), and rank r the recursion down to
 C(a+r-3, r-3) rank-3 leaves.  Outside the band 0 <= d <= 2g-2 (so at
 g = 0 everywhere) hi = lo, and a leaf whose degree range misses the band
@@ -36,10 +37,10 @@ entries), never by perturbation, and each entry checked against
 MAX_DIGITS; the table is built once per (a, knots).
 
 growth_classify classifies groups of rows that share a bundle and a class
-on different curves.  The price of the sums, the volume and the verdict
+on different genera.  The price of the sums, the volume and the verdict
 threshold read only the bundle and the class, so they are taken once per
-group; each row is still summed once at each rung, by the group's one
-pass, and checked lo <= hi.
+group; each genus is summed once at each rung, by the group's one pass,
+and checked lo <= hi.
 """
 from __future__ import annotations
 
@@ -76,7 +77,7 @@ class Verdict(enum.Enum):
     INCONCLUSIVE = "INCONCLUSIVE"
 
     # Members are singletons: hashed by identity, in C, rather than by
-    # Enum's name hash, in Python, since a scan looks one up per row.
+    # Enum's name hash, in Python, since a scan looks one up per genus.
     __hash__ = object.__hash__
 
 
@@ -189,22 +190,22 @@ def _sublattices(ramp: tuple[int, int, int], base: int, gaps: Sequence[int],
 
 
 def _slice_intervals(gaps: Sequence[int], base: int, left: int,
-                     curves: Sequence[Curve]) -> list[tuple[int, int]]:
-    """(lo, hi) on each of the curves: the curve intervals summed over the
+                     genera: Sequence[int]) -> list[tuple[int, int]]:
+    """(lo, hi) on each of the genera: the curve intervals summed over the
     degrees base + w.gaps, w >= 0, |w| <= left, gaps >= 0 descending, as
     the sum over the first coordinate k = 0..left of the slice of
     gaps[1:] at base + k*gaps[0], down to a leaf of one or two gaps: each
     ramp of _RAMPS is summed over its _sublattices, by _series on one gap,
     _triangle_sum on two.  lo's ramp and hi's second are shifted by -g for
-    each curve, and hi's first, which reads no genus, is summed once for
+    each genus g, and hi's first, which reads no genus, is summed once for
     all.  Off the band (base + left*gaps[0] < 0, or max(base, 0) > 2g - 2,
     that is g < (max(base, 0) + 3) // 2), hi = lo.
     """
     if len(gaps) > 2:
-        sums = [(0, 0)] * len(curves)
+        sums = [(0, 0)] * len(genera)
         step, rest = gaps[0], gaps[1:]
         for k in range(left + 1):
-            part = _slice_intervals(rest, base + k * step, left - k, curves)
+            part = _slice_intervals(rest, base + k * step, left - k, genera)
             sums = [(lo + plo, hi + phi) for (lo, hi), (plo, phi) in zip(sums, part)]
         return sums
     total = _series if len(gaps) == 1 else _triangle_sum
@@ -214,8 +215,7 @@ def _slice_intervals(gaps: Sequence[int], base: int, left: int,
     band = (max(base, 0) + 3) // 2 if base + left * gaps[0] >= 0 else None
     free = None
     pairs = []
-    for curve in curves:
-        g = curve.genus
+    for g in genera:
         lo = total(lo_x - g, left, gaps)
         if band is None or g < band:
             pairs.append((lo, lo))
@@ -264,7 +264,7 @@ def lattice_work(surface: RuledSurface, cls: NumClass) -> int:
     The price reads the bundle and the class, not the curve: it is the
     same on every genus and characteristic, so a row's does not ask
     whether the row meets the band, and growth_classify takes it once for
-    all the curves of a (bundle, class) group.
+    a (bundle, class) group and charges it once for each of its genera.
     """
     if cls.a < 0:
         return 0
@@ -290,17 +290,17 @@ def _check_work(what: str, work: int) -> None:
                          f"above the limit of {MAX_LATTICE_WORK}")
 
 
-def _intervals(degrees: Sequence[int], cls: NumClass, curves: Sequence[Curve]) -> list[H0Interval]:
-    """h0_class_interval of cls on the bundle of the given degrees over each
-    of the curves, a query already priced by _check_work: one lattice sum
-    for all the curves, on the twisted gaps d_i - d_r and base b + a*d_r,
-    unless a < 0 or cls = (0, 0)."""
+def _intervals(degrees: Sequence[int], cls: NumClass, genera: Sequence[int]) -> list[H0Interval]:
+    """h0_class_interval of cls on the bundle of the given degrees over a
+    curve of each of the genera, a query already priced by _check_work:
+    one lattice sum for all the genera, on the twisted gaps d_i - d_r and
+    base b + a*d_r, unless a < 0 or cls = (0, 0)."""
     if cls.a < 0:
-        return [H0Interval(0, 0)] * len(curves)
+        return [H0Interval(0, 0)] * len(genera)
     if cls.a == 0 and cls.b == 0:
-        return [H0Interval(1, 1)] * len(curves)
+        return [H0Interval(1, 1)] * len(genera)
     low = degrees[-1]
-    pairs = _slice_intervals([d - low for d in degrees[:-1]], cls.b + cls.a * low, cls.a, curves)
+    pairs = _slice_intervals([d - low for d in degrees[:-1]], cls.b + cls.a * low, cls.a, genera)
     return [H0Interval(lo, hi) for lo, hi in pairs]
 
 
@@ -315,7 +315,7 @@ def h0_class_interval(surface: RuledSurface, cls: NumClass) -> H0Interval:
     MAX_LATTICE_WORK.
     """
     _check_work(f"class {cls}", lattice_work(surface, cls))
-    [interval] = _intervals(surface.bundle.degrees, cls, [surface.curve])
+    [interval] = _intervals(surface.bundle.degrees, cls, [surface.curve.genus])
     return interval
 
 
@@ -351,7 +351,7 @@ def _truncated_power_divdiff(knots: Sequence[int]) -> Fraction | int:
 def _volume(a: int, knots: tuple[int, ...]) -> Fraction:
     """The volume of a class with a > 0 and knots v_i = a*d_i + b, cached
     per (a, knots).  growth_classify takes it once per (bundle, class),
-    which reads no curve: once for each of the 91 groups of the shipped
+    which reads no genus: once for each of the 91 groups of the shipped
     rank-2 scan grid's 3,731 rows; the 160 groups of the rank-3 grid, one
     a row under -K, share 56 knot sets."""
     return _check_digits(Fraction(a) ** (len(knots) - 1) * _truncated_power_divdiff(knots))
@@ -380,8 +380,8 @@ def ladder(m_max: int) -> tuple[int, ...]:
 
 
 def _verdicts(r: int, vol: Fraction, m_max: int, tops: Sequence[H0Interval]) -> list[Verdict]:
-    """The verdict on a class cls of volume vol in rank r on each curve,
-    from that curve's interval at m_max * cls in `tops`.
+    """The verdict on a class cls of volume vol in rank r on each genus,
+    from that genus's interval at m_max * cls in `tops`.
 
     - NOT_BIG_CERTIFIED iff vol == 0.  A class is big exactly when its
       volume is positive, and the upper bounds at finitely many m cannot
@@ -391,7 +391,7 @@ def _verdicts(r: int, vol: Fraction, m_max: int, tops: Sequence[H0Interval]) -> 
       certified lower bounds already reach half of the exact asymptote.
       Decided in integers, for vol = num/den, as lo > t = floor(num *
       m_max^r / (2 * r! * den)), the same test as 2 * r! * lo * den >
-      num * m_max^r since lo is an integer; t is taken once for all curves.
+      num * m_max^r since lo is an integer; t is taken once for all genera.
     - INCONCLUSIVE otherwise: vol > 0, but the count at m_max does not
       yet confirm it.
     """
@@ -402,21 +402,22 @@ def _verdicts(r: int, vol: Fraction, m_max: int, tops: Sequence[H0Interval]) -> 
     return [big if top.lo > t else inconclusive for top in tops]
 
 
-def growth_classify(what: str, groups: Sequence[tuple[RuledSurface, NumClass, Sequence[Curve]]],
+def growth_classify(what: str, groups: Sequence[tuple[RuledSurface, NumClass, Sequence[int]]],
                     rungs: Sequence[int]
                     ) -> list[tuple[Fraction, list[Verdict], list[list[H0Interval]]]]:
     """Classify the bigness of classes on projective bundles from their
     exact volume, confirmed by section counts.  A group (surface, cls,
-    curves) asks for cls on P_C(E), E the bundle of the surface, for each
-    curve C of curves: one row each.
+    genera) asks for cls on P_C(E), E the bundle of the surface, for each
+    g of genera, C any curve of genus g: the bounds read C only through g,
+    so every curve of that genus, in any characteristic, has that answer.
 
     Samples the interval of h0_class_interval on m*cls at each m of the
-    ascending rungs, for every row (`scan` passes (m_max,), `h0 --m-max`
+    ascending rungs, for every genus (`scan` passes (m_max,), `h0 --m-max`
     (1, *ladder(m_max))).  The price, the volume and the verdict threshold
-    read E and cls but no curve, so they are taken once per group, on its
-    surface; each row is summed on its own at each rung, and checked
+    read E and cls but no genus, so they are taken once per group, on its
+    surface; each genus is summed on its own at each rung, and checked
     lo <= hi.  The price of all sums together, each group's lattice_work
-    at each rung times its row count, is checked first: above
+    at each rung times its number of genera, is checked first: above
     MAX_LATTICE_WORK, ValueError, naming `what`, is raised before any sum.
     Every volume is then taken before the sums, so one past MAX_DIGITS
     digits is refused at once.  The top rung is summed first, and only it
@@ -424,17 +425,17 @@ def growth_classify(what: str, groups: Sequence[tuple[RuledSurface, NumClass, Se
     printed, and the top one with them: when there are any, a top-rung
     count past MAX_DIGITS digits is refused, ValueError(TOO_LONG), before
     they are summed.  Returns, for each group, (volume, the verdict on
-    each curve, for each rung the interval on each curve).
+    each genus, for each rung the interval on each genus).
     """
     queries = [[m * cls for m in rungs] for _, cls, _ in groups]
-    _check_work(what, sum(len(curves) * lattice_work(surface, query)
-                          for (surface, _, curves), scaled in zip(groups, queries)
+    _check_work(what, sum(len(genera) * lattice_work(surface, query)
+                          for (surface, _, genera), scaled in zip(groups, queries)
                           for query in scaled))
     volumes = [volume(surface, cls) for surface, cls, _ in groups]
-    tops = [_intervals(surface.bundle.degrees, scaled[-1], curves)
-            for (surface, _, curves), scaled in zip(groups, queries)]
+    tops = [_intervals(surface.bundle.degrees, scaled[-1], genera)
+            for (surface, _, genera), scaled in zip(groups, queries)]
     if len(rungs) > 1 and any(top.hi >= DIGIT_LIMIT for group in tops for top in group):
         raise ValueError(TOO_LONG)
     return [(vol, _verdicts(surface.rank, vol, rungs[-1], top),
-             [_intervals(surface.bundle.degrees, query, curves) for query in scaled[:-1]] + [top])
-            for (surface, _, curves), scaled, vol, top in zip(groups, queries, volumes, tops)]
+             [_intervals(surface.bundle.degrees, query, genera) for query in scaled[:-1]] + [top])
+            for (surface, _, genera), scaled, vol, top in zip(groups, queries, volumes, tops)]

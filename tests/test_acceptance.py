@@ -54,7 +54,7 @@ def test_criterion_1_rank2_grid():
         if big_test(s, mk) != expected:
             ok = False
             break
-        [(_, [verdict], _)] = growth_classify("-K", [(s, mk, [s.curve])], ladder(64))
+        [(_, [verdict], _)] = growth_classify("-K", [(s, mk, [g])], ladder(64))
         if d1 - d2 != 2 * g - 2:
             want = Verdict.BIG_CERTIFIED if expected else Verdict.NOT_BIG_CERTIFIED
             if verdict is not want:
@@ -81,7 +81,7 @@ def test_criterion_2_rank3_grid():
                     expected = 2 * d1 - d2 - d3 > 2 * g - 2
                     if big_test(s, mk) != expected:
                         ok = False
-                    [(_, [verdict], _)] = growth_classify("-K", [(s, mk, [s.curve])], ladder(24))
+                    [(_, [verdict], _)] = growth_classify("-K", [(s, mk, [g])], ladder(24))
                     if 2 * d1 - d2 - d3 != 2 * g - 2:
                         want = (Verdict.BIG_CERTIFIED if expected
                                 else Verdict.NOT_BIG_CERTIFIED)

@@ -101,18 +101,18 @@ def test_readme_example(capsys, tmp_path, readme_argv):
 @pytest.fixture
 def run_logged(capsys, monkeypatch):
     """run_cli, returning also a log of the command's lattice sums.  Every
-    row's sum, in every rank, passes through sections._intervals(degrees,
-    cls, curves), and every price through sections.lattice_work(surface,
-    cls): log.sums gets the summed class once for each row, in order,
+    sum, in every rank, passes through sections._intervals(degrees, cls,
+    genera), and every price through sections.lattice_work(surface, cls):
+    log.sums gets the summed class once for each genus summed, in order,
     log.prices the (bundle, class) of each price, and log.priced_in_sum
     whether a price was taken during a sum."""
     intervals, work = sections._intervals, sections.lattice_work
     log = None
 
-    def summing(degrees, cls, curves):
-        log.sums += [cls] * len(curves)
+    def summing(degrees, cls, genera):
+        log.sums += [cls] * len(genera)
         priced = len(log.prices)
-        got = intervals(degrees, cls, curves)
+        got = intervals(degrees, cls, genera)
         log.priced_in_sum |= len(log.prices) > priced
         return got
 
@@ -200,8 +200,9 @@ class TestScan:
         # benchmark's two scan grids, the rank-2 grid of 3,731 rows (105
         # INCONCLUSIVE, so exit 1) and the rank-3 grid of 160 rows under
         # -K; then three grids over several characteristics, a repeated
-        # one scanned once: a fixed class in one block of 15 curves, -K
-        # in blocks of 3 (one a genus), and a fixed class in rank 3.
+        # one scanned once: a fixed class in one block of 5 genera, -K
+        # in blocks of one genus, each genus's rows written for its 3
+        # characteristics, and a fixed class in rank 3.
         got, out, err = run_cli(capsys, *argv)
         assert (got, err) == (code, "")
         assert hashlib.sha256(out.encode()).hexdigest() == digest
@@ -256,12 +257,15 @@ class TestScan:
         assert len(out.read_text().splitlines()) == 1 + 4
 
     def test_row_sums_only_its_top_rung(self, run_logged):
-        # One sum per row, at m_max * (-K) = 64 * (r, 2 - 2g - d1), in rank
-        # 2 and in rank 3; the lower rungs are not summed.
-        for rank, d3 in (2, ()), (3, ("--d3-range", "0:0")):
+        # One sum per (genus, bundle), at m_max * (-K) = 64 * (r, 2 - 2g -
+        # d1), in rank 2 and in rank 3, and one for all the characteristics
+        # of a genus: 10 sums for the 30 rows over three; the lower rungs
+        # are not summed.
+        for rank, rows, extra in [(2, 10, ()), (3, 10, ("--d3-range", "0:0")),
+                                  (2, 30, ("--chars", "0,2,3"))]:
             code, out, _, log = run_logged("scan", "--genus-range", "1:2", "--d1-range", "0:4",
-                                           "--d2-range", "0:0", *d3, "--m-max", "64")
-            assert (code, len(out.splitlines())) == (EXIT_OK, 1 + 10)
+                                           "--d2-range", "0:0", *extra, "--m-max", "64")
+            assert (code, len(out.splitlines())) == (EXIT_OK, 1 + rows)
             assert log.sums == [64 * NumClass(rank, 2 - 2 * g - d1)
                                 for g in (1, 2) for d1 in range(5)]
 
@@ -291,7 +295,7 @@ class TestScan:
         for argv in cases:
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(sections, "_slice_intervals",
-                           lambda gaps, base, left, curves: [(2, 1)] * len(curves))
+                           lambda gaps, base, left, genera: [(2, 1)] * len(genera))
                 code, out, err = run_cli(capsys, *argv)
             assert (code, out) == (EXIT_VALIDATION, "")
             assert err == "error: interval needs 0 <= lo <= hi\n"
@@ -309,7 +313,7 @@ class TestScan:
             surface = RuledSurface(Curve(g, p), SplitBundle(tuple(degs)))
             cls = NumClass(a, b)
             [(vol, [verdict], _)] = sections.growth_classify(
-                "row", [(surface, cls, [surface.curve])], (m_max,))
+                "row", [(surface, cls, [g])], (m_max,))
             big = big_test(surface, cls)
             agree = verdict is (Verdict.BIG_CERTIFIED if big else Verdict.NOT_BIG_CERTIFIED)
             assert row[4 + ranks:] == [str(big).lower(), verdict.value, str(vol),
@@ -319,11 +323,12 @@ class TestScan:
         (["--genus-range", "29:30", "--d1-range=-2:3", "--d2-range=-2:1", "--class", "1,0"], 16, 2),
         (["--genus-range", "0:2", "--chars", "0,2", "--d1-range=0:3", "--d2-range=-2:2",
           "--d3-range=-2:2"], 32, 3),
-        # A fixed class: one group a bundle, each over 2 x 10 curves, the
-        # genus 7 to 9 rows INCONCLUSIVE and the lower ones not.
+        # A fixed class: one group a bundle, each over 10 genera written
+        # for 2 characteristics, the genus 7 to 9 rows INCONCLUSIVE and
+        # the lower ones not.
         (["--genus-range", "0:9", "--chars", "0,2", "--d1-range=-2:3", "--d2-range=-2:1",
           "--class", "1,0"], 16, 2),
-        # The same in rank 3, over 2 x 7 curves, INCONCLUSIVE at genus 6.
+        # The same in rank 3, over 7 genera, INCONCLUSIVE at genus 6.
         (["--genus-range", "0:6", "--chars", "0,2", "--d1-range=0:3", "--d2-range=-2:2",
           "--d3-range=-2:2", "--class", "1,0"], 16, 3),
     ])
@@ -801,6 +806,9 @@ class TestWorkBounds:
     @pytest.mark.parametrize("argv, what, units", [
         # Each of the 13,824 rows' top rung is under the limit (493 units).
         (("scan", *WIDE_GAP_SCAN), "scan of 13824 rows up to m = 1099511627776", 6815232),
+        # The same genus over two characteristics: priced once, not twice.
+        (("scan", *WIDE_GAP_SCAN, "--chars", "0,2"), "scan of 27648 rows up to m = 1099511627776",
+         6815232),
         # The class (739,840 units) and its one rung m = 8 (5,919,840).
         (("h0", "--genus", "2", "--degrees", "3,1,0,-2", "--class", "20000,0", "--m-max", "8"),
          "class (20000, 0) up to m = 8", 6659680),
@@ -808,7 +816,7 @@ class TestWorkBounds:
          "scan of 3731 rows up to m = <4001 digits>", 6775004),
         (("h0", "--genus", "1", "--degrees", "1,0", "--class", "1,0", "--m-max", str(10**4000)),
          "class (1, 0) up to m = <4001 digits>", 8290068),
-    ], ids=["rank3-scan", "rank4-ladder", "rank2-scan", "rank2-ladder"])
+    ], ids=["rank3-scan", "rank3-scan-chars", "rank4-ladder", "rank2-scan", "rank2-ladder"])
     def test_over_limit_sums_nothing(self, run_logged, argv, what, units):
         # All the sums of a command are priced together and refused before
         # the first: a scan's rows, and an h0 class with its ladder.

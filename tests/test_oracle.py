@@ -64,8 +64,8 @@ PLANTED = [
           "every big rank-3 row clears its threshold by more"),
     Plant("lo-ramp-plus-one", lambda: (sections, "_RAMPS", ((1, 0, 2), *sections._RAMPS[1:])),
           {"scan-r2": REFUSED, "scan-r3": REFUSED}),
-    Plant("hi-is-lo", lambda: (sections, "_intervals", lambda degrees, cls, curves: [
-              H0Interval(lo, lo) for lo, _ in INTERVALS(degrees, cls, curves)]),
+    Plant("hi-is-lo", lambda: (sections, "_intervals", lambda degrees, cls, genera: [
+              H0Interval(lo, lo) for lo, _ in INTERVALS(degrees, cls, genera)]),
           {"scan-r2": 0, "scan-r3": 0}, HI_UNREAD),
     Plant("band-raised", lambda: (sections, "_slice_intervals", band_by(1)),
           {"scan-r2": 0, "scan-r3": 0}, f"it sets hi = lo at the band's edge; {HI_UNREAD}"),

@@ -109,7 +109,8 @@ def residue_volume(s, cls):
 
 def classify(s, cls, rungs):
     """growth_classify on the one row (s, cls): (verdict, volume, intervals)."""
-    [(vol, [verdict], samples)] = growth_classify(f"class {cls}", [(s, cls, [s.curve])], rungs)
+    [(vol, [verdict], samples)] = growth_classify(f"class {cls}", [(s, cls, [s.curve.genus])],
+                                                  rungs)
     return verdict, vol, tuple(interval for [interval] in samples)
 
 
@@ -598,7 +599,7 @@ class TestGrowthClassify:
                                         min_size=1, max_size=3), st.data())
     @settings(max_examples=300, deadline=None)
     def test_group_matches_brute_force(self, rows, low, gaps, data):
-        # A group is summed in one pass over its curves, in rank 2, 3 or 4
+        # A group is summed in one pass over its genera, in rank 2, 3 or 4
         # (a small there, for the brute force), each row against the
         # per-point oracle: unsorted and repeated genera, equal degrees,
         # a <= 0 and the class (0, 0), and slices below every ramp
@@ -610,11 +611,11 @@ class TestGrowthClassify:
         b = data.draw(st.one_of(st.just(0), st.integers(-a * low - near, -a * low + near),
                                 st.integers(-a * d1 - 400, -a * d1 - 1)))
         bundle, cls = SplitBundle(tuple(degrees)), NumClass(a, b)
-        curves = [Curve(g, p) for g, p in rows]
+        genera = [g for g, _ in rows]
         [(_, _, [intervals])] = growth_classify(
-            "group", [(RuledSurface(curves[0], bundle), cls, curves)], (1,))
-        assert intervals == [brute_force_interval(RuledSurface(curve, bundle), cls)
-                             for curve in curves]
+            "group", [(RuledSurface(Curve(genera[0]), bundle), cls, genera)], (1,))
+        assert intervals == [brute_force_interval(RuledSurface(Curve(g, p), bundle), cls)
+                             for g, p in rows]
 
     def test_m_max_too_small(self):
         with pytest.raises(ValueError):

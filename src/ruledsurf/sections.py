@@ -34,13 +34,16 @@ vertex values v_i = a*d_i + b (in rank 2, the Zariski decomposition's
 vol = D^2 + (D.C_0)^2/e).  It is read off one divided-difference table,
 with repeated vertex values handled as confluent knots (derivative
 entries), never by perturbation, and each entry checked against
-MAX_DIGITS; the table is built once per (a, knots).
+MAX_DIGITS.
 
 growth_classify classifies groups of rows that share a bundle and a class
-on different genera.  The price of the sums, the volume and the verdict
-threshold read only the bundle and the class, so they are taken once per
-group; each genus is summed once at each rung, by the group's one pass,
-and checked lo <= hi.
+on different genera.  Every value but the price reads the group only
+through its twist class, (a, the knots, the genera): it keys the groups
+by it, and takes the volume, the verdicts and each rung's sums, one pass
+over the genera checked lo <= hi, once per key.  The price reads the
+bundle, so it is taken first, for each group, and nothing is built or
+summed above the limit.  This module keeps no state across calls: a
+caller's shared work is what it puts in one growth_classify call.
 """
 from __future__ import annotations
 
@@ -48,7 +51,6 @@ import enum
 from collections import namedtuple
 from collections.abc import Sequence
 from fractions import Fraction
-from functools import lru_cache
 from math import comb, factorial
 
 from .bundles import DIGIT_LIMIT, MAX_DIGITS, Curve, check_digits
@@ -265,6 +267,9 @@ def lattice_work(surface: RuledSurface, cls: NumClass) -> int:
     same on every genus and characteristic, so a row's does not ask
     whether the row meets the band, and growth_classify takes it once for
     a (bundle, class) group and charges it once for each of its genera.
+    It reads max|d_i|, which a twist moves, so it is taken for each input
+    group, even where groups of one twist class are summed once: the total
+    stays an upper bound on the work done.
     """
     if cls.a < 0:
         return 0
@@ -347,13 +352,12 @@ def _truncated_power_divdiff(knots: Sequence[int]) -> Fraction | int:
     return row[0]
 
 
-@lru_cache(maxsize=1024)
 def _volume(a: int, knots: tuple[int, ...]) -> Fraction:
-    """The volume of a class with a > 0 and knots v_i = a*d_i + b, cached
-    per (a, knots).  growth_classify takes it once per (bundle, class),
-    which reads no genus: once for each of the 91 groups of the shipped
-    rank-2 scan grid's 3,731 rows; the 160 groups of the rank-3 grid, one
-    a row under -K, share 56 knot sets."""
+    """The volume of a class with a > 0 and knots v_i = a*d_i + b: one
+    divided-difference table.  growth_classify takes it once per twist
+    class, which reads no genus and no twist: once for each of the 91
+    groups of the shipped rank-2 scan grid's 3,731 rows, and once for each
+    of the 56 knot sets of the rank-3 grid's 160 rows of -K."""
     return _check_digits(Fraction(a) ** (len(knots) - 1) * _truncated_power_divdiff(knots))
 
 
@@ -413,29 +417,40 @@ def growth_classify(what: str, groups: Sequence[tuple[RuledSurface, NumClass, Se
 
     Samples the interval of h0_class_interval on m*cls at each m of the
     ascending rungs, for every genus (`scan` passes (m_max,), `h0 --m-max`
-    (1, *ladder(m_max))).  The price, the volume and the verdict threshold
-    read E and cls but no genus, so they are taken once per group, on its
-    surface; each genus is summed on its own at each rung, and checked
-    lo <= hi.  The price of all sums together, each group's lattice_work
-    at each rung times its number of genera, is checked first: above
-    MAX_LATTICE_WORK, ValueError, naming `what`, is raised before any sum.
-    Every volume is then taken before the sums, so one past MAX_DIGITS
-    digits is refused at once.  The top rung is summed first, and only it
-    decides, by the rule of _verdicts.  Lower rungs are there only to be
-    printed, and the top one with them: when there are any, a top-rung
-    count past MAX_DIGITS digits is refused, ValueError(TOO_LONG), before
-    they are summed.  Returns, for each group, (volume, the verdict on
-    each genus, for each rung the interval on each genus).
+    (1, *ladder(m_max))).  The price of all sums together, each group's
+    lattice_work at each rung times its number of genera, is checked
+    first, on the groups as given and before any scaled class is built:
+    above MAX_LATTICE_WORK, ValueError, naming `what`, is raised before any
+    sum.  P_C(E) = P_C(E (x) L), so the volume, the sums and the verdicts
+    read a group only through its twist class (cls.a, the knots
+    cls.a*d_i + cls.b, the genera): groups of one twist class, such as -K
+    on bundles of equal gaps, are classified once, on one of them, and
+    share one result object.  Each genus is summed on its own at each rung,
+    and checked lo <= hi.  Every volume is taken before the sums, so one
+    past MAX_DIGITS digits is refused at once.  The top rung is summed
+    first, and only it decides, by the rule of _verdicts.  Lower rungs are
+    there only to be printed, and the top one with them: when there are
+    any, a top-rung count past MAX_DIGITS digits is refused,
+    ValueError(TOO_LONG), before they are summed.  Returns, for each input
+    group, in input order, (volume, the verdict on each genus, for each
+    rung the interval on each genus).
     """
-    queries = [[m * cls for m in rungs] for _, cls, _ in groups]
-    _check_work(what, sum(len(genera) * lattice_work(surface, query)
-                          for (surface, _, genera), scaled in zip(groups, queries)
-                          for query in scaled))
-    volumes = [volume(surface, cls) for surface, cls, _ in groups]
+    _check_work(what, sum(len(genera) * lattice_work(surface, m * cls)
+                          for surface, cls, genera in groups for m in rungs))
+    # Each group's twist class, as a slot in first-seen order: one setdefault
+    # a group, so each key is hashed once.
+    index = {}
+    slots = [index.setdefault((cls.a, tuple(cls.a * d + cls.b for d in surface.bundle.degrees),
+                               tuple(genera)), len(index)) for surface, cls, genera in groups]
+    # One group for each slot, in slot order: any of a class's groups will do.
+    classes = list(dict(zip(slots, groups)).values())
+    queries = [[m * cls for m in rungs] for _, cls, _ in classes]
+    volumes = [volume(surface, cls) for surface, cls, _ in classes]
     tops = [_intervals(surface.bundle.degrees, scaled[-1], genera)
-            for (surface, _, genera), scaled in zip(groups, queries)]
+            for (surface, _, genera), scaled in zip(classes, queries)]
     if len(rungs) > 1 and any(top.hi >= DIGIT_LIMIT for group in tops for top in group):
         raise ValueError(TOO_LONG)
-    return [(vol, _verdicts(surface.rank, vol, rungs[-1], top),
-             [_intervals(surface.bundle.degrees, query, genera) for query in scaled[:-1]] + [top])
-            for (surface, _, genera), scaled, vol, top in zip(groups, queries, volumes, tops)]
+    results = [(vol, _verdicts(surface.rank, vol, rungs[-1], top),
+                [_intervals(surface.bundle.degrees, q, genera) for q in scaled[:-1]] + [top])
+               for (surface, _, genera), scaled, vol, top in zip(classes, queries, volumes, tops)]
+    return [results[slot] for slot in slots]

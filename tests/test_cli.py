@@ -30,17 +30,19 @@ WIDE_GAP_SCAN = ("--genus-range", "1:1", "--d1-range=2000000000000:2000000000023
                  "--m-max", str(2**40))
 
 # The benchmark's two scan grids, without their --m-max 64: in rank 2,
-# 3,731 rows of the class (1, 0) in 91 (bundle, class) groups; in rank 3,
-# 160 rows of -K, one a group.
+# 3,731 rows of the class (1, 0) in 91 (bundle, class) groups, 91 twist
+# classes; in rank 3, 160 rows of -K in 160 groups, 56 twist classes.
 SCAN_R2 = ("scan", "--genus-range", "0:40", "--d1-range=-4:8", "--d2-range=-4:8", "--class=1,0")
 SCAN_R3 = ("scan", "--genus-range", "1:2", "--d1-range=0:4", "--d2-range=-2:4", "--d3-range=-2:4")
+# SCAN_R2's grid under -K: 3,731 groups of one row, in 533 twist classes.
+SCAN_R2_MINUS_K = SCAN_R2[:-1]
 
 # tests/test_oracle.py's knots-shifted plant, as source: sections._volume
 # with its knots shifted by -1.  It makes a scan disagree whatever the
 # clean program's own verdicts, so the tests of the exit-1 path set it: by
 # monkeypatch in this process, and in a spawned one ahead of the entry
 # point's run(), as CI's console-script step does (PLANTED_RUN).
-KNOTS_SHIFTED = ("lambda a, knots, volume=sections._volume.__wrapped__: "
+KNOTS_SHIFTED = ("lambda a, knots, volume=sections._volume: "
                  "volume(a, tuple(v - 1 for v in knots))")
 PLANTED_RUN = (f"from ruledsurf import sections; sections._volume = {KNOTS_SHIFTED}; "
                "from ruledsurf.__main__ import run; raise SystemExit(run())")
@@ -104,12 +106,22 @@ def run_logged(capsys, monkeypatch):
     sum, in every rank, passes through sections._intervals(degrees, cls,
     genera), and every price through sections.lattice_work(surface, cls):
     log.sums gets the summed class once for each genus summed, in order,
-    log.prices the (bundle, class) of each price, and log.priced_in_sum
-    whether a price was taken during a sum."""
+    log.passes counts the calls of _intervals, log.prices the (bundle,
+    class) of each price, and log.priced_in_sum whether a price was taken
+    during a sum.  log.leaves counts the leaf calls, of _series,
+    _triangle_sum and _floor_sums: the work of the algorithms, the same on
+    every host and Python version."""
     intervals, work = sections._intervals, sections.lattice_work
     log = None
 
+    def leaf(f):
+        def counted(*args):
+            log.leaves += 1
+            return f(*args)
+        return counted
+
     def summing(degrees, cls, genera):
+        log.passes += 1
         log.sums += [cls] * len(genera)
         priced = len(log.prices)
         got = intervals(degrees, cls, genera)
@@ -122,11 +134,13 @@ def run_logged(capsys, monkeypatch):
 
     def run(*argv):
         nonlocal log
-        log = SimpleNamespace(sums=[], prices=[], priced_in_sum=False)
+        log = SimpleNamespace(sums=[], passes=0, leaves=0, prices=[], priced_in_sum=False)
         return (*run_cli(capsys, *argv), log)
 
     monkeypatch.setattr(sections, "_intervals", summing)
     monkeypatch.setattr(sections, "lattice_work", pricing)
+    for name in ("_series", "_triangle_sum", "_floor_sums"):
+        monkeypatch.setattr(sections, name, leaf(getattr(sections, name)))
     return run
 
 
@@ -194,7 +208,10 @@ class TestScan:
         (("scan", "--genus-range", "0:3", "--chars", "2,0", "--d1-range=0:3", "--d2-range=-2:2",
           "--d3-range=-2:2", "--class=1,0", "--m-max", "32"), EXIT_OK,
          "99335d39f76197ab376d2b1a811539590f520da2cc1253914065f0095d305d98"),
-    ], ids=["rank2", "rank3", "chars-one-block", "chars-minus-k", "chars-rank3"])
+        ((*SCAN_R2_MINUS_K, "--m-max", "64"), EXIT_OK,
+         "588c60d781ad22af355def11cc97ab30eb61205ffdd413f5602c53afd452c8aa"),
+    ], ids=["rank2", "rank3", "chars-one-block", "chars-minus-k", "chars-rank3",
+            "rank2-minus-k"])
     def test_grid_tsv_pinned(self, capsys, argv, code, digest):
         # The TSV byte for byte, the order of its rows too: the
         # benchmark's two scan grids, the rank-2 grid of 3,731 rows (105
@@ -202,7 +219,8 @@ class TestScan:
         # -K; then three grids over several characteristics, a repeated
         # one scanned once: a fixed class in one block of 5 genera, -K
         # in blocks of one genus, each genus's rows written for its 3
-        # characteristics, and a fixed class in rank 3.
+        # characteristics, and a fixed class in rank 3; last, the rank-2
+        # grid under -K, whose 3,731 groups are 533 twist classes.
         got, out, err = run_cli(capsys, *argv)
         assert (got, err) == (code, "")
         assert hashlib.sha256(out.encode()).hexdigest() == digest
@@ -359,13 +377,13 @@ class TestScan:
     @pytest.mark.parametrize("argv, tables", [(SCAN_R2, 91), (SCAN_R3, 56)])
     def test_grid_builds_one_table_per_knot_set(self, capsys, monkeypatch, argv, tables):
         # The rows of the two benchmark scan grids share few knot sets
-        # (a*d_i + b), and the volume builds the divided-difference table
-        # once for each.
+        # (a*d_i + b), and one scan builds the divided-difference table
+        # once for each: within the one growth_classify call, with no
+        # state kept across calls.
         calls = []
         table = sections._truncated_power_divdiff
         monkeypatch.setattr(sections, "_truncated_power_divdiff",
                             lambda knots: calls.append(knots) or table(knots))
-        sections._volume.cache_clear()
         code, out, _ = run_cli(capsys, *argv, "--m-max", "64")
         assert code in (EXIT_OK, EXIT_DISAGREE)
         assert len(out.splitlines()) in (1 + 3731, 1 + 160)
@@ -801,6 +819,9 @@ REJECTED = [*(refused(f"argv{i}", argv, reason) for i, (argv, reason) in enumera
             SCENARIO_DEGREE % (b"9" * 4300)),
 ]
 
+# The argv of each ACCEPTED row, by its test id.
+ACCEPTED_ARGV = {row.id: row.values[0] for row in ACCEPTED}
+
 
 class TestWorkBounds:
     @pytest.mark.parametrize("argv, what, units", [
@@ -824,6 +845,49 @@ class TestWorkBounds:
         assert (code, out, log.sums) == (EXIT_VALIDATION, "", [])
         assert err == (f"error: {what}: the lattice sums need {units} work units, "
                        "above the limit of 6000000\n")
+
+    @pytest.mark.parametrize("argv, what, units", [
+        # 10^5 rows of -K, each a pair of 4,300-digit integers at m_max.
+        (("scan", "--genus-range", "0:99999", "--d1-range=1:1", "--d2-range=0:0",
+          "--m-max", str(10**4298)), "scan of 100000 rows up to m = <4299 digits>", 211589536),
+        # 50,086 bundles of a 4,300-digit fixed class.
+        (("scan", "--genus-range", "0:0", "--d1-range=0:315", "--d2-range=0:315",
+          f"--class={10**4299},0", "--m-max", "8"), "scan of 50086 rows up to m = 8", 105979844),
+    ], ids=["minus-k-100000-rows", "class-4300-digits-50086-rows"])
+    def test_refusal_by_price_peak_memory(self, argv, what, units):
+        # A refusal by price comes before any class is scaled by m, so a
+        # refused scan holds its grid's rows and not their scaled classes:
+        # under 100 MB of peak RSS in a fresh process, where building the
+        # scaled classes first took 449 MB and 135 MB.  One child at a
+        # time; each prints its own peak (ru_maxrss, in KiB on Linux).
+        child = ("import resource, sys; from ruledsurf.cli import main; code = main(sys.argv[1:]); "
+                 "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss); raise SystemExit(code)")
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        proc = subprocess.run([sys.executable, "-c", child, *argv], env=env, capture_output=True,
+                              text=True, timeout=60)
+        assert (proc.returncode, proc.stderr) == (
+            EXIT_VALIDATION, f"error: {what}: the lattice sums need {units} work units, "
+                             "above the limit of 6000000\n")
+        assert int(proc.stdout) < 100 * 1024
+
+    @pytest.mark.parametrize("argv, passes, leaves", [
+        ((*SCAN_R2, "--m-max", "64"), 91, 7565),
+        ((*SCAN_R3, "--m-max", "64"), 56, 852),
+        ((*SCAN_R2_MINUS_K, "--m-max", "64"), 533, 729),
+        (ACCEPTED_ARGV["h0-growth-section"], 4, 20),
+        (ACCEPTED_ARGV["h0-rank3-every-rung-0-1"], 25, 225),
+        (ACCEPTED_ARGV["h0-rank4-class-4000"], 1, 31210),
+    ], ids=["scan-r2", "scan-r3", "scan-r2-minus-k", "h0-rank2", "h0-rank3", "h0-rank4"])
+    def test_pinned_sums_and_leaf_calls(self, run_logged, argv, passes, leaves):
+        # The work of a command in counts that no host or Python version
+        # moves: the calls of _intervals, one pass over a group's genera
+        # each, and the leaf calls.  A scan sums each twist class once:
+        # scan-r3's 160 groups and the -K grid's 3,731 are 56 and 533
+        # classes, scan-r2's 91 groups 91.  A change to the work changes
+        # these pins, and says by how much.
+        code, _, err, log = run_logged(*argv)
+        assert (code in (EXIT_OK, EXIT_DISAGREE), err) == (True, "")
+        assert (log.passes, log.leaves) == (passes, leaves)
 
     @pytest.mark.parametrize("argv, lines, scenario", ACCEPTED)
     def test_accepted_quickly(self, capsys, tmp_path, argv, lines, scenario):

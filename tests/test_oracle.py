@@ -21,7 +21,7 @@ from test_cli import SCAN_R2, SCAN_R3, knots_shifted, run_cli
 GRIDS = {"scan-r2": (*SCAN_R2, "--m-max", "64"), "scan-r3": (*SCAN_R3, "--m-max", "64")}
 REFUSED = "interval needs 0 <= lo <= hi"
 
-VOLUME = sections._volume.__wrapped__
+VOLUME = sections._volume
 INTERVALS = sections._intervals
 TRIANGLE = sections._triangle_sum
 

@@ -603,19 +603,36 @@ class TestGrowthClassify:
         # (a small there, for the brute force), each row against the
         # per-point oracle: unsorted and repeated genera, equal degrees,
         # a <= 0 and the class (0, 0), and slices below every ramp
-        # (b < -a*d_1), on either side of the band or across it.
+        # (b < -a*d_1), on either side of the band or across it.  With it
+        # go its twist by t, degrees d_i + t and class (a, b - a*t), and
+        # at a = 0 the class on a bundle of other gaps: groups of one
+        # twist class, summed in one pass, each row still the oracle's on
+        # its own bundle.
         degrees = [low + sum(gaps[i:]) for i in range(len(gaps))] + [low]
         a = data.draw(st.one_of(st.just(0), st.integers(-3, (40, 20, 8)[len(gaps) - 1])))
         d1, g = degrees[0], data.draw(st.sampled_from([g for g, _ in rows]))
         near = 3 * min(g, 60) + 20
         b = data.draw(st.one_of(st.just(0), st.integers(-a * low - near, -a * low + near),
                                 st.integers(-a * d1 - 400, -a * d1 - 1)))
-        bundle, cls = SplitBundle(tuple(degrees)), NumClass(a, b)
+        t = data.draw(st.integers(-5, 5))
+        pairs = [(degrees, NumClass(a, b)), ([d + t for d in degrees], NumClass(a, b - a * t))]
+        if a == 0:
+            other = data.draw(st.lists(st.integers(0, 6), min_size=len(gaps), max_size=len(gaps)))
+            pairs.append(([low + sum(other[i:]) for i in range(len(other))] + [low],
+                          NumClass(a, b)))
         genera = [g for g, _ in rows]
-        [(_, _, [intervals])] = growth_classify(
-            "group", [(RuledSurface(Curve(genera[0]), bundle), cls, genera)], (1,))
-        assert intervals == [brute_force_interval(RuledSurface(Curve(g, p), bundle), cls)
-                             for g, p in rows]
+        groups = [(RuledSurface(Curve(genera[0]), SplitBundle(tuple(degs))), cls, genera)
+                  for degs, cls in pairs]
+        passes = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sections, "_intervals",
+                       lambda *args, f=sections._intervals: passes.append(args) or f(*args))
+            results = growth_classify("group", groups, (1,))
+        assert len(passes) == 1
+        for (degs, cls), (_, _, [intervals]) in zip(pairs, results):
+            bundle = SplitBundle(tuple(degs))
+            assert intervals == [brute_force_interval(RuledSurface(Curve(g, p), bundle), cls)
+                                 for g, p in rows]
 
     def test_m_max_too_small(self):
         with pytest.raises(ValueError):

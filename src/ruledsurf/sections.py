@@ -20,7 +20,8 @@ the rows only partly positive, which floor sums give in O(log).  The
 bounds read the curve only through its genus, so a leaf sums a group of
 genera sharing the bundle and the class in one pass: the sublattice
 starts and the ramp that reads no genus once for the group, then per
-genus one sum for lo and, inside the band, the others for hi.
+genus one sum for lo and, inside the band, the others for hi: two series
+at a rank-2 leaf, four triangles at a rank-3 one.
 Rank 2 costs O(1) a genus whatever a and g are, rank 3
 O(log(min(a, d_2 - d_3) + 1)), and rank r the recursion down to
 C(a+r-3, r-3) rank-3 leaves.  Outside the band 0 <= d <= 2g-2 (so at
@@ -352,28 +353,21 @@ def _truncated_power_divdiff(knots: Sequence[int]) -> Fraction | int:
     return row[0]
 
 
-def _volume(a: int, knots: tuple[int, ...]) -> Fraction:
-    """The volume of a class with a > 0 and knots v_i = a*d_i + b: one
-    divided-difference table.  growth_classify takes it once per twist
-    class, which reads no genus and no twist: once for each of the 91
-    groups of the shipped rank-2 scan grid's 3,731 rows, and once for each
-    of the 56 knot sets of the rank-3 grid's 160 rows of -K."""
-    return _check_digits(Fraction(a) ** (len(knots) - 1) * _truncated_power_divdiff(knots))
-
-
 def volume(surface: RuledSurface, cls: NumClass) -> Fraction:
     """Exact lim r! h^0(m*cls)/m^r; positive exactly on big classes.
 
     It is a^(r-1) times the divided difference of max(t, 0)**r over the
-    knots v_i = a*d_i + b, from the table of _truncated_power_divdiff.  In
-    rank 2 it is Zariski's vol = D^2 + (D.C_0)^2/e.
+    knots v_i = a*d_i + b, from one table of _truncated_power_divdiff, so
+    it reads the class only through its twist class: growth_classify takes
+    it once for each.  In rank 2 it is Zariski's vol = D^2 + (D.C_0)^2/e.
 
     Raises ValueError when an entry of the divided-difference table or
     the volume itself has more than MAX_DIGITS decimal digits.
     """
     if cls.a <= 0:
         return Fraction(0)
-    return _volume(cls.a, tuple(cls.a * d + cls.b for d in surface.bundle.degrees))
+    knots = [cls.a * d + cls.b for d in surface.bundle.degrees]
+    return _check_digits(Fraction(cls.a) ** (surface.rank - 1) * _truncated_power_divdiff(knots))
 
 
 def ladder(m_max: int) -> tuple[int, ...]:

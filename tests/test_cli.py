@@ -7,6 +7,7 @@ import shlex
 import subprocess
 import sys
 import time
+from collections import namedtuple
 from fractions import Fraction
 from math import comb
 from pathlib import Path
@@ -23,33 +24,30 @@ ROOT = Path(__file__).resolve().parent.parent
 SCENARIOS = ROOT / "scenarios"
 
 
-# A rank-3 scan of 24^3 rows whose gaps d_2 - d_3 have 40 bits, up to
-# m = 2^40: 493 work units a row.
+# A rank-3 scan of 24^3 rows whose gaps d_2 - d_3 have 40 bits, up to m = 2^40.
 WIDE_GAP_SCAN = ("--genus-range", "1:1", "--d1-range=2000000000000:2000000000023",
                  "--d2-range=1000000000000:1000000000023", "--d3-range=0:23",
                  "--m-max", str(2**40))
 
-# The benchmark's two scan grids, without their --m-max 64: in rank 2,
-# 3,731 rows of the class (1, 0) in 91 (bundle, class) groups, 91 twist
-# classes; in rank 3, 160 rows of -K in 160 groups, 56 twist classes.
+# The benchmark's two scan grids, without their --m-max 64: rank 2 under
+# the class (1, 0), rank 3 under -K.  COSTS pins what each one costs.
 SCAN_R2 = ("scan", "--genus-range", "0:40", "--d1-range=-4:8", "--d2-range=-4:8", "--class=1,0")
 SCAN_R3 = ("scan", "--genus-range", "1:2", "--d1-range=0:4", "--d2-range=-2:4", "--d3-range=-2:4")
-# SCAN_R2's grid under -K: 3,731 groups of one row, in 533 twist classes.
-SCAN_R2_MINUS_K = SCAN_R2[:-1]
+SCAN_R2_MINUS_K = SCAN_R2[:-1]  # SCAN_R2's grid under -K
 
-# tests/test_oracle.py's knots-shifted plant, as source: sections._volume
-# with its knots shifted by -1.  It makes a scan disagree whatever the
-# clean program's own verdicts, so the tests of the exit-1 path set it: by
-# monkeypatch in this process, and in a spawned one ahead of the entry
-# point's run(), as CI's console-script step does (PLANTED_RUN).
-KNOTS_SHIFTED = ("lambda a, knots, volume=sections._volume: "
-                 "volume(a, tuple(v - 1 for v in knots))")
-PLANTED_RUN = (f"from ruledsurf import sections; sections._volume = {KNOTS_SHIFTED}; "
+# tests/test_oracle.py's knots-shifted plant, as source: sections.volume of
+# the class (a, b - 1), whose knots are the class's shifted by -1.  It makes
+# a scan disagree whatever the clean program's own verdicts, so the tests
+# of the exit-1 path set it: by monkeypatch in this process, and in a
+# spawned one ahead of the entry point's run(), as CI does (PLANTED_RUN).
+KNOTS_SHIFTED = ("lambda surface, cls, volume=sections.volume: "
+                 "volume(surface, sections.NumClass(cls.a, cls.b - 1))")
+PLANTED_RUN = (f"from ruledsurf import sections; sections.volume = {KNOTS_SHIFTED}; "
                "from ruledsurf.__main__ import run; raise SystemExit(run())")
 
 
 def knots_shifted():
-    """The planted volume, to set in place of sections._volume."""
+    """The planted volume, to set in place of sections.volume."""
     return eval(KNOTS_SHIFTED, {"sections": sections})
 
 
@@ -102,26 +100,24 @@ def test_readme_example(capsys, tmp_path, readme_argv):
 
 @pytest.fixture
 def run_logged(capsys, monkeypatch):
-    """run_cli, returning also a log of the command's lattice sums.  Every
-    sum, in every rank, passes through sections._intervals(degrees, cls,
-    genera), and every price through sections.lattice_work(surface, cls):
-    log.sums gets the summed class once for each genus summed, in order,
-    log.passes counts the calls of _intervals, log.prices the (bundle,
-    class) of each price, and log.priced_in_sum whether a price was taken
-    during a sum.  log.leaves counts the leaf calls, of _series,
-    _triangle_sum and _floor_sums: the work of the algorithms, the same on
-    every host and Python version."""
-    intervals, work = sections._intervals, sections.lattice_work
+    """run_cli, returning also a log of what the command costs, in counts
+    that no host or Python version moves: log.sums, the class of each sum
+    (an _intervals call) once per genus summed, in order; log.passes, those
+    calls; log.prices, the (bundle, class) of each lattice_work call;
+    log.priced_in_sum, whether a price came during a sum; log.units, the
+    work _check_work is given; log.leaves, the calls of _series,
+    _triangle_sum and _floor_sums; log.tables, of _truncated_power_divdiff;
+    log.records, the NumClass, RuledSurface and Curve built (in __new__)."""
+    intervals, work, check = sections._intervals, sections.lattice_work, sections._check_work
     log = None
 
-    def leaf(f):
-        def counted(*args):
-            log.leaves += 1
-            return f(*args)
+    def tally(field, f):
+        def counted(*args, **kwargs):
+            vars(log)[field] += 1
+            return f(*args, **kwargs)
         return counted
 
     def summing(degrees, cls, genera):
-        log.passes += 1
         log.sums += [cls] * len(genera)
         priced = len(log.prices)
         got = intervals(degrees, cls, genera)
@@ -132,15 +128,26 @@ def run_logged(capsys, monkeypatch):
         log.prices.append((surface.bundle, cls))
         return work(surface, cls)
 
+    def checking(what, units):
+        log.units += units
+        return check(what, units)
+
     def run(*argv):
         nonlocal log
-        log = SimpleNamespace(sums=[], passes=0, leaves=0, prices=[], priced_in_sum=False)
-        return (*run_cli(capsys, *argv), log)
+        log = SimpleNamespace(sums=[], prices=[], priced_in_sum=False, units=0, passes=0,
+                              leaves=0, tables=0, NumClass=0, RuledSurface=0, Curve=0)
+        code, out, err = run_cli(capsys, *argv)
+        log.records = log.NumClass, log.RuledSurface, log.Curve
+        return code, out, err, log
 
-    monkeypatch.setattr(sections, "_intervals", summing)
+    monkeypatch.setattr(sections, "_intervals", tally("passes", summing))
     monkeypatch.setattr(sections, "lattice_work", pricing)
-    for name in ("_series", "_triangle_sum", "_floor_sums"):
-        monkeypatch.setattr(sections, name, leaf(getattr(sections, name)))
+    monkeypatch.setattr(sections, "_check_work", checking)
+    for name, field in [("_series", "leaves"), ("_triangle_sum", "leaves"),
+                        ("_floor_sums", "leaves"), ("_truncated_power_divdiff", "tables")]:
+        monkeypatch.setattr(sections, name, tally(field, getattr(sections, name)))
+    for record in NumClass, RuledSurface, Curve:
+        monkeypatch.setattr(record, "__new__", staticmethod(tally(record.__name__, record.__new__)))
     return run
 
 
@@ -155,12 +162,6 @@ def scenario_json(**overrides):
     }
     doc.update(overrides)
     return json.dumps(doc).encode()
-
-
-def write_scenario(tmp_path, **overrides):
-    path = tmp_path / "scenario.json"
-    path.write_bytes(scenario_json(**overrides))
-    return str(path)
 
 
 class TestClassify:
@@ -214,13 +215,11 @@ class TestScan:
             "rank2-minus-k"])
     def test_grid_tsv_pinned(self, capsys, argv, code, digest):
         # The TSV byte for byte, the order of its rows too: the
-        # benchmark's two scan grids, the rank-2 grid of 3,731 rows (105
-        # INCONCLUSIVE, so exit 1) and the rank-3 grid of 160 rows under
-        # -K; then three grids over several characteristics, a repeated
-        # one scanned once: a fixed class in one block of 5 genera, -K
-        # in blocks of one genus, each genus's rows written for its 3
-        # characteristics, and a fixed class in rank 3; last, the rank-2
-        # grid under -K, whose 3,731 groups are 533 twist classes.
+        # benchmark's two scan grids (scan-r2 has 105 INCONCLUSIVE rows, so
+        # exit 1); three grids over several characteristics, a repeated one
+        # scanned once: a fixed class in one block of 5 genera, -K in
+        # blocks of one genus, each genus's rows written for its 3
+        # characteristics, and a fixed class in rank 3; last, SCAN_R2 under -K.
         got, out, err = run_cli(capsys, *argv)
         assert (got, err) == (code, "")
         assert hashlib.sha256(out.encode()).hexdigest() == digest
@@ -242,7 +241,7 @@ class TestScan:
     def test_disagreement_sets_exit_code(self, capsys, monkeypatch):
         # Under the knots-shifted plant the two big rows read vol = 0 and
         # disagree: the exit code must follow each row's agree flag.
-        monkeypatch.setattr(sections, "_volume", knots_shifted())
+        monkeypatch.setattr(sections, "volume", knots_shifted())
         code, out, _ = run_cli(
             capsys, "scan", "--genus-range", "29:30", "--d1-range", "0:1",
             "--d2-range", "0:0", "--class", "1,0", "--m-max", "16",
@@ -266,41 +265,13 @@ class TestScan:
         assert row[-1] == "false"
 
     def test_disagreeing_scan_writes_out(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(sections, "_volume", knots_shifted())
+        monkeypatch.setattr(sections, "volume", knots_shifted())
         out = tmp_path / "grid.tsv"
         code = main(["scan", "--genus-range", "29:30", "--d1-range", "0:1",
                      "--d2-range", "0:0", "--class", "1,0", "--m-max", "16",
                      "--out", str(out)])
         assert code == EXIT_DISAGREE
         assert len(out.read_text().splitlines()) == 1 + 4
-
-    def test_row_sums_only_its_top_rung(self, run_logged):
-        # One sum per (genus, bundle), at m_max * (-K) = 64 * (r, 2 - 2g -
-        # d1), in rank 2 and in rank 3, and one for all the characteristics
-        # of a genus: 10 sums for the 30 rows over three; the lower rungs
-        # are not summed.
-        for rank, rows, extra in [(2, 10, ()), (3, 10, ("--d3-range", "0:0")),
-                                  (2, 30, ("--chars", "0,2,3"))]:
-            code, out, _, log = run_logged("scan", "--genus-range", "1:2", "--d1-range", "0:4",
-                                           "--d2-range", "0:0", *extra, "--m-max", "64")
-            assert (code, len(out.splitlines())) == (EXIT_OK, 1 + rows)
-            assert log.sums == [64 * NumClass(rank, 2 - 2 * g - d1)
-                                for g in (1, 2) for d1 in range(5)]
-
-    def test_prices_each_row_once(self, run_logged):
-        # lattice_work reads no curve: on each benchmark scan grid it is
-        # called once for each (bundle, class) group, at m_max * cls, in
-        # the scan's total (pinned by TestWorkBounds::
-        # test_over_limit_sums_nothing), and never during a sum.
-        grids = [(SCAN_R2, EXIT_DISAGREE, 3731, 91), (SCAN_R3, EXIT_OK, 160, 160)]
-        for argv, code, rows, groups in grids:
-            got, out, _, log = run_logged(*argv, "--m-max", "64")
-            fields = [line.split("\t") for line in out.splitlines()[1:]]
-            pairs = {(SplitBundle(tuple(map(int, row[2:-6]))),
-                      64 * NumClass(*map(int, row[-6:-4]))) for row in fields}
-            assert (got, len(fields), log.priced_in_sum) == (code, rows, False)
-            assert len(log.prices) == len(set(log.prices)) == groups
-            assert set(log.prices) == pairs
 
     def test_inverted_interval_refused(self, capsys):
         # A lattice sum that returned lo > hi, in any rank, is caught by
@@ -374,46 +345,45 @@ class TestScan:
         assert code in (EXIT_OK, EXIT_DISAGREE)
         self.assert_rows_match_classifier(out, m_max, 3 if rank3 else 2)
 
+    def test_prices_each_row_once(self, run_logged):
+        # lattice_work reads no curve: on each benchmark scan grid it is
+        # called once for each (bundle, class) group, at m_max * cls, and
+        # never during a sum.
+        grids = [(SCAN_R2, EXIT_DISAGREE, 3731, 91), (SCAN_R3, EXIT_OK, 160, 160)]
+        for argv, code, rows, groups in grids:
+            got, out, _, log = run_logged(*argv, "--m-max", "64")
+            fields = [line.split("\t") for line in out.splitlines()[1:]]
+            pairs = {(SplitBundle(tuple(map(int, row[2:-6]))),
+                      64 * NumClass(*map(int, row[-6:-4]))) for row in fields}
+            assert (got, len(fields), log.priced_in_sum) == (code, rows, False)
+            assert len(log.prices) == len(set(log.prices)) == groups
+            assert set(log.prices) == pairs
+
     @pytest.mark.parametrize("argv, tables", [(SCAN_R2, 91), (SCAN_R3, 56)])
-    def test_grid_builds_one_table_per_knot_set(self, capsys, monkeypatch, argv, tables):
+    def test_grid_builds_one_table_per_knot_set(self, run_logged, argv, tables):
         # The rows of the two benchmark scan grids share few knot sets
         # (a*d_i + b), and one scan builds the divided-difference table
-        # once for each: within the one growth_classify call, with no
-        # state kept across calls.
-        calls = []
-        table = sections._truncated_power_divdiff
-        monkeypatch.setattr(sections, "_truncated_power_divdiff",
-                            lambda knots: calls.append(knots) or table(knots))
-        code, out, _ = run_cli(capsys, *argv, "--m-max", "64")
+        # once for each, as it sums each once: within the one
+        # growth_classify call, with no state kept across calls.
+        code, out, _, log = run_logged(*argv, "--m-max", "64")
         assert code in (EXIT_OK, EXIT_DISAGREE)
         assert len(out.splitlines()) in (1 + 3731, 1 + 160)
-        assert len(calls) == tables
+        assert log.tables == log.passes == tables
+
 
 class TestBlowup:
     def test_long_chain_report_is_linear(self, capsys, tmp_path):
         n = 100_000
-        path = write_scenario(tmp_path, steps=[{"on_strict_transform": True}] * n)
+        argv, _ = with_scenario(tmp_path, ["blowup", "{path}"],
+                                scenario_json(steps=[{"on_strict_transform": True}] * n))
         start = time.perf_counter()
-        code, out, _ = run_cli(capsys, "blowup", path)
+        code, out, _ = run_cli(capsys, *argv)
         assert time.perf_counter() - start < 1.0
         assert code == EXIT_OK
         # genus 1: K^2 = 8(1 - g) = 0 on the base, and each blow-up lowers it by one
         k_lines = [line for line in out.splitlines() if line.startswith("k_squared_step_")]
         assert k_lines == [f"k_squared_step_{i}: {-i}" for i in range(n + 1)]
 
-
-class TestH0:
-    def test_sums_each_rung_once(self, run_logged):
-        # The top rung 64 first, then the class itself and each rung of
-        # the ladder below it, 8, 16, 32: -K in rank 2 and in rank 3.
-        for degrees, cls in ("5,0", NumClass(2, -7)), ("4,0,-2", NumClass(3, -4)):
-            code, out, _, log = run_logged("h0", "--genus", "2", "--degrees", degrees,
-                                           "--m-max", "64")
-            assert code == EXIT_OK
-            assert log.sums == [m * cls for m in (64, 1, 8, 16, 32)]
-            samples = [line.split(":")[0] for line in out.splitlines()
-                       if line.startswith("sample_m_")]
-            assert samples == ["sample_m_8", "sample_m_16", "sample_m_32", "sample_m_64"]
 
 class TestOut:
     @pytest.mark.parametrize("argv", [
@@ -548,6 +518,13 @@ ACCEPTED = [
              ["h0_lo: 2", "h0_hi: 2"]),
     accepted("h0-growth-section", "h0 --genus 2 --degrees 5,0 --m-max 32",
              ["verdict: BIG_CERTIFIED", "sample_m_32: [950, 951]"]),
+    # -K's ladders up to m = 64, each rung in order, in rank 2 and 3
+    accepted("h0-rank2-ladder-64", "h0 --genus 2 --degrees 5,0 --m-max 64",
+             ["sample_m_8: [65, 65]", "sample_m_16: [245, 245]", "sample_m_32: [950, 951]",
+              "sample_m_64: [3744, 3745]"]),
+    accepted("h0-rank3-ladder-64", "h0 --genus 2 --degrees 4,0,-2 --m-max 64",
+             ["sample_m_8: [2178, 2189]", "sample_m_16: [15961, 15983]",
+              "sample_m_32: [122034, 122077]", "sample_m_64: [954041, 954127]"]),
     # big (volume 1) but not yet confirmed by the counts up to m = 64:
     # never labelled NOT_BIG_CERTIFIED
     accepted("h0-high-genus-big-class-inconclusive",
@@ -820,32 +797,80 @@ REJECTED = [*(refused(f"argv{i}", argv, reason) for i, (argv, reason) in enumera
 ]
 
 # The argv of each ACCEPTED row, by its test id.
-ACCEPTED_ARGV = {row.id: row.values[0] for row in ACCEPTED}
+ARGV = {row.id: row.values[0] for row in ACCEPTED}
+
+
+def over_limit(what, units):
+    """The refusal of a command, named `what`, whose sums need `units` work units."""
+    return f"error: {what}: the lattice sums need {units} work units, above the limit of 6000000\n"
+
+
+# What a command costs, in run_logged's counts (prices is len(log.prices)).
+# A row may add rows, a scan's TSV rows; sums; or error, what a refusal by
+# price names, its stderr being over_limit(error, units).  A change to the
+# work re-pins these, and says by how much.
+Cost = namedtuple("Cost", "id argv code units passes leaves tables prices records rows sums error",
+                  defaults=(None, None, None))
+TOP_RUNG = "scan --genus-range 1:2 --d1-range 0:4 --d2-range 0:0 --m-max 64".split()
+# TOP_RUNG's sums, 64 * (-K) = 64 * (r, 2 - 2g - d1) per (genus, bundle), no lower rung.
+TOPS = {r: [64 * NumClass(r, 2 - 2 * g - d1) for g in (1, 2) for d1 in range(5)] for r in (2, 3)}
+
+COSTS = [
+    # The benchmark's scan grids: a scan sums, and builds one table, once
+    # per twist class (a, knots a*d_i + b, genera), and prices each group.
+    Cost("scan-r2", (*SCAN_R2, "--m-max", "64"), EXIT_DISAGREE,
+         14924, 91, 7565, 91, 91, (183, 91, 92), 3731),
+    Cost("scan-r3", (*SCAN_R3, "--m-max", "64"), EXIT_OK,
+         4480, 56, 852, 56, 160, (536, 160, 161), 160),
+    Cost("scan-r2-minus-k", (*SCAN_R2_MINUS_K, "--m-max", "64"), EXIT_OK,
+         14924, 533, 729, 533, 3731, (11726, 3731, 3732), 3731),
+    Cost("scan-rank2-top-rung", TOP_RUNG, EXIT_OK, 40, 10, 42, 10, 10, (40, 10, 11), 10, TOPS[2]),
+    Cost("scan-rank3-top-rung", (*TOP_RUNG, "--d3-range", "0:0"), EXIT_OK,
+         130, 10, 82, 10, 10, (40, 10, 11), 10, TOPS[3]),
+    Cost("scan-chars-top-rung", (*TOP_RUNG, "--chars", "0,2,3"), EXIT_OK,
+         40, 10, 42, 10, 10, (40, 10, 13), 30, TOPS[2]),
+    # h0 in rank 2, 3 and 4; up to m = 64, the top rung is summed first,
+    # then the class itself and each rung below it.
+    Cost("h0-rank2", ARGV["h0-growth-section"], EXIT_OK, 16, 4, 20, 1, 4, (10, 1, 1)),
+    Cost("h0-rank3", ARGV["h0-rank3-every-rung-0-1"], EXIT_OK, 325, 25, 225, 1, 25, (52, 1, 1)),
+    Cost("h0-rank4", ARGV["h0-rank4-class-4000"], EXIT_OK, 147840, 1, 31210, 1, 1, (3, 1, 1)),
+    Cost("h0-rank2-ladder-64", ARGV["h0-rank2-ladder-64"], EXIT_OK, 20, 5, 25, 1, 5,
+         (12, 1, 1), sums=[m * NumClass(2, -7) for m in (64, 1, 8, 16, 32)]),
+    Cost("h0-rank3-ladder-64", ARGV["h0-rank3-ladder-64"], EXIT_OK, 161, 5, 82, 1, 5,
+         (12, 1, 1), sums=[m * NumClass(3, -4) for m in (64, 1, 8, 16, 32)]),
+    # Refused before any sum, priced all together (one genus once for all
+    # its characteristics), though each of WIDE_GAP_SCAN's rows is under the limit.
+    Cost("over-limit-rank3-scan", ("scan", *WIDE_GAP_SCAN), EXIT_VALIDATION, 6815232, 0, 0, 0,
+         13824, (41472, 13824, 13825), error="scan of 13824 rows up to m = 1099511627776"),
+    Cost("over-limit-rank3-scan-chars", ("scan", *WIDE_GAP_SCAN, "--chars", "0,2"),
+         EXIT_VALIDATION, 6815232, 0, 0, 0, 13824, (41472, 13824, 13826),
+         error="scan of 27648 rows up to m = 1099511627776"),
+    Cost("over-limit-rank2-scan", (*SCAN_R2, "--m-max", str(10**4000)), EXIT_VALIDATION,
+         6775004, 0, 0, 0, 91, (92, 91, 92), error="scan of 3731 rows up to m = <4001 digits>"),
+    # The class (739,840 units) and its one rung m = 8 (5,919,840).
+    Cost("over-limit-rank4-ladder",
+         "h0 --genus 2 --degrees 3,1,0,-2 --class 20000,0 --m-max 8".split(), EXIT_VALIDATION,
+         6659680, 0, 0, 0, 2, (3, 1, 1), error="class (20000, 0) up to m = 8"),
+    Cost("over-limit-rank2-ladder",
+         f"h0 --genus 1 --degrees 1,0 --class 1,0 --m-max {10**4000}".split(), EXIT_VALIDATION,
+         8290068, 0, 0, 0, 13286, (13287, 1, 1), error="class (1, 0) up to m = <4001 digits>"),
+]
+
+
+def spawn_peak(argv):
+    """main(argv) in one fresh child, waited for: its exit code, stdout bytes,
+    stderr, and its own peak RSS (ru_maxrss, in KiB on Linux), printed last
+    to stderr once stdout is flushed."""
+    child = ("import resource, sys; from ruledsurf.cli import main; code = main(sys.argv[1:]); "
+             "sys.stdout.flush(); print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, "
+             "file=sys.stderr); raise SystemExit(code)")
+    proc = subprocess.run([sys.executable, "-c", child, *argv], capture_output=True,
+                          env=dict(os.environ, PYTHONPATH=str(ROOT / "src")), timeout=60)
+    *err, peak = proc.stderr.decode().splitlines(keepends=True)
+    return proc.returncode, proc.stdout, "".join(err), int(peak)
 
 
 class TestWorkBounds:
-    @pytest.mark.parametrize("argv, what, units", [
-        # Each of the 13,824 rows' top rung is under the limit (493 units).
-        (("scan", *WIDE_GAP_SCAN), "scan of 13824 rows up to m = 1099511627776", 6815232),
-        # The same genus over two characteristics: priced once, not twice.
-        (("scan", *WIDE_GAP_SCAN, "--chars", "0,2"), "scan of 27648 rows up to m = 1099511627776",
-         6815232),
-        # The class (739,840 units) and its one rung m = 8 (5,919,840).
-        (("h0", "--genus", "2", "--degrees", "3,1,0,-2", "--class", "20000,0", "--m-max", "8"),
-         "class (20000, 0) up to m = 8", 6659680),
-        ((*SCAN_R2, "--m-max", str(10**4000)),
-         "scan of 3731 rows up to m = <4001 digits>", 6775004),
-        (("h0", "--genus", "1", "--degrees", "1,0", "--class", "1,0", "--m-max", str(10**4000)),
-         "class (1, 0) up to m = <4001 digits>", 8290068),
-    ], ids=["rank3-scan", "rank3-scan-chars", "rank4-ladder", "rank2-scan", "rank2-ladder"])
-    def test_over_limit_sums_nothing(self, run_logged, argv, what, units):
-        # All the sums of a command are priced together and refused before
-        # the first: a scan's rows, and an h0 class with its ladder.
-        code, out, err, log = run_logged(*argv)
-        assert (code, out, log.sums) == (EXIT_VALIDATION, "", [])
-        assert err == (f"error: {what}: the lattice sums need {units} work units, "
-                       "above the limit of 6000000\n")
-
     @pytest.mark.parametrize("argv, what, units", [
         # 10^5 rows of -K, each a pair of 4,300-digit integers at m_max.
         (("scan", "--genus-range", "0:99999", "--d1-range=1:1", "--d2-range=0:0",
@@ -858,36 +883,51 @@ class TestWorkBounds:
         # A refusal by price comes before any class is scaled by m, so a
         # refused scan holds its grid's rows and not their scaled classes:
         # under 100 MB of peak RSS in a fresh process, where building the
-        # scaled classes first took 449 MB and 135 MB.  One child at a
-        # time; each prints its own peak (ru_maxrss, in KiB on Linux).
-        child = ("import resource, sys; from ruledsurf.cli import main; code = main(sys.argv[1:]); "
-                 "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss); raise SystemExit(code)")
-        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-        proc = subprocess.run([sys.executable, "-c", child, *argv], env=env, capture_output=True,
-                              text=True, timeout=60)
-        assert (proc.returncode, proc.stderr) == (
-            EXIT_VALIDATION, f"error: {what}: the lattice sums need {units} work units, "
-                             "above the limit of 6000000\n")
-        assert int(proc.stdout) < 100 * 1024
+        # scaled classes first took 449 MB and 135 MB.
+        code, out, err, peak = spawn_peak(argv)
+        assert (code, out, err) == (EXIT_VALIDATION, b"", over_limit(what, units))
+        assert peak < 100 * 1024
+
+    def test_largest_ladder_peak_memory(self):
+        # The largest accepted h0 ladder known, 6,974 rungs up to m = 10^2100, read
+        # through a pipe: 140 MB of peak RSS measured, pinned under 200 MB for it alone.
+        code, out, err, peak = spawn_peak(
+            f"h0 --genus 1 --degrees 1,0 --class 1,0 --m-max {10**2100}".split())
+        assert (code, len(out), err) == (EXIT_OK, 36751645, "")
+        assert peak < 200 * 1024
 
     @pytest.mark.parametrize("argv, passes, leaves", [
         ((*SCAN_R2, "--m-max", "64"), 91, 7565),
         ((*SCAN_R3, "--m-max", "64"), 56, 852),
-        ((*SCAN_R2_MINUS_K, "--m-max", "64"), 533, 729),
-        (ACCEPTED_ARGV["h0-growth-section"], 4, 20),
-        (ACCEPTED_ARGV["h0-rank3-every-rung-0-1"], 25, 225),
-        (ACCEPTED_ARGV["h0-rank4-class-4000"], 1, 31210),
-    ], ids=["scan-r2", "scan-r3", "scan-r2-minus-k", "h0-rank2", "h0-rank3", "h0-rank4"])
+    ], ids=["scan-r2", "scan-r3"])
     def test_pinned_sums_and_leaf_calls(self, run_logged, argv, passes, leaves):
-        # The work of a command in counts that no host or Python version
-        # moves: the calls of _intervals, one pass over a group's genera
-        # each, and the leaf calls.  A scan sums each twist class once:
-        # scan-r3's 160 groups and the -K grid's 3,731 are 56 and 533
-        # classes, scan-r2's 91 groups 91.  A change to the work changes
-        # these pins, and says by how much.
+        # The benchmark's scan grids sum each twist class once, in one pass
+        # over its genera: scan-r3's 160 groups are 56 classes, scan-r2's
+        # 91 groups 91.  COSTS pins the same two counts with the rest of
+        # what each command costs.
         code, _, err, log = run_logged(*argv)
         assert (code in (EXIT_OK, EXIT_DISAGREE), err) == (True, "")
         assert (log.passes, log.leaves) == (passes, leaves)
+
+    @pytest.mark.parametrize("row", COSTS, ids=lambda row: row.id)
+    def test_costs_pinned(self, run_logged, row):
+        code, out, err, log = run_logged(*row.argv)
+        assert (code, log.units, log.passes, log.leaves, log.tables, len(log.prices),
+                log.records) == row[2:9]
+        # Every price comes before any sum, once for each (bundle, class).
+        assert (log.priced_in_sum, len(set(log.prices))) == (False, len(log.prices))
+        assert row.sums in (None, log.sums)
+        if code == EXIT_VALIDATION:
+            assert (out, log.sums, err) == ("", [], over_limit(row.error, row.units))
+            return
+        assert (err, row.error) == ("", None)
+        if row.argv[0] == "scan":
+            # The (bundle, m_max * cls) of the prices are those its rows read back.
+            m_max = int(row.argv[row.argv.index("--m-max") + 1])
+            fields = [line.split("\t") for line in out.splitlines()[1:]]
+            assert len(fields) == row.rows
+            assert set(log.prices) == {(SplitBundle(tuple(map(int, f[2:-6]))),
+                                        m_max * NumClass(*map(int, f[-6:-4]))) for f in fields}
 
     @pytest.mark.parametrize("argv, lines, scenario", ACCEPTED)
     def test_accepted_quickly(self, capsys, tmp_path, argv, lines, scenario):
@@ -929,8 +969,7 @@ class TestDigitLimit:
     def test_limit_is_not_taken_from_environment(self):
         # A lower PYTHONINTMAXSTRDIGITS neither refuses a 701-digit degree
         # nor its volume.
-        src = Path(__file__).resolve().parent.parent / "src"
-        env = dict(os.environ, PYTHONPATH=str(src), PYTHONINTMAXSTRDIGITS="640")
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONINTMAXSTRDIGITS="640")
         big = "1" + "0" * 700
         proc = subprocess.run([sys.executable, "-m", "ruledsurf", "classify", "--genus", "1",
                                "--degrees", f"{big},0"],
@@ -953,13 +992,12 @@ def test_entry_point_matches_main(capsys, monkeypatch, tmp_path, argv, code, pla
     # stderr as main() called in this process.  The disagreeing scan runs
     # under the knots-shifted plant on both sides, spawned through run().
     argv = [arg.format(tmp=tmp_path) for arg in argv]
-    src = Path(__file__).resolve().parent.parent / "src"
     entry = ["-c", PLANTED_RUN] if planted else ["-m", "ruledsurf"]
     proc = subprocess.run([sys.executable, *entry, *argv],
-                          env=dict(os.environ, PYTHONPATH=str(src)),
+                          env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
                           capture_output=True, text=True, timeout=60)
     if planted:
-        monkeypatch.setattr(sections, "_volume", knots_shifted())
+        monkeypatch.setattr(sections, "volume", knots_shifted())
     assert (proc.returncode, proc.stdout, proc.stderr) == run_cli(capsys, *argv)
     assert proc.returncode == code
 
@@ -1039,11 +1077,10 @@ def test_startup_loads_no_heavy_module():
     # A one-shot command is mostly start-up: importing the CLI loads
     # neither dataclasses (with inspect) nor typing, and json only once
     # blowup reads a scenario.  -S keeps site from loading typing itself.
-    src = Path(__file__).resolve().parent.parent / "src"
     probe = ("import sys, ruledsurf.cli; "
              "print(sorted({'dataclasses', 'inspect', 'typing', 'json'} & set(sys.modules)))")
     proc = subprocess.run([sys.executable, "-S", "-c", probe],
-                          env=dict(os.environ, PYTHONPATH=str(src)),
+                          env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
                           capture_output=True, text=True, timeout=60)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
 

@@ -21,7 +21,7 @@ from test_cli import SCAN_R2, SCAN_R3, knots_shifted, run_cli
 GRIDS = {"scan-r2": (*SCAN_R2, "--m-max", "64"), "scan-r3": (*SCAN_R3, "--m-max", "64")}
 REFUSED = "interval needs 0 <= lo <= hi"
 
-VOLUME = sections._volume
+VOLUME = sections.volume
 INTERVALS = sections._intervals
 TRIANGLE = sections._triangle_sum
 
@@ -46,12 +46,12 @@ Plant = namedtuple("Plant", "id plant pins reason", defaults=(None,))
 HI_UNREAD = "no verdict reads hi: a scan decides from lo and vol, and checks only hi >= lo"
 
 PLANTED = [
-    Plant("knots-shifted", lambda: (sections, "_volume", knots_shifted()),
+    Plant("knots-shifted", lambda: (sections, "volume", knots_shifted()),
           {"scan-r2": 143, "scan-r3": 14}),
-    Plant("volume-truncated", lambda: (sections, "_volume",
-                                       lambda a, knots: Fraction(int(VOLUME(a, knots)))),
+    Plant("volume-truncated", lambda: (sections, "volume",
+                                       lambda s, cls: Fraction(int(VOLUME(s, cls)))),
           {"scan-r2": 170, "scan-r3": 5}),
-    Plant("volume-halved", lambda: (sections, "_volume", lambda a, knots: VOLUME(a, knots) / 2),
+    Plant("volume-halved", lambda: (sections, "volume", lambda s, cls: VOLUME(s, cls) / 2),
           {"scan-r2": 0, "scan-r3": 0},
           "a smaller vol only lowers the threshold lo must pass: it clears 74 of scan-r2's "
           "105 INCONCLUSIVE rows and flags none"),

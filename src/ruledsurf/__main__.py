@@ -16,10 +16,13 @@ long-lived process.
 
 main() flushes stdout as it prints, so it alone decides what a failed
 write means: a reader that closes stdout early (`ruledsurf scan ... |
-head -1`) leaves output unwritten, which main() drops, and any other
-failure, a full device say, exits 3 with one `error:` line.  A failed
-write to stderr changes nothing: main() and its parsers write every
-refusal through one helper that drops it.
+head -1`) leaves output unwritten, which main() drops, keeping the
+command's own exit code and an empty stderr; any other failure, a full
+device say, exits 3 with one `error:` line; a command started with
+stdout closed fails nothing.  A failed write to stderr, or a closed
+stderr, changes nothing: main() and its parsers write every refusal
+through one helper that drops it, so a refusal keeps its exit code and
+still writes nothing to stdout.
 Either way the unwritten text stays in the stream's buffer, so run()
 flushes stdout and then stderr once more: where that fails too, it
 points the stream's fd at os.devnull, so that the interpreter's own

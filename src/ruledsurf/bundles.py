@@ -15,10 +15,12 @@ from itertools import groupby
 from math import comb
 
 
-# The most decimal digits of a number the CLI reads or prints: Python's
-# default int <-> str limit, which cli.main installs whatever
-# PYTHONINTMAXSTRDIGITS says.  check_digits refuses past it early, where
-# the work would otherwise grow first.
+# The digit rule: the most decimal digits of a number the CLI reads or
+# prints.  It is Python's default int <-> str limit, which cli.main
+# installs whatever PYTHONINTMAXSTRDIGITS says, so a longer number is
+# refused, never converted.  check_digits refuses past it early, where the
+# work would otherwise grow first: in the volume's divided-difference
+# table and in the Frobenius pull-back.
 MAX_DIGITS = 4300
 DIGIT_LIMIT = 10**MAX_DIGITS
 

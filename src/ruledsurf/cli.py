@@ -3,10 +3,9 @@
 Subcommands: classify | scan | blowup | h0 | frobenius.  Exit codes:
 0 success / agreement, 1 oracle disagreement, 2 validation failure
 (a request over a work limit included), 3 file I/O failure (reading a
-scenario file, or writing --out or stdout).  A reader that closes stdout
-early fails nothing: the command ends quietly with its own exit code.
-Refusals are written to stderr alone; a stderr that cannot be written,
-or is closed, loses them and changes neither the exit code nor stdout.
+scenario file, or writing --out or stdout).  Refusals are written to
+stderr alone; the __main__ docstring says what a failed stdout or stderr
+does.
 """
 from __future__ import annotations
 
@@ -50,9 +49,8 @@ def _shorten(message: str) -> str:
 
 
 def _to_stderr(text: str) -> None:
-    """Write text to stderr: a stderr that is None (fd 2 closed at
-    start-up) or that the OS cannot write loses the text, and changes
-    neither the exit code nor stdout."""
+    """Write text to stderr, dropping it where sys.stderr is None or the OS
+    cannot write it (see the __main__ docstring)."""
     try:
         sys.stderr.write(text)
     except (AttributeError, OSError):
@@ -160,10 +158,11 @@ def cmd_scan(args: argparse.Namespace) -> tuple[int, list[str]]:
     """The scan grid's rows, in emission order: genera and characteristics
     (each once, sorted) in that order, each curve with every bundle, the
     non-increasing degree tuples of the ranges given in lexicographic
-    order.  The sums read the curve only through its genus, so rows are
-    classified in blocks of genera that share each bundle's class, each
-    genus once for all the characteristics: a fixed --class puts every
-    genus in one block, -K (which reads the genus) makes one block a genus."""
+    order.  Rows are classified in blocks of genera that share each
+    bundle's class (the sections module docstring says why a block may),
+    each genus once for all the characteristics: a fixed --class puts
+    every genus in one block, -K (which reads the genus) makes one block a
+    genus."""
     genera, chars = args.genus_range, sorted(set(args.chars))
     ranges = {name: r for name in ("d1", "d2", "d3") if (r := getattr(args, f"{name}_range"))}
     # stop - start, not len(): len() of a range past sys.maxsize overflows.
@@ -181,11 +180,12 @@ def cmd_scan(args: argparse.Namespace) -> tuple[int, list[str]]:
         Curve(genera[0], p)
     blocks = [genera] if args.num_class is not None else [[g] for g in genera]
     # A group for each bundle in each block: the class on the bundle over a
-    # curve of each of the block's genera.  The surface over the block's
-    # first genus stands for them all: -K reads only the genus, and the
-    # slope test only the bundle.
-    surfaces = [(RuledSurface(Curve(block[0]), bundle), block)
-                for block in blocks for bundle in bundles]
+    # curve of each of the block's genera.  One curve of the block's first
+    # genus stands for them all, on every bundle: -K reads only the genus,
+    # and the slope test only the bundle.
+    curves = [Curve(block[0]) for block in blocks]
+    surfaces = [(RuledSurface(curve, bundle), block)
+                for curve, block in zip(curves, blocks) for bundle in bundles]
     groups = [(surface, _class_of(args, surface), block) for surface, block in surfaces]
     classified = growth_classify(f"scan of {len(bundles) * len(genera) * len(chars)} rows "
                                  f"up to m = {args.m_max}", groups, (args.m_max,))
@@ -271,12 +271,12 @@ def cmd_blowup(args: argparse.Namespace) -> tuple[int, list[str]]:
         f"effective_part: {cert.effective_part}",
         "witness: -K(Xtilde) = pullback(big_part) + effective_part",
     ]
-    # Each blow-up adds one orthogonal (-1)-class to K, so K_i^2 = K_n^2 + (n - i).
-    n = len(scenario.steps)
-    surface = BlownUpSurface(scenario.base, n)
+    # K_i^2 = K_0^2 - i (see the blowups module).  BlownUpSurface is built,
+    # with n = 0, for K_0 and to refuse a base it cannot blow up.
+    surface = BlownUpSurface(scenario.base)
     k = surface.canonical_class()
-    k_squared = check_class(surface, k, k)
-    lines += [f"k_squared_step_{i}: {k_squared + n - i}" for i in range(n + 1)]
+    k0_squared = check_class(surface, k, k)
+    lines += [f"k_squared_step_{i}: {k0_squared - i}" for i in range(len(scenario.steps) + 1)]
     return EXIT_OK, lines
 
 
@@ -378,8 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    # Every number the CLI reads or prints is held to MAX_DIGITS digits by
-    # Python's own int <-> str limit, whatever PYTHONINTMAXSTRDIGITS says.
+    # The digit rule: see bundles.MAX_DIGITS.
     sys.set_int_max_str_digits(MAX_DIGITS)
     parser = build_parser()
     try:
@@ -395,7 +394,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             try:
                 print("\n".join(lines), flush=True)
             except BrokenPipeError:
-                pass  # the reader has stopped reading: not a failure of the command
+                pass  # the reader has stopped reading: see the __main__ docstring
             return code
         with open(args.out, "w") as out:
             print("\n".join(lines), file=out)

@@ -16,13 +16,14 @@ to one leaf of rank 2 or 3, of degrees base + w.gaps over w >= 0,
 floor is gone, q of them at a rank-2 leaf and q^2 at a rank-3 leaf.  Each
 sublattice is then a line, an arithmetic series from its first positive
 term, or a triangle, row by row a polynomial, less the negative terms of
-the rows only partly positive, which floor sums give in O(log).  The
-bounds read the curve only through its genus, so a leaf sums a group of
-genera sharing the bundle and the class in one pass: the sublattice
-starts and the ramp that reads no genus once for the group, then per
-genus one sum for lo and, inside the band, the others for hi: two series
-at a rank-2 leaf, four triangles at a rank-3 one.
-Rank 2 costs O(1) a genus whatever a and g are, rank 3
+the rows only partly positive, which floor sums give in O(log).
+
+The bounds read the curve only through its genus, never its
+characteristic, so a leaf sums a group of genera sharing the bundle and
+the class in one pass: the sublattice starts and the ramp that reads no
+genus once for the group, then per genus one sum for lo and, inside the
+band, the others for hi: two series at a rank-2 leaf, four triangles at
+a rank-3 one.  Rank 2 costs O(1) a genus whatever a and g are, rank 3
 O(log(min(a, d_2 - d_3) + 1)), and rank r the recursion down to
 C(a+r-3, r-3) rank-3 leaves.  Outside the band 0 <= d <= 2g-2 (so at
 g = 0 everywhere) hi = lo, and a leaf whose degree range misses the band
@@ -34,17 +35,13 @@ equals a^(r-1) times the divided difference of t -> max(t, 0)^r over the
 vertex values v_i = a*d_i + b (in rank 2, the Zariski decomposition's
 vol = D^2 + (D.C_0)^2/e).  It is read off one divided-difference table,
 with repeated vertex values handled as confluent knots (derivative
-entries), never by perturbation, and each entry checked against
-MAX_DIGITS.
+entries), never by perturbation.
 
 growth_classify classifies groups of rows that share a bundle and a class
-on different genera.  Every value but the price reads the group only
-through its twist class, (a, the knots, the genera): it keys the groups
-by it, and takes the volume, the verdicts and each rung's sums, one pass
-over the genera checked lo <= hi, once per key.  The price reads the
-bundle, so it is taken first, for each group, and nothing is built or
-summed above the limit.  This module keeps no state across calls: a
-caller's shared work is what it puts in one growth_classify call.
+on different genera; its docstring says what it shares between groups,
+and lattice_work's how they are priced.  This module keeps no state
+across calls: a caller's shared work is what it puts in one
+growth_classify call.
 """
 from __future__ import annotations
 
@@ -199,10 +196,10 @@ def _slice_intervals(gaps: Sequence[int], base: int, left: int,
     the sum over the first coordinate k = 0..left of the slice of
     gaps[1:] at base + k*gaps[0], down to a leaf of one or two gaps: each
     ramp of _RAMPS is summed over its _sublattices, by _series on one gap,
-    _triangle_sum on two.  lo's ramp and hi's second are shifted by -g for
-    each genus g, and hi's first, which reads no genus, is summed once for
-    all.  Off the band (base + left*gaps[0] < 0, or max(base, 0) > 2g - 2,
-    that is g < (max(base, 0) + 3) // 2), hi = lo.
+    _triangle_sum on two, the ramps that read the genus (see _RAMPS) for
+    each genus, and hi's first, which reads none, once for all.  Off the
+    band (base + left*gaps[0] < 0, or max(base, 0) > 2g - 2, that is
+    g < (max(base, 0) + 3) // 2), hi = lo.
     """
     if len(gaps) > 2:
         sums = [(0, 0)] * len(genera)
@@ -269,8 +266,8 @@ def lattice_work(surface: RuledSurface, cls: NumClass) -> int:
     whether the row meets the band, and growth_classify takes it once for
     a (bundle, class) group and charges it once for each of its genera.
     It reads max|d_i|, which a twist moves, so it is taken for each input
-    group, even where groups of one twist class are summed once: the total
-    stays an upper bound on the work done.
+    group as given, also where growth_classify sums several groups once:
+    the total stays an upper bound on the work done.
     """
     if cls.a < 0:
         return 0
@@ -356,13 +353,10 @@ def _truncated_power_divdiff(knots: Sequence[int]) -> Fraction | int:
 def volume(surface: RuledSurface, cls: NumClass) -> Fraction:
     """Exact lim r! h^0(m*cls)/m^r; positive exactly on big classes.
 
-    It is a^(r-1) times the divided difference of max(t, 0)**r over the
-    knots v_i = a*d_i + b, from one table of _truncated_power_divdiff, so
-    it reads the class only through its twist class: growth_classify takes
-    it once for each.  In rank 2 it is Zariski's vol = D^2 + (D.C_0)^2/e.
-
-    Raises ValueError when an entry of the divided-difference table or
-    the volume itself has more than MAX_DIGITS decimal digits.
+    It is a^(r-1) times one table of _truncated_power_divdiff over the
+    knots v_i = a*d_i + b (see the module docstring).  Raises ValueError
+    when an entry of that table or the volume itself has more than
+    MAX_DIGITS decimal digits.
     """
     if cls.a <= 0:
         return Fraction(0)
@@ -406,28 +400,30 @@ def growth_classify(what: str, groups: Sequence[tuple[RuledSurface, NumClass, Se
     """Classify the bigness of classes on projective bundles from their
     exact volume, confirmed by section counts.  A group (surface, cls,
     genera) asks for cls on P_C(E), E the bundle of the surface, for each
-    g of genera, C any curve of genus g: the bounds read C only through g,
-    so every curve of that genus, in any characteristic, has that answer.
+    g of genera, C any curve of genus g, in any characteristic: the
+    module docstring says why the answer is the same on each.
 
     Samples the interval of h0_class_interval on m*cls at each m of the
     ascending rungs, for every genus (`scan` passes (m_max,), `h0 --m-max`
     (1, *ladder(m_max))).  The price of all sums together, each group's
     lattice_work at each rung times its number of genera, is checked
-    first, on the groups as given and before any scaled class is built:
-    above MAX_LATTICE_WORK, ValueError, naming `what`, is raised before any
-    sum.  P_C(E) = P_C(E (x) L), so the volume, the sums and the verdicts
-    read a group only through its twist class (cls.a, the knots
-    cls.a*d_i + cls.b, the genera): groups of one twist class, such as -K
-    on bundles of equal gaps, are classified once, on one of them, and
-    share one result object.  Each genus is summed on its own at each rung,
-    and checked lo <= hi.  Every volume is taken before the sums, so one
-    past MAX_DIGITS digits is refused at once.  The top rung is summed
-    first, and only it decides, by the rule of _verdicts.  Lower rungs are
-    there only to be printed, and the top one with them: when there are
-    any, a top-rung count past MAX_DIGITS digits is refused,
-    ValueError(TOO_LONG), before they are summed.  Returns, for each input
-    group, in input order, (volume, the verdict on each genus, for each
-    rung the interval on each genus).
+    first, before any scaled class is built: above MAX_LATTICE_WORK,
+    ValueError, naming `what`, is raised before any sum (lattice_work says
+    why each group is priced as given).
+
+    P_C(E) = P_C(E (x) L), so the volume, the sums and the verdicts read a
+    group only through its twist class (cls.a, the knots cls.a*d_i +
+    cls.b, the genera): groups of one twist class, such as -K on bundles
+    of equal gaps, are classified once, on one of them, and share one
+    result object.  At each rung the genera are summed in one pass, each
+    checked lo <= hi.  Every volume is taken before the sums, so one past
+    MAX_DIGITS digits is refused at once.  The top rung is summed first,
+    and only it decides, by the rule of _verdicts.  Lower rungs are there
+    only to be printed, and the top one with them: when there are any, a
+    top-rung count past MAX_DIGITS digits is refused, ValueError(TOO_LONG),
+    before they are summed.  Returns, for each input group, in input
+    order, (volume, the verdict on each genus, for each rung the interval
+    on each genus).
     """
     _check_work(what, sum(len(genera) * lattice_work(surface, m * cls)
                           for surface, cls, genera in groups for m in rungs))

@@ -21,7 +21,7 @@ from .bundles import Curve, SplitBundle, is_int
 
 
 class NumClass(namedtuple("NumClass", "a b")):
-    """Numerical class a*xi + b*f."""
+    """Numerical class a*xi + b*f, with -c, c - d and t * c."""
 
     __slots__ = ()
 

@@ -1,8 +1,10 @@
 """The contract every record of the package keeps: an immutable named tuple,
 built by keyword or by position, shown by `repr` (and its own `str` where it
 has one), equal and hashed by value, equal to the plain tuple of its fields,
-and refused with a ValueError of a fixed message when malformed.  One row a
-record; the generic tests below run over the rows."""
+and refused with a ValueError of a fixed message when malformed: an integer
+field that fails `is_int`, a field for a record that holds another type, a
+step that is no bool, or a value its rule refuses.  One row a record; the
+generic tests below run over the rows."""
 from collections import namedtuple
 from fractions import Fraction
 
